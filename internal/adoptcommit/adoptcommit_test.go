@@ -307,3 +307,31 @@ type countingCtx struct{ steps int }
 func (c *countingCtx) Step() { c.steps++ }
 
 func (c *countingCtx) Exclusive() bool { return false }
+
+// TestRegisterACReset: a reset object behaves exactly like a fresh one.
+// Without the reset, the second run's solo proposer would adopt the first
+// run's committed value; after it, it commits its own.
+func TestRegisterACReset(t *testing.T) {
+	obj := NewHashAC[string]()
+	if outs := runAC(t, Object[string](obj), []string{"first"}, sched.NewRoundRobin(1)); outs[0] != (acOutcome[string]{Commit, "first"}) {
+		t.Fatalf("fresh object: %+v, want commit first", outs[0])
+	}
+	if outs := runAC(t, Object[string](obj), []string{"second"}, sched.NewRoundRobin(1)); outs[0] != (acOutcome[string]{Adopt, "first"}) {
+		t.Fatalf("used object: %+v, want adopt first", outs[0])
+	}
+	if !obj.Reset() {
+		t.Fatal("hash adopt-commit refused to reset")
+	}
+	if outs := runAC(t, Object[string](obj), []string{"second"}, sched.NewRoundRobin(1)); outs[0] != (acOutcome[string]{Commit, "second"}) {
+		t.Fatalf("reset object: %+v, want commit second", outs[0])
+	}
+	if NewRegisterAC[int](noResetCD{}).Reset() {
+		t.Fatal("object reset although its conflict detector cannot")
+	}
+}
+
+// noResetCD is a conflict detector without a Reset method.
+type noResetCD struct{}
+
+func (noResetCD) Check(memory.Context, int) bool { return true }
+func (noResetCD) StepBound() int                 { return 0 }

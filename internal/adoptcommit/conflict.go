@@ -66,6 +66,10 @@ func (c *FlagsCD) Check(ctx memory.Context, v int) bool {
 // StepBound implements ConflictDetector.
 func (c *FlagsCD) StepBound() int { return c.flags.Len() }
 
+// Reset clears every flag so the detector can serve a fresh set of
+// processes. No Check may be in flight (see memory.Register.Reset).
+func (c *FlagsCD) Reset() { c.flags.Reset() }
+
 // Encoder injectively maps protocol values to fixed-width bit strings for
 // digit decomposition. Injectivity on the values actually proposed is
 // required for correctness.
@@ -86,15 +90,38 @@ func IdentityEncoder(bits int) Encoder[int] {
 // and 64-bit FNV-1a. It is injective only with overwhelming probability
 // (collision probability about 2^-64 per pair), which is a documented
 // simulation-grade substitution for enumerating the value universe.
+//
+// A string's %v representation is its own bytes, so strings are hashed
+// directly: the same code without fmt's allocations. Every other type,
+// named string types included (they may have a String method), goes
+// through fmt.
 func HashEncoder[V comparable]() Encoder[V] {
 	return Encoder[V]{
 		Bits: 64,
 		Encode: func(v V) uint64 {
+			if s, ok := any(v).(string); ok {
+				return fnv1a64(s)
+			}
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%v", v)
 			return h.Sum64()
 		},
 	}
+}
+
+// fnv1a64 is 64-bit FNV-1a over the bytes of s, matching hash/fnv's
+// New64a.
+func fnv1a64(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }
 
 // DigitCD decomposes values into binary digits and runs one two-flag
@@ -141,3 +168,11 @@ func (d *DigitCD[V]) Check(ctx memory.Context, v V) bool {
 
 // StepBound implements ConflictDetector.
 func (d *DigitCD[V]) StepBound() int { return 2 * d.enc.Bits }
+
+// Reset clears every digit's flags so the detector can serve a fresh set
+// of processes. No Check may be in flight (see memory.Register.Reset).
+func (d *DigitCD[V]) Reset() {
+	for _, digit := range d.digits {
+		digit.Reset()
+	}
+}

@@ -2,6 +2,8 @@ package adoptcommit
 
 import (
 	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -179,5 +181,60 @@ func TestIdentityEncoder(t *testing.T) {
 	}
 	if enc.Encode(200) != 200 {
 		t.Fatal("identity encoder mangled value")
+	}
+}
+
+// fmtHash is HashEncoder's general path — 64-bit FNV-1a over the value's
+// %v rendering — and the reference its string fast path must match.
+func fmtHash(v any) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v", v)
+	return h.Sum64()
+}
+
+// shouty is a named string type whose String method changes its %v
+// rendering, so it must stay on the fmt path.
+type shouty string
+
+func (s shouty) String() string { return strings.ToUpper(string(s)) }
+
+// TestHashEncoderStringFastPath pins the string fast path bit-for-bit to
+// the fmt encoding: the codes pick the digit detectors two values
+// conflict in, so a changed code would change protocol executions and
+// every step count pinned downstream.
+func TestHashEncoderStringFastPath(t *testing.T) {
+	enc := HashEncoder[string]()
+	for _, s := range []string{
+		"",
+		"a",
+		"hello world",
+		"héllo, 世界 — ∑",
+		"\xff\xfe invalid utf-8 \x00 nul",
+		"rsm-batch/v1\n",
+		"rsm-batch/v1\n1 7 42 \"k001\" \"v\\n x\"\n3 7 43 \"ctr\" \"\"\n",
+		strings.Repeat("0123456789", 100),
+	} {
+		if got, want := enc.Encode(s), fmtHash(s); got != want {
+			t.Errorf("Encode(%q) = %#x, fmt path %#x", s, got, want)
+		}
+	}
+	// One absolute point pins the FNV-1a constants themselves.
+	if got := enc.Encode("a"); got != 0xaf63dc4c8601ec8c {
+		t.Errorf("Encode(\"a\") = %#x, want FNV-1a 0xaf63dc4c8601ec8c", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = enc.Encode("rsm-batch/v1\n") }); got != 0 {
+		t.Errorf("string Encode allocates %v times, want 0", got)
+	}
+
+	// Other types keep the fmt path, including string types whose %v
+	// rendering differs from their bytes.
+	if got, want := HashEncoder[shouty]().Encode("abc"), fmtHash(shouty("abc")); got != want {
+		t.Errorf("named string Encode = %#x, fmt path %#x", got, want)
+	}
+	if HashEncoder[shouty]().Encode("abc") != enc.Encode("ABC") {
+		t.Error("named string type bypassed its String method")
+	}
+	if got, want := HashEncoder[int]().Encode(42), fmtHash(42); got != want {
+		t.Errorf("int Encode = %#x, fmt path %#x", got, want)
 	}
 }

@@ -85,3 +85,18 @@ func (a *RegisterAC[V]) Propose(ctx memory.Context, _ int, v V) (dec Decision, o
 
 // StepBound implements Object.
 func (a *RegisterAC[V]) StepBound() int { return a.cd.StepBound() + 3 }
+
+// Reset returns the object to its initial state so a fresh set of
+// processes can use it, and reports whether it could: it cannot when
+// its conflict detector has no Reset method. No Propose may be in flight
+// (see memory.Register.Reset).
+func (a *RegisterAC[V]) Reset() bool {
+	cd, ok := a.cd.(interface{ Reset() })
+	if !ok {
+		return false
+	}
+	cd.Reset()
+	a.clean.Reset()
+	a.dirty.Reset()
+	return true
+}

@@ -150,6 +150,18 @@ func (c *Sifter[V]) StepBound() int { return c.rounds }
 // number of distinct personae held at the end of each round.
 func (c *Sifter[V]) SurvivorsPerRound() []int { return c.track.survivors() }
 
+// Reset clears the round registers so a fresh set of processes can use
+// the instance, and reports whether it could: an instance with
+// TrackSurvivors keeps per-run survivor tallies and is not resettable.
+// No Conciliate may be in flight (see memory.Register.Reset).
+func (c *Sifter[V]) Reset() bool {
+	if c.cfg.TrackSurvivors {
+		return false
+	}
+	c.regs.Reset()
+	return true
+}
+
 // Conciliate implements Interface.
 func (c *Sifter[V]) Conciliate(p *sim.Proc, input V) V {
 	before := p.Steps()

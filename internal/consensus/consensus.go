@@ -216,6 +216,43 @@ func (c *Protocol[V]) MeanPhases() float64 {
 	return float64(c.totalPhases.Load()) / float64(n)
 }
 
+// resetter is a phase object that can return to its initial state in
+// place, reporting whether it could.
+type resetter interface{ Reset() bool }
+
+// Reset returns the protocol to its unused state so a fresh set of
+// processes can decide with it, as if New had just built it. The phase
+// counters are zeroed; each built phase whose conciliator and
+// adopt-commit both reset in place is kept, and the first phase that
+// cannot be reset is dropped together with every later phase, to be
+// rebuilt lazily from the factories. No Propose may be in flight, and
+// later Proposes must be ordered after Reset returns (see
+// memory.Register.Reset).
+func (c *Protocol[V]) Reset() {
+	c.maxPhaseUsed.Store(0)
+	c.totalPhases.Store(0)
+	c.proposers.Store(0)
+	for i, ph := range c.phases {
+		if !resetPhase(ph) {
+			clear(c.phases[i:])
+			c.phases = c.phases[:i]
+			return
+		}
+	}
+}
+
+func resetPhase[V comparable](ph *phase[V]) bool {
+	conc, ok := ph.conc.(resetter)
+	if !ok {
+		return false
+	}
+	ac, ok := ph.ac.(resetter)
+	if !ok {
+		return false
+	}
+	return conc.Reset() && ac.Reset()
+}
+
 // phase returns the phase-i objects, creating them on first use. Lazy
 // creation is bookkeeping, not a modeled shared-memory operation, so it
 // takes no steps; the mutex makes it safe in concurrent mode.

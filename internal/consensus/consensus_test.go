@@ -315,3 +315,56 @@ type identityConciliator struct{}
 
 func (identityConciliator) Conciliate(p *sim.Proc, input int) int { p.Step(); return input }
 func (identityConciliator) StepBound() int                        { return 1 }
+
+// TestProtocolReset: a reset protocol replays exactly like a fresh one —
+// same outputs, same step count, under the same schedule and seed — and
+// keeps the phases it could reset while dropping the ones it could not.
+func TestProtocolReset(t *testing.T) {
+	const n = 6
+	inputs := distinct(n)
+	run := func(c *Protocol[int]) ([]int, int64) {
+		outs, res := runConsensus(t, c, inputs, sched.NewRandom(n, xrand.New(41)), 43)
+		return outs, res.TotalSteps
+	}
+	track := func(int) conciliator.Interface[int] {
+		return conciliator.NewSifter[int](n, conciliator.SifterConfig{TrackSurvivors: true})
+	}
+	checked := func(_ int, ac adoptcommit.Object[int]) adoptcommit.Object[int] {
+		return adoptcommit.NewChecked(ac, nil)
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func() *Protocol[int]
+		kept bool
+	}{
+		{"register", func() *Protocol[int] { return NewRegister[int](n) }, true},
+		{"encoded", func() *Protocol[int] { return NewRegisterEncoded[int](n, adoptcommit.IdentityEncoder(3)) }, true},
+		{"tracked sifter", func() *Protocol[int] {
+			return New(n, Config[int]{NewConciliator: track, NewAdoptCommit: func(int) adoptcommit.Object[int] { return adoptcommit.NewHashAC[int]() }})
+		}, false},
+		{"checked adopt-commit", func() *Protocol[int] {
+			c := NewRegister[int](n)
+			c.cfg.WrapAdoptCommit = checked
+			return c
+		}, false},
+		{"snapshot", func() *Protocol[int] { return NewSnapshot[int](n) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantOuts, wantSteps := run(tc.mk())
+			c := tc.mk()
+			run(c)
+			built := len(c.phases)
+			c.Reset()
+			if c.MaxPhases() != 0 || c.MeanPhases() != 0 {
+				t.Fatalf("phase counters survive Reset: max %d mean %v", c.MaxPhases(), c.MeanPhases())
+			}
+			if kept := len(c.phases); tc.kept && kept != built || !tc.kept && kept != 0 {
+				t.Fatalf("Reset kept %d of %d phases, want all=%v", kept, built, tc.kept)
+			}
+			outs, steps := run(c)
+			if fmt.Sprint(outs) != fmt.Sprint(wantOuts) || steps != wantSteps {
+				t.Fatalf("reset protocol decided %v in %d steps, fresh one %v in %d", outs, steps, wantOuts, wantSteps)
+			}
+		})
+	}
+}

@@ -171,6 +171,23 @@ func (r *Register[T]) lfInstallEmpty(v T) (T, bool) {
 // Ops reports how many operations this register has served.
 func (r *Register[T]) Ops() int64 { return r.ops.load() }
 
+// Reset returns the register to its never-written state: both
+// representations and the operation count are cleared. The
+// representation latch is kept — whichever representation it names now
+// reads as empty, and every operation still follows it — which spares
+// the reused register the latching CAS on its first operation. Reset is
+// bookkeeping for object reuse, not an operation of the modeled memory,
+// so it charges no step. It uses plain stores: the caller must ensure no
+// operation is in flight and that later operations are ordered after
+// Reset (for example by a mutex handoff).
+func (r *Register[T]) Reset() {
+	var zero T
+	r.lf = atomic.Pointer[T]{}
+	r.mu = sync.Mutex{}
+	r.val, r.set = zero, false
+	r.ops = opCounter{}
+}
+
 // RegisterArray is a convenience bundle of k independent registers, used
 // for per-round register sequences (Algorithm 2's r_i) and flag arrays in
 // conflict detectors.
@@ -192,6 +209,14 @@ func (a *RegisterArray[T]) At(i int) *Register[T] { return a.regs[i] }
 
 // Len returns the number of registers.
 func (a *RegisterArray[T]) Len() int { return len(a.regs) }
+
+// Reset resets every register in the array; see Register.Reset for the
+// caller's obligations.
+func (a *RegisterArray[T]) Reset() {
+	for _, r := range a.regs {
+		r.Reset()
+	}
+}
 
 // Ops sums operation counts across the array.
 func (a *RegisterArray[T]) Ops() int64 {

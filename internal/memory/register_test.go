@@ -187,3 +187,42 @@ func TestCompareEmptyAndWriteCounters(t *testing.T) {
 		})
 	}
 }
+
+// TestRegisterReset: in every representation, a reset register reads as
+// never written and has served no operations, and it keeps working —
+// under its original representation — afterwards.
+func TestRegisterReset(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ctx  Context
+		rep  int32
+	}{
+		{"locked", Free, repDirect},
+		{"exclusive", FreeExclusive, repDirect},
+		{"lock-free", FreeLockFree, repLockFree},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arr := NewRegisterArray[string](3)
+			for i := 0; i < arr.Len(); i++ {
+				arr.At(i).Write(tc.ctx, "old")
+			}
+			arr.Reset()
+			if ops := arr.Ops(); ops != 0 {
+				t.Fatalf("reset array reports %d ops", ops)
+			}
+			for i := 0; i < arr.Len(); i++ {
+				if v, ok := arr.At(i).Read(tc.ctx); ok {
+					t.Fatalf("register %d reads %q after Reset, want empty", i, v)
+				}
+			}
+			r := arr.At(0)
+			if got := r.rep.m.Load(); got != tc.rep {
+				t.Fatalf("Reset changed the representation latch to %d, want %d", got, tc.rep)
+			}
+			r.Write(tc.ctx, "new")
+			if v, ok := r.Read(tc.ctx); !ok || v != "new" {
+				t.Fatalf("reset register reads %q, %v after a write, want \"new\"", v, ok)
+			}
+		})
+	}
+}

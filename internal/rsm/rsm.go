@@ -22,6 +22,13 @@ import (
 // Log is a replicated log for n replicas: slot s is decided by one
 // single-use consensus instance, created lazily and shared by all
 // replicas. A Log is safe for concurrent use by its n replicas.
+//
+// Each instance has a lifecycle: built (or recycled) on the first
+// Propose into its slot, decided, and — once the caller has consumed the
+// slot and calls Compact — forgotten. A forgotten instance no proposer
+// is still inside is Reset and kept on a free list for a later slot, so
+// a log that is compacted as it is applied holds only its live window
+// of instances and stops allocating new ones.
 type Log[V comparable] struct {
 	n  int
 	mk func(n int) *consensus.Protocol[V]
@@ -31,7 +38,19 @@ type Log[V comparable] struct {
 	// single Propose(p, 1_000_000, v) allocate a million protocols for
 	// the untouched gap.
 	mu    sync.Mutex
-	slots map[int]*consensus.Protocol[V]
+	slots map[int]*slotState[V]
+	// base is the compaction watermark: every slot below it is
+	// forgotten and may no longer be proposed into.
+	base int
+	// free holds reset instances ready for reuse.
+	free []*slotState[V]
+}
+
+// slotState is one slot's consensus instance plus the number of
+// proposers currently inside it (guarded by Log.mu).
+type slotState[V comparable] struct {
+	c        *consensus.Protocol[V]
+	inflight int
 }
 
 // NewLog returns a replicated log whose slots are decided by protocols
@@ -43,7 +62,7 @@ func NewLog[V comparable](n int, mk func(n int) *consensus.Protocol[V]) *Log[V] 
 	if mk == nil {
 		panic("rsm: nil consensus factory")
 	}
-	return &Log[V]{n: n, mk: mk, slots: make(map[int]*consensus.Protocol[V])}
+	return &Log[V]{n: n, mk: mk, slots: make(map[int]*slotState[V])}
 }
 
 // Replicas returns the number of replicas n.
@@ -52,31 +71,90 @@ func (l *Log[V]) Replicas() int { return l.n }
 // Propose runs consensus for slot with the given proposal on behalf of
 // process p, returning the slot's decided command. Each replica must
 // call Propose at most once per slot (the underlying consensus objects
-// are single-use per process).
+// are single-use per process). Proposing into a compacted slot panics.
 func (l *Log[V]) Propose(p *sim.Proc, slot int, v V) V {
-	return l.slotProtocol(slot).Propose(p, v)
+	st := l.slotProtocol(slot)
+	defer l.leave(st)
+	return st.c.Propose(p, v)
 }
 
-// Slots returns how many slots have been instantiated so far (slots
-// actually proposed into — gaps left by sparse proposals don't count).
+// Slots returns how many slots currently hold a consensus instance:
+// slots actually proposed into and not yet compacted (gaps left by
+// sparse proposals don't count).
 func (l *Log[V]) Slots() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.slots)
 }
 
-func (l *Log[V]) slotProtocol(slot int) *consensus.Protocol[V] {
+// Compact forgets every slot below below; proposing into one of them
+// afterwards panics. Call it once the decided values of those slots have
+// been consumed. Instances no proposer is inside are reset and recycled
+// for later slots; an instance a straggling proposer is still inside is
+// left to the garbage collector instead, since resetting it would pull
+// the state out from under that proposer.
+func (l *Log[V]) Compact(below int) {
+	l.mu.Lock()
+	if below <= l.base {
+		l.mu.Unlock()
+		return
+	}
+	l.base = below
+	var idle []*slotState[V]
+	for s, st := range l.slots {
+		if s >= below {
+			continue
+		}
+		delete(l.slots, s)
+		if st.inflight == 0 {
+			idle = append(idle, st)
+		}
+	}
+	l.mu.Unlock()
+	if len(idle) == 0 {
+		return
+	}
+	// No proposer can reach an idle instance any more, so the reset
+	// runs outside the lock with plain stores; handing the instances
+	// over under the lock orders it before their next use.
+	for _, st := range idle {
+		st.c.Reset()
+	}
+	l.mu.Lock()
+	l.free = append(l.free, idle...)
+	l.mu.Unlock()
+}
+
+// slotProtocol returns slot's instance, building or recycling it on first
+// use, and counts the caller as a proposer inside it until leave.
+func (l *Log[V]) slotProtocol(slot int) *slotState[V] {
 	if slot < 0 {
 		panic(fmt.Sprintf("rsm: negative slot %d", slot))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c, ok := l.slots[slot]
-	if !ok {
-		c = l.mk(l.n)
-		l.slots[slot] = c
+	if slot < l.base {
+		panic(fmt.Sprintf("rsm: propose into slot %d, which was compacted (the log keeps slots from %d on)", slot, l.base))
 	}
-	return c
+	st, ok := l.slots[slot]
+	if !ok {
+		if k := len(l.free); k > 0 {
+			st = l.free[k-1]
+			l.free[k-1] = nil
+			l.free = l.free[:k-1]
+		} else {
+			st = &slotState[V]{c: l.mk(l.n)}
+		}
+		l.slots[slot] = st
+	}
+	st.inflight++
+	return st
+}
+
+func (l *Log[V]) leave(st *slotState[V]) {
+	l.mu.Lock()
+	st.inflight--
+	l.mu.Unlock()
 }
 
 // StateMachine is a deterministic state machine replayed over the log.

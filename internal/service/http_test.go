@@ -112,12 +112,19 @@ func TestHTTPStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Shards != 2 || st.Protocol != "register" || len(st.Groups) != 2 {
 		t.Fatalf("status: %+v", st)
+	}
+	if !strings.Contains(string(body), `"live_slots"`) {
+		t.Fatalf("status does not report live_slots: %s", body)
 	}
 	var ops int64
 	for _, g := range st.Groups {

@@ -178,12 +178,12 @@ func Start(cfg Config) (*Node, error) {
 	root := xrand.New(cfg.Seed)
 	for gid := 0; gid < cfg.Shards; gid++ {
 		g := &group{
-			id:       gid,
-			cfg:      &n.cfg,
-			node:     n,
-			log:      rsm.NewLog[string](cfg.Pipeline, mk),
-			intake:   make(chan *pendingOp, cfg.QueueDepth),
-			decided:  make(chan decidedBatch, cfg.Pipeline),
+			id:         gid,
+			cfg:        &n.cfg,
+			node:       n,
+			log:        rsm.NewLog[string](cfg.Pipeline, mk),
+			intake:     make(chan *pendingOp, cfg.QueueDepth),
+			decided:    make(chan decidedBatch, cfg.Pipeline),
 			kv:         rsm.NewKV(),
 			batchSizes: stats.NewIntHist(cfg.BatchMax + 1),
 			shardOps:   metrics.Default().Counter(fmt.Sprintf("service.shard_ops.%d", gid)),
@@ -332,6 +332,9 @@ func (g *group) applier() {
 			delete(stash, next)
 			g.apply(d)
 			next++
+			// The slot's waiters are woken and its batch is in
+			// decidedLog, so its consensus instance can be recycled.
+			g.log.Compact(next)
 		}
 	}
 }
@@ -402,6 +405,9 @@ type GroupStatus struct {
 	AppliedOps   int64 `json:"applied_ops"`
 	QueueLen     int   `json:"queue_len"`
 	Keys         int   `json:"keys"`
+	// LiveSlots counts the group's consensus instances not yet
+	// compacted: slots in flight or decided but not yet applied.
+	LiveSlots int `json:"live_slots"`
 }
 
 // Status is the /v1/status payload.
@@ -438,6 +444,7 @@ func (n *Node) Status() Status {
 			Keys:         g.kv.Len(),
 		}
 		g.mu.RUnlock()
+		gs.LiveSlots = g.log.Slots()
 		s.Groups = append(s.Groups, gs)
 	}
 	return s

@@ -219,22 +219,27 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const submitters = 32
-	committed := make(chan int, submitters)
+	const (
+		submitters = 32
+		keys       = 4
+	)
+	// committed[c] is how many of client c's increments of drain-(c%keys)
+	// succeeded before Close turned it away.
+	committed := make([]int, submitters)
 	var wg sync.WaitGroup
 	for c := 0; c < submitters; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				_, err := n.Submit(uint32(c), rsm.Op{Kind: rsm.OpInc, Key: fmt.Sprintf("drain-%d", c%4)})
+				_, err := n.Submit(uint32(c), rsm.Op{Kind: rsm.OpInc, Key: fmt.Sprintf("drain-%d", c%keys)})
 				if errors.Is(err, ErrClosed) {
-					committed <- i
+					committed[c] = i
 					return
 				}
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
-					committed <- i
+					committed[c] = i
 					return
 				}
 			}
@@ -246,11 +251,12 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	close(committed)
 
 	var want int
-	for c := range committed {
-		want += c
+	perKey := make([]int, keys)
+	for c, k := range committed {
+		want += k
+		perKey[c%keys] += k
 	}
 	var applied int64
 	for _, gs := range n.Status().Groups {
@@ -269,9 +275,68 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	// Reads still serve the final applied state after Close.
-	if _, ok := n.Get("drain-0"); !ok && want > 0 {
-		t.Fatal("post-Close read lost the applied state")
+	// Reads still serve the final applied state after Close: each
+	// counter holds exactly its own clients' committed increments, and a
+	// counter nobody committed to was never created.
+	for k, want := range perKey {
+		key := fmt.Sprintf("drain-%d", k)
+		v, ok := n.Get(key)
+		switch {
+		case want == 0 && ok:
+			t.Errorf("%s = %q after Close, but none of its clients committed", key, v)
+		case want > 0 && v != strconv.Itoa(want):
+			t.Errorf("%s = %q (present %v) after Close, want %d committed increments", key, v, ok, want)
+		}
+	}
+}
+
+// TestLiveSlotsBoundedAfterDrain: the applier compacts each slot once
+// it is applied, so after 10k writes the groups hold no more consensus
+// instances than the pipeline keeps in flight — none once the node has
+// closed — instead of one per slot ever decided.
+func TestLiveSlotsBoundedAfterDrain(t *testing.T) {
+	const (
+		clients = 4
+		writes  = 10000
+	)
+	cfg := Config{Shards: 2, Pipeline: 3, BatchMax: 4, Seed: 13}
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < writes; i += clients {
+				op := rsm.Op{Kind: rsm.OpSet, Key: fmt.Sprintf("k%03d", i%512), Value: strconv.Itoa(i)}
+				if _, err := n.Submit(uint32(c), op); err != nil {
+					t.Errorf("client %d write %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	var slots int
+	for _, gs := range n.Status().Groups {
+		slots += gs.AppliedSlots
+		if gs.LiveSlots > cfg.Pipeline {
+			t.Errorf("shard %d holds %d live slots after its writes applied, want <= pipeline %d", gs.Shard, gs.LiveSlots, cfg.Pipeline)
+		}
+	}
+	if slots < writes/cfg.BatchMax {
+		t.Fatalf("only %d slots applied for %d writes", slots, writes)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, gs := range n.Status().Groups {
+		if gs.LiveSlots != 0 {
+			t.Errorf("shard %d holds %d live slots after Close, want 0", gs.Shard, gs.LiveSlots)
+		}
 	}
 }
 
