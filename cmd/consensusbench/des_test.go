@@ -41,6 +41,8 @@ func TestDESFlagValidation(t *testing.T) {
 		{"bad partition", []string{"-des", "-des-partition", "5ms+25ms+0.3"}, "partition"},
 		{"partition never heals", []string{"-des", "-des-partition", "25ms:5ms:0.3"}, "heal"},
 		{"partition frac zero", []string{"-des", "-des-partition", "5ms:25ms:0"}, "fraction"},
+		{"partition frac trailing junk", []string{"-des", "-des-partition", "5ms:25ms:0.3abc"}, "partition fraction"},
+		{"partition frac two numbers", []string{"-des", "-des-partition", "5ms:25ms:0.3 0.5"}, "partition fraction"},
 		{"bad format", []string{"-des", "-format", "xml"}, "unknown format"},
 		{"orphan des-crash", []string{"-des-crash", "proc:0.2"}, "require -des"},
 		{"orphan des-restart", []string{"-des-restart", "durable"}, "require -des"},

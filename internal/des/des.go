@@ -31,6 +31,7 @@ package des
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -151,8 +152,10 @@ func ParsePartition(s string) (Partition, error) {
 	if err != nil {
 		return Partition{}, fmt.Errorf("des: bad partition end %q: %v", parts[1], err)
 	}
-	var frac float64
-	if _, err := fmt.Sscanf(parts[2], "%g", &frac); err != nil {
+	// strconv.ParseFloat, not fmt.Sscanf: Sscanf accepts partial parses
+	// ("0.3abc" and "0.3 0.5" both yield 0.3 with a nil error).
+	frac, err := strconv.ParseFloat(parts[2], 64)
+	if err != nil {
 		return Partition{}, fmt.Errorf("des: bad partition fraction %q: %v", parts[2], err)
 	}
 	return Partition{From: from, Until: until, Frac: frac}, nil

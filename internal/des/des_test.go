@@ -247,9 +247,22 @@ func TestParsePartition(t *testing.T) {
 	if err != nil || got != want {
 		t.Fatalf("ParsePartition = %v, %v; want %v", got, err, want)
 	}
-	for _, bad := range []string{"", "5ms:25ms", "x:25ms:0.3", "5ms:y:0.3", "5ms:25ms:z"} {
-		if _, err := ParsePartition(bad); err == nil {
-			t.Errorf("ParsePartition(%q) succeeded", bad)
+	rejected := []struct{ name, in string }{
+		{"empty", ""},
+		{"two fields", "5ms:25ms"},
+		{"four fields", "5ms:25ms:0.3:1"},
+		{"bad start", "x:25ms:0.3"},
+		{"bad end", "5ms:y:0.3"},
+		{"bad fraction", "5ms:25ms:z"},
+		{"empty fraction", "5ms:25ms:"},
+		{"fraction with trailing junk", "5ms:25ms:0.3abc"},
+		{"two fractions", "5ms:25ms:0.3 0.5"},
+		{"fraction with leading space", "5ms:25ms: 0.3"},
+		{"fraction with trailing space", "5ms:25ms:0.3 "},
+	}
+	for _, tc := range rejected {
+		if p, err := ParsePartition(tc.in); err == nil {
+			t.Errorf("%s: ParsePartition(%q) = %v, want an error", tc.name, tc.in, p)
 		}
 	}
 }

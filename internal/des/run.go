@@ -175,6 +175,7 @@ func Run(cfg Config) (Result, error) {
 		persCfg:  persCfg,
 		retryRng: retryRng,
 	}
+	d.q.setTick(cfg.Net.Latency.Mean.Nanoseconds())
 	d.rto0 = cfg.Retry.RTO.Nanoseconds()
 	if d.rto0 <= 0 {
 		d.rto0 = 8 * cfg.Net.Latency.Mean.Nanoseconds()
