@@ -220,52 +220,42 @@ func BenchmarkFlatHotPath(b *testing.B) {
 // BenchmarkConcurrentSteps measures real multi-core throughput of the
 // concurrent substrate: n processes on real goroutines hammer a shared
 // register, max register, and snapshot, and the benchmark reports
-// modeled steps per second. The lock-free/locked pair at each n is the
-// regression surface for the lock-free object representations — on a
-// multi-core host lock-free must beat the mutex substrate at n=8 by the
-// factor recorded in BENCH_concurrent_steps.json. One runner is reused
-// across all b.N trials, so goroutine spawn cost is excluded just as the
-// experiment sweeps exclude it.
+// modeled steps per second. It is the regression surface for the
+// lock-free object representations, with BENCH_concurrent_steps.json as
+// the committed record. One runner is reused across all b.N trials, so
+// goroutine spawn cost is excluded just as the experiment sweeps exclude
+// it.
 func BenchmarkConcurrentSteps(b *testing.B) {
 	const opsPerProc = 512
-	for _, substrate := range []struct {
-		name   string
-		locked bool
-	}{
-		{name: "lock-free", locked: false},
-		{name: "locked", locked: true},
-	} {
-		for _, n := range []int{2, 8, 64} {
-			substrate, n := substrate, n
-			b.Run(fmt.Sprintf("%s/n=%d", substrate.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				r := sim.NewConcurrentRunner(n, 0)
-				defer r.Close()
-				var totalSteps int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					reg := memory.NewRegister[int]()
-					maxr := memory.NewMaxRegister[int]()
-					snap := memory.NewSnapshot[int](n)
-					res, err := r.Run(func(p *sim.Proc) {
-						for k := 0; k < opsPerProc; k++ {
-							reg.Write(p, p.ID())
-							reg.Read(p)
-							maxr.WriteMax(p, uint64(k), p.ID())
-							snap.Update(p, p.ID(), k)
-						}
-					}, sim.Config{AlgSeed: uint64(i) + 1, LockedMemory: substrate.locked})
-					if err != nil {
-						b.Fatal(err)
+	for _, n := range []int{2, 8, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			r := sim.NewConcurrentRunner(n, 0)
+			defer r.Close()
+			var totalSteps int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reg := memory.NewRegister[int]()
+				maxr := memory.NewMaxRegister[int]()
+				snap := memory.NewSnapshot[int](n)
+				res, err := r.Run(func(p *sim.Proc) {
+					for k := 0; k < opsPerProc; k++ {
+						reg.Write(p, p.ID())
+						reg.Read(p)
+						maxr.WriteMax(p, uint64(k), p.ID())
+						snap.Update(p, p.ID(), k)
 					}
-					totalSteps += res.TotalSteps
+				}, sim.Config{AlgSeed: uint64(i) + 1})
+				if err != nil {
+					b.Fatal(err)
 				}
-				secs := b.Elapsed().Seconds()
-				if secs > 0 {
-					b.ReportMetric(float64(totalSteps)/secs, "steps/s")
-				}
-			})
-		}
+				totalSteps += res.TotalSteps
+			}
+			secs := b.Elapsed().Seconds()
+			if secs > 0 {
+				b.ReportMetric(float64(totalSteps)/secs, "steps/s")
+			}
+		})
 	}
 }
 

@@ -15,17 +15,15 @@ import (
 // as benchRecord so -bench-concurrent-baseline can parse a committed
 // record with the ordinary benchRecord decoder.
 type concurrentRecord struct {
-	Schema           string             `json:"schema"` // "conciliator-concurrent-bench/v1"
-	GOOS             string             `json:"goos"`
-	GOARCH           string             `json:"goarch"`
-	NumCPU           int                `json:"num_cpu"`
-	GOMAXPROCS       int                `json:"gomaxprocs"`
-	OpsPerProc       int                `json:"ops_per_proc"`
-	Runs             int                `json:"runs"`
-	TotalWallSeconds float64            `json:"total_wall_seconds"`
-	Experiments      []benchEntry       `json:"experiments"`
-	SpeedupVsLocked  map[string]float64 `json:"speedup_vs_locked"`
-	Note             string             `json:"note,omitempty"`
+	Schema           string       `json:"schema"` // "conciliator-concurrent-bench/v1"
+	GOOS             string       `json:"goos"`
+	GOARCH           string       `json:"goarch"`
+	NumCPU           int          `json:"num_cpu"`
+	GOMAXPROCS       int          `json:"gomaxprocs"`
+	OpsPerProc       int          `json:"ops_per_proc"`
+	Runs             int          `json:"runs"`
+	TotalWallSeconds float64      `json:"total_wall_seconds"`
+	Experiments      []benchEntry `json:"experiments"`
 }
 
 const (
@@ -46,95 +44,64 @@ var concurrentSizes = []int{2, 8, 64}
 // concurrentStepsEntries measures real multi-core throughput of the
 // concurrent substrate: for each n, n goroutines hammer a shared
 // register, max register, and snapshot through one reused
-// ConcurrentRunner, once over the lock-free representation and once over
-// the mutex-backed one. Entries are keyed
-// "concurrent-steps/<substrate>/n=<n>".
+// ConcurrentRunner. Entries are keyed "concurrent-steps/n=<n>".
 func concurrentStepsEntries() []benchEntry {
 	var entries []benchEntry
-	for _, substrate := range []struct {
-		name   string
-		locked bool
-	}{
-		{name: "lock-free", locked: false},
-		{name: "locked", locked: true},
-	} {
-		for _, n := range concurrentSizes {
-			r := sim.NewConcurrentRunner(n, 0)
-			var totalSteps int64
-			start := time.Now()
-			for i := 0; i < concurrentStepsRuns; i++ {
-				reg := memory.NewRegister[int]()
-				maxr := memory.NewMaxRegister[int]()
-				snap := memory.NewSnapshot[int](n)
-				res, err := r.Run(func(p *sim.Proc) {
-					for k := 0; k < concurrentOpsPerProc; k++ {
-						reg.Write(p, p.ID())
-						reg.Read(p)
-						maxr.WriteMax(p, uint64(k), p.ID())
-						snap.Update(p, p.ID(), k)
-					}
-				}, sim.Config{AlgSeed: uint64(i) + 1, LockedMemory: substrate.locked})
-				if err != nil {
-					// The body is panic-free and fault-free; an error here is
-					// a runner bug, not a measurement artifact.
-					panic(err)
+	for _, n := range concurrentSizes {
+		r := sim.NewConcurrentRunner(n, 0)
+		var totalSteps int64
+		start := time.Now()
+		for i := 0; i < concurrentStepsRuns; i++ {
+			reg := memory.NewRegister[int]()
+			maxr := memory.NewMaxRegister[int]()
+			snap := memory.NewSnapshot[int](n)
+			res, err := r.Run(func(p *sim.Proc) {
+				for k := 0; k < concurrentOpsPerProc; k++ {
+					reg.Write(p, p.ID())
+					reg.Read(p)
+					maxr.WriteMax(p, uint64(k), p.ID())
+					snap.Update(p, p.ID(), k)
 				}
-				totalSteps += res.TotalSteps
+			}, sim.Config{AlgSeed: uint64(i) + 1})
+			if err != nil {
+				// The body is panic-free and fault-free; an error here is
+				// a runner bug, not a measurement artifact.
+				panic(err)
 			}
-			r.Close()
-			secs := time.Since(start).Seconds()
-			entry := benchEntry{
-				ID:          fmt.Sprintf("concurrent-steps/%s/n=%d", substrate.name, n),
-				WallSeconds: secs,
-				Steps:       totalSteps,
-			}
-			if secs > 0 {
-				entry.StepsPerSec = float64(totalSteps) / secs
-			}
-			entries = append(entries, entry)
+			totalSteps += res.TotalSteps
 		}
+		r.Close()
+		secs := time.Since(start).Seconds()
+		entry := benchEntry{
+			ID:          fmt.Sprintf("concurrent-steps/n=%d", n),
+			WallSeconds: secs,
+			Steps:       totalSteps,
+		}
+		if secs > 0 {
+			entry.StepsPerSec = float64(totalSteps) / secs
+		}
+		entries = append(entries, entry)
 	}
 	return entries
 }
 
-// buildConcurrentRecord runs the concurrent sweep and derives the
-// per-n lock-free/locked speedup ratios the acceptance gate reads.
+// buildConcurrentRecord runs the concurrent sweep and prints one line
+// per entry.
 func buildConcurrentRecord(out io.Writer) concurrentRecord {
 	start := time.Now()
 	rec := concurrentRecord{
-		Schema:          "conciliator-concurrent-bench/v1",
-		GOOS:            runtime.GOOS,
-		GOARCH:          runtime.GOARCH,
-		NumCPU:          runtime.NumCPU(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		OpsPerProc:      concurrentOpsPerProc,
-		Runs:            concurrentStepsRuns,
-		Experiments:     concurrentStepsEntries(),
-		SpeedupVsLocked: make(map[string]float64, len(concurrentSizes)),
+		Schema:      "conciliator-concurrent-bench/v1",
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		OpsPerProc:  concurrentOpsPerProc,
+		Runs:        concurrentStepsRuns,
+		Experiments: concurrentStepsEntries(),
 	}
 	rec.TotalWallSeconds = time.Since(start).Seconds()
-	byID := make(map[string]benchEntry, len(rec.Experiments))
-	for _, e := range rec.Experiments {
-		byID[e.ID] = e
-	}
-	for _, n := range concurrentSizes {
-		lf := byID[fmt.Sprintf("concurrent-steps/lock-free/n=%d", n)]
-		lk := byID[fmt.Sprintf("concurrent-steps/locked/n=%d", n)]
-		if lk.StepsPerSec > 0 {
-			rec.SpeedupVsLocked[fmt.Sprintf("n=%d", n)] = lf.StepsPerSec / lk.StepsPerSec
-		}
-	}
-	if rec.GOMAXPROCS < 2 {
-		rec.Note = "single-core host: goroutines never run in parallel, so mutexes are uncontended and the lock-free representation pays its publication allocations without any contention win; the lock-free-vs-locked speedup is only meaningful on a multi-core host"
-	}
 	for _, e := range rec.Experiments {
 		fmt.Fprintf(out, "bench-concurrent: %-34s %12.0f steps/s\n", e.ID, e.StepsPerSec)
-	}
-	for _, n := range concurrentSizes {
-		key := fmt.Sprintf("n=%d", n)
-		if s, ok := rec.SpeedupVsLocked[key]; ok {
-			fmt.Fprintf(out, "bench-concurrent: lock-free speedup vs locked at %s: %.2fx\n", key, s)
-		}
 	}
 	return rec
 }

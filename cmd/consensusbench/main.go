@@ -96,7 +96,7 @@ func run(args []string, out io.Writer) error {
 		parallel          = fs.Int("parallel", 0, "trial workers per experiment (0 = NumCPU); results are identical for any value")
 		benchOut          = fs.String("bench-json", "", "write a JSON perf record (steps/sec, slots/sec, wall time per experiment) to this path")
 		benchBaseline     = fs.String("bench-baseline", "", "compare this run's controlled-steps entries against a committed bench record; exit nonzero on a >10% steps/s regression")
-		benchConcOut      = fs.String("bench-concurrent-json", "", "run the concurrent-substrate sweep (lock-free vs locked, real goroutines) and write its JSON record to this path")
+		benchConcOut      = fs.String("bench-concurrent-json", "", "run the concurrent-substrate sweep (lock-free objects, real goroutines) and write its JSON record to this path")
 		benchConcBaseline = fs.String("bench-concurrent-baseline", "", "compare the concurrent sweep's entries against a committed record; exit nonzero on a >10% steps/s regression")
 		metricsOut        = fs.String("metrics-json", "", "write a JSON metrics record (per-object op counts, phase step attribution, histograms) to this path")
 		metricsTable      = fs.Bool("metrics", false, "print the metrics table after the run")

@@ -410,15 +410,14 @@ func TestBenchConcurrentJSON(t *testing.T) {
 	if rec.NumCPU <= 0 || rec.GOMAXPROCS <= 0 || rec.OpsPerProc != concurrentOpsPerProc {
 		t.Errorf("environment not recorded: %+v", rec)
 	}
-	wantEntries := 2 * len(concurrentSizes) // lock-free and locked per n
-	if len(rec.Experiments) != wantEntries {
-		t.Fatalf("got %d entries, want %d", len(rec.Experiments), wantEntries)
+	if len(rec.Experiments) != len(concurrentSizes) {
+		t.Fatalf("got %d entries, want %d", len(rec.Experiments), len(concurrentSizes))
 	}
 	wantSteps := int64(concurrentStepsRuns * concurrentOpsPerProc * 4)
-	for _, e := range rec.Experiments {
-		var n int
-		if _, err := fmt.Sscanf(e.ID[strings.LastIndex(e.ID, "n=")+2:], "%d", &n); err != nil {
-			t.Fatalf("unparseable entry id %q", e.ID)
+	for i, e := range rec.Experiments {
+		n := concurrentSizes[i]
+		if want := fmt.Sprintf("concurrent-steps/n=%d", n); e.ID != want {
+			t.Fatalf("entry %d id = %q, want %q", i, e.ID, want)
 		}
 		if e.Steps != wantSteps*int64(n) {
 			t.Errorf("%s: %d steps, want %d", e.ID, e.Steps, wantSteps*int64(n))
@@ -427,12 +426,7 @@ func TestBenchConcurrentJSON(t *testing.T) {
 			t.Errorf("%s: steps/sec not computed", e.ID)
 		}
 	}
-	for _, n := range concurrentSizes {
-		if _, ok := rec.SpeedupVsLocked[fmt.Sprintf("n=%d", n)]; !ok {
-			t.Errorf("speedup_vs_locked missing n=%d", n)
-		}
-	}
-	if !strings.Contains(b.String(), "concurrent-steps/lock-free/n=8") {
+	if !strings.Contains(b.String(), "concurrent-steps/n=8") {
 		t.Errorf("sweep lines not printed:\n%s", b.String())
 	}
 }

@@ -72,28 +72,3 @@ func TestConcurrentConsensusRace(t *testing.T) {
 		}
 	}
 }
-
-// TestConcurrentConsensusLockedSubstrate pins that the mutex-backed
-// representation remains selectable for concurrent runs and still
-// reaches agreement — the fallback path for platforms where the
-// lock-free objects are suspect.
-func TestConcurrentConsensusLockedSubstrate(t *testing.T) {
-	const n = 8
-	c := NewRegister[int](n)
-	inputs := make([]int, n)
-	outs := make([]int, n)
-	for i := range inputs {
-		inputs[i] = i % 2
-	}
-	res, err := sim.RunConcurrent(n, func(p *sim.Proc) {
-		outs[p.ID()] = c.Propose(p, inputs[p.ID()])
-	}, sim.Config{AlgSeed: 5, LockedMemory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := fault.NewMonitor()
-	mon.CheckOutcome(inputs, outs, res.Finished)
-	if vs := mon.Finish(); len(vs) != 0 {
-		t.Fatalf("safety violations on locked substrate: %v", vs)
-	}
-}

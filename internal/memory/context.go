@@ -9,16 +9,14 @@
 // calling process through the Context interface, matching the paper's cost
 // model in which both register operations and snapshot update/scan
 // operations cost one step (Section 1.1). Objects are internally
-// linearizable under every execution mode, via one of three
-// representations latched per object on first use (see repMode): direct
-// field access under the controlled engine's Exclusive contexts, the same
-// fields under a mutex for locked contexts, or genuine hardware atomics —
-// atomic.Pointer stores and CAS loops — for the lock-free concurrent
-// path (see LockFreer).
+// linearizable under every execution mode, via one of two
+// representations latched per object on first use (see repMode): plain
+// field access under Exclusive contexts (the controlled engine and the
+// DES server), or hardware atomics — atomic.Pointer stores and CAS
+// loops — under every other context.
 package memory
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
@@ -36,7 +34,7 @@ type Context interface {
 
 	// Exclusive reports whether the caller is guaranteed to be the only
 	// process touching shared objects while its operation runs, letting
-	// objects skip their mutexes. The controlled simulator returns true
+	// objects use plain fields. The controlled simulator returns true
 	// (its coroutine engine runs exactly one process at a time by
 	// construction, and every handoff is a synchronization point);
 	// concurrent mode and Free return false, keeping the objects
@@ -52,23 +50,6 @@ type Scratcher interface {
 	ScratchMap() map[any]any
 }
 
-// LockFreer is an optional Context capability through which the
-// concurrent execution mode requests the lock-free object
-// implementations: CAS-loop atomic.Pointer cells instead of
-// mutex-guarded fields. Contexts that do not implement it (or report
-// false) keep the locked path, so golden tables, -race debugging with
-// the locked substrate, and the controlled engine's Exclusive() elision
-// are all unaffected.
-//
-// The capability is consulted only on an object's first operation: each
-// object latches its representation then (see repMode) and every later
-// operation follows the latch, whatever context issues it. Mixed-mode
-// histories — seed an object through Free, then hammer it from a
-// lock-free run — therefore stay on one coherent representation.
-type LockFreer interface {
-	LockFree() bool
-}
-
 // Free is a Context that never blocks and charges nothing. It is intended
 // for unit tests and non-simulated use of the memory objects.
 var Free Context = freeContext{}
@@ -79,38 +60,36 @@ func (freeContext) Step()           {}
 func (freeContext) Exclusive() bool { return false }
 
 // FreeExclusive is Free plus the exclusive capability: for benchmarks and
-// sequential tests that own their objects outright and want the lock-free
-// fast path without a simulator.
+// sequential tests that own their objects outright and want the direct
+// representation without a simulator.
 var FreeExclusive Context = freeExclusiveContext{}
 
 type freeExclusiveContext struct{ freeContext }
 
 func (freeExclusiveContext) Exclusive() bool { return true }
 
-// FreeLockFree is Free plus the lock-free capability: for unit tests and
-// benchmarks that want to exercise the CAS-based object implementations
-// without a concurrent simulator run.
-var FreeLockFree Context = freeLockFreeContext{}
-
-type freeLockFreeContext struct{ freeContext }
-
-func (freeLockFreeContext) LockFree() bool { return true }
-
 // Object representations. Every shared object carries a repMode that
 // latches, on the object's first operation, which of its two state
 // representations holds the truth:
 //
-//   - repDirect: the plain struct fields, accessed directly under an
-//     Exclusive context or under the object's mutex otherwise. This is
-//     the controlled engine's path and the locked concurrent path.
+//   - repDirect: the plain struct fields, read and written directly.
+//     Chosen when the first operation's context is Exclusive: the
+//     controlled engine and the DES server.
 //   - repLockFree: an atomic.Pointer cell updated by plain stores or CAS
-//     loops, never touching the mutex. This is the concurrent mode's
-//     default path.
+//     loops. Chosen under every other context: concurrent runs and Free.
 //
 // The latch is sticky: once decided, every operation from every context
 // follows it, so two representations can never disagree about an
 // object's state. It costs one atomic load per operation on the hot
 // path (the CAS happens only on the very first operation).
+//
+// Following the latch puts one obligation on callers. A non-exclusive
+// operation on a direct-latched object does plain field accesses, so it
+// is legal only when it is ordered after the exclusive run that owns the
+// object — for example a check on the test goroutine after RunControlled
+// returns. Every caller in this repository obeys this, and the race
+// detector enforces it in tests. A lock-free-latched object has no such
+// condition: any context may use it at any time.
 type repMode struct {
 	m atomic.Int32
 }
@@ -121,16 +100,16 @@ const (
 	repLockFree
 )
 
-// of returns the object's latched representation, deciding it from ctx
-// on the first call. Concurrent first operations racing to latch agree
-// on the outcome of the CAS.
+// of returns the object's latched representation, deciding it from
+// ctx.Exclusive() on the first call. Concurrent first operations racing
+// to latch agree on the outcome of the CAS.
 func (r *repMode) of(ctx Context) int32 {
 	if m := r.m.Load(); m != repUndecided {
 		return m
 	}
-	want := repDirect
-	if lf, ok := ctx.(LockFreer); ok && lf.LockFree() {
-		want = repLockFree
+	want := repLockFree
+	if ctx.Exclusive() {
+		want = repDirect
 	}
 	if r.m.CompareAndSwap(repUndecided, want) {
 		return want
@@ -150,73 +129,52 @@ func (c *opCounter) load() int64 { return c.n.Load() }
 // Per-object-class operation counters, aggregated across every instance.
 // All nil (free no-ops) until a metrics registry is installed; see the
 // metrics package for the enable protocol and ordering requirements.
-// "Contended" counts operations that found the object's critical section
-// already held by another process — real operation overlap, which only
-// the concurrent execution mode can produce (the controlled scheduler
-// runs one operation at a time by construction). "casretry" is the
-// lock-free analogue: CAS attempts that lost the race to a concurrent
+// "casretry" counts CAS attempts that lost the race to a concurrent
 // operation and had to retry (or, for CompareEmptyAndWrite, observe the
-// winner).
+// winner) — real operation overlap, which the direct representation
+// cannot see.
 //
-// Every operation on every object follows one pinned order, in all three
-// representations (exclusive, locked, lock-free):
+// Every operation on every object follows one pinned order, in both
+// representations (direct and lock-free):
 //
 //  1. ctx.Step() — the step is charged (and, in controlled mode, the
 //     adversary schedules the operation) before anything is observable.
-//  2. The memory effect: the critical section, the direct field access,
-//     or the atomic store/CAS loop.
-//  3. The fault hook (FaultOnWrite / stale-read substitution), outside
-//     the critical section: the injector records the post-state an
-//     overlapping observer could legitimately see.
+//  2. The memory effect: the direct field access or the atomic store/CAS
+//     loop.
+//  3. The fault hook (FaultOnWrite / stale-read substitution), after the
+//     effect: the injector records the post-state an overlapping
+//     observer could legitimately see.
 //  4. Accounting: ops.inc() and the per-class counter, last, so counter
 //     deltas always describe completed effects. Counters are monotone
 //     diagnostics, not linearization witnesses — in concurrent mode an
 //     operation's effect and its counter increment are not one atomic
 //     unit, and no reader may assume they are.
 //
-// TestOperationOrderCounterDeltas pins the accounting half of this
-// contract in both concurrent representations.
+// TestRepresentationEquivalence pins the accounting half of this
+// contract in both representations.
 var (
-	mRegRead, mRegWrite, mRegContend  *metrics.Counter
-	mSnapUpdate, mSnapScan, mSnapCont *metrics.Counter
-	mMaxWrite, mMaxRead, mMaxContend  *metrics.Counter
-	mTreeWrite, mTreeRead             *metrics.Counter
-	mAfekUpdate, mAfekScan            *metrics.Counter
-	mRegCAS, mMaxCAS, mSnapCAS        *metrics.Counter
+	mRegRead, mRegWrite        *metrics.Counter
+	mSnapUpdate, mSnapScan     *metrics.Counter
+	mMaxWrite, mMaxRead        *metrics.Counter
+	mTreeWrite, mTreeRead      *metrics.Counter
+	mAfekUpdate, mAfekScan     *metrics.Counter
+	mRegCAS, mMaxCAS, mSnapCAS *metrics.Counter
 )
 
 func init() {
 	metrics.OnEnable(func(r *metrics.Registry) {
 		mRegRead = r.Counter("memory.register.read")
 		mRegWrite = r.Counter("memory.register.write")
-		mRegContend = r.Counter("memory.register.contended")
 		mRegCAS = r.Counter("memory.register.casretry")
 		mSnapUpdate = r.Counter("memory.snapshot.update")
 		mSnapScan = r.Counter("memory.snapshot.scan")
-		mSnapCont = r.Counter("memory.snapshot.contended")
 		mSnapCAS = r.Counter("memory.snapshot.casretry")
 		mMaxWrite = r.Counter("memory.maxreg.write")
 		mMaxRead = r.Counter("memory.maxreg.read")
-		mMaxContend = r.Counter("memory.maxreg.contended")
 		mMaxCAS = r.Counter("memory.maxreg.casretry")
 		mTreeWrite = r.Counter("memory.treemax.write")
 		mTreeRead = r.Counter("memory.treemax.read")
 		mAfekUpdate = r.Counter("memory.afek.update")
 		mAfekScan = r.Counter("memory.afek.scan")
 	})
-}
-
-// lockMeter acquires mu, counting acquisitions that found the lock
-// already held into contended. With metrics disabled it is a plain
-// Lock; enabled, the TryLock fast path costs the same single CAS an
-// uncontended Lock does.
-func lockMeter(mu *sync.Mutex, contended *metrics.Counter) {
-	if contended == nil {
-		mu.Lock()
-		return
-	}
-	if !mu.TryLock() {
-		contended.Inc()
-		mu.Lock()
-	}
 }

@@ -9,12 +9,12 @@ import (
 
 	"github.com/oblivious-consensus/conciliator/internal/linearize"
 	"github.com/oblivious-consensus/conciliator/internal/memory"
-	"github.com/oblivious-consensus/conciliator/internal/metrics"
+	"github.com/oblivious-consensus/conciliator/internal/sched"
 	"github.com/oblivious-consensus/conciliator/internal/sim"
 )
 
 func TestLockFreeRegisterBasics(t *testing.T) {
-	ctx := memory.FreeLockFree
+	ctx := memory.Free
 	r := memory.NewRegister[int]()
 	if _, ok := r.Read(ctx); ok {
 		t.Fatal("fresh register reads as written")
@@ -36,7 +36,7 @@ func TestLockFreeRegisterBasics(t *testing.T) {
 }
 
 func TestLockFreeMaxRegisterBasics(t *testing.T) {
-	ctx := memory.FreeLockFree
+	ctx := memory.Free
 	m := memory.NewMaxRegister[string]()
 	if _, _, ok := m.ReadMax(ctx); ok {
 		t.Fatal("fresh max register reads as written")
@@ -57,7 +57,7 @@ func TestLockFreeMaxRegisterBasics(t *testing.T) {
 }
 
 func TestLockFreeSnapshotBasics(t *testing.T) {
-	ctx := memory.FreeLockFree
+	ctx := memory.Free
 	s := memory.NewSnapshot[int](3)
 	view := s.Scan(ctx)
 	for i, e := range view {
@@ -78,7 +78,7 @@ func TestLockFreeSnapshotBasics(t *testing.T) {
 }
 
 func TestLockFreeTreeMaxRegister(t *testing.T) {
-	ctx := memory.FreeLockFree
+	ctx := memory.Free
 	tr := memory.NewTreeMaxRegister[string](6)
 	writes := []struct {
 		k uint64
@@ -92,89 +92,59 @@ func TestLockFreeTreeMaxRegister(t *testing.T) {
 	}
 }
 
-func TestRepresentationLatchIsSticky(t *testing.T) {
-	// First op through Free latches the direct (locked) representation;
-	// a later lock-free-capable context must follow the latch and still
-	// observe the value.
-	r := memory.NewRegister[int]()
-	r.Write(memory.Free, 5)
-	if v, ok := r.Read(memory.FreeLockFree); !ok || v != 5 {
-		t.Fatalf("lock-free-context read after Free write = (%d, %v), want (5, true)", v, ok)
+// TestRepresentationOwnershipHandoff exercises the one condition the
+// direct representation puts on non-exclusive callers: objects a
+// controlled run latched direct may be used through non-exclusive
+// contexts once that run has returned. The checks read them with Free on
+// the test goroutine and then from a concurrent run's goroutines; under
+// -race this pins that RunControlled's return orders every plain-field
+// write of the run before those reads.
+func TestRepresentationOwnershipHandoff(t *testing.T) {
+	const n, iters = 4, 8
+	reg := memory.NewRegister[int]()
+	maxr := memory.NewMaxRegister[int]()
+	snap := memory.NewSnapshot[int](n)
+	tree := memory.NewTreeMaxRegister[int](8)
+	afek := memory.NewAfekSnapshot[int](n)
+	if _, err := sim.RunControlled(sched.New(sched.KindRandom, n, 3), func(p *sim.Proc) {
+		for i := 0; i < iters; i++ {
+			key := uint64(p.ID()*iters + i)
+			reg.Write(p, p.ID())
+			maxr.WriteMax(p, key, p.ID())
+			tree.WriteMax(p, key, p.ID())
+			snap.Update(p, p.ID(), i)
+		}
+		afek.Update(p, p.ID(), p.ID()+1)
+	}, sim.Config{AlgSeed: 1}); err != nil {
+		t.Fatal(err)
 	}
-	// And the reverse: latched lock-free, observed through Free.
-	r2 := memory.NewRegister[int]()
-	r2.Write(memory.FreeLockFree, 6)
-	if v, ok := r2.Read(memory.Free); !ok || v != 6 {
-		t.Fatalf("Free read after lock-free write = (%d, %v), want (6, true)", v, ok)
+
+	const wantMax = n*iters - 1
+	check := func(t *testing.T, who string, ctx memory.Context) {
+		if v, ok := reg.Read(ctx); !ok || v < 0 || v >= n {
+			t.Errorf("%s: Register.Read = (%d, %v), want a pid", who, v, ok)
+		}
+		if k, p, ok := maxr.ReadMax(ctx); !ok || k != wantMax || p != n-1 {
+			t.Errorf("%s: MaxRegister.ReadMax = (%d, %d, %v), want (%d, %d, true)", who, k, p, ok, wantMax, n-1)
+		}
+		if k, p, ok := tree.ReadMax(ctx); !ok || k != wantMax || p != n-1 {
+			t.Errorf("%s: TreeMaxRegister.ReadMax = (%d, %d, %v), want (%d, %d, true)", who, k, p, ok, wantMax, n-1)
+		}
+		for i, e := range snap.Scan(ctx) {
+			if !e.OK || e.Value != iters-1 {
+				t.Errorf("%s: Snapshot component %d = %+v, want (%d, true)", who, i, e, iters-1)
+			}
+		}
+		for i, e := range afek.Scan(ctx) {
+			if !e.OK || e.Value != i+1 {
+				t.Errorf("%s: AfekSnapshot component %d = %+v, want (%d, true)", who, i, e, i+1)
+			}
+		}
 	}
-}
-
-// TestOperationOrderCounterDeltas pins the accounting half of the pinned
-// operation order (step, effect, fault hook, then counters): each
-// operation class moves exactly its own counters, identically in the
-// locked and lock-free concurrent representations.
-func TestOperationOrderCounterDeltas(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		ctx  memory.Context
-	}{
-		{name: "locked", ctx: memory.Free},
-		{name: "lock-free", ctx: memory.FreeLockFree},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			metrics.SetDefault(metrics.New())
-			defer metrics.SetDefault(nil)
-
-			reg := memory.NewRegister[int]()
-			maxr := memory.NewMaxRegister[int]()
-			snap := memory.NewSnapshot[int](4)
-
-			base := metrics.Default().Snapshot()
-			reg.Write(tc.ctx, 1)
-			reg.Write(tc.ctx, 2)
-			reg.Read(tc.ctx)
-			reg.CompareEmptyAndWrite(tc.ctx, 3) // register set: counts as a read
-			maxr.WriteMax(tc.ctx, 4, 4)
-			maxr.ReadMax(tc.ctx)
-			snap.Update(tc.ctx, 0, 5)
-			snap.Scan(tc.ctx)
-			delta := metrics.Default().Snapshot().Sub(base)
-
-			want := map[string]int64{
-				"memory.register.write":    2,
-				"memory.register.read":     2,
-				"memory.register.casretry": 1, // the failed empty-install
-				"memory.maxreg.write":      1,
-				"memory.maxreg.read":       1,
-				"memory.snapshot.update":   1,
-				"memory.snapshot.scan":     1,
-			}
-			if tc.name == "locked" {
-				// The locked path has no CAS to lose; the failed install is
-				// an uncontended critical section.
-				want["memory.register.casretry"] = 0
-			}
-			for name, n := range want {
-				if got := delta.Counters[name]; got != n {
-					t.Errorf("%s: delta = %d, want %d", name, got, n)
-				}
-			}
-			// No cross-class leakage and no phantom contention in a
-			// single-threaded sequence.
-			for _, name := range []string{
-				"memory.register.contended", "memory.maxreg.contended",
-				"memory.snapshot.contended", "memory.maxreg.casretry",
-				"memory.snapshot.casretry",
-			} {
-				if got := delta.Counters[name]; got != 0 {
-					t.Errorf("%s: delta = %d, want 0", name, got)
-				}
-			}
-			if reg.Ops() != 4 || maxr.Ops() != 2 || snap.Ops() != 2 {
-				t.Errorf("Ops: reg=%d maxr=%d snap=%d, want 4/2/2", reg.Ops(), maxr.Ops(), snap.Ops())
-			}
-		})
-	}
+	t.Run("Free", func(t *testing.T) { check(t, "Free", memory.Free) })
+	t.Run("concurrent", func(t *testing.T) {
+		runConcurrently(t, n, 5, func(p *sim.Proc) { check(t, "concurrent reader", p) })
+	})
 }
 
 // runConcurrently runs body on n real goroutines through the concurrent
@@ -294,16 +264,16 @@ func TestLockFreeStress(t *testing.T) {
 		}
 	})
 	wantMax := uint64((n-1)*iters + iters - 1)
-	if k, _, ok := maxr.ReadMax(memory.FreeLockFree); !ok || k != wantMax {
+	if k, _, ok := maxr.ReadMax(memory.Free); !ok || k != wantMax {
 		t.Errorf("ReadMax = (%d, %v), want (%d, true)", k, ok, wantMax)
 	}
-	view := snap.Scan(memory.FreeLockFree)
+	view := snap.Scan(memory.Free)
 	for i, e := range view {
 		if !e.OK || e.Value != iters-1 {
 			t.Errorf("snapshot component %d = %+v, want (%d, true)", i, e, iters-1)
 		}
 	}
-	aview := afek.Scan(memory.FreeLockFree)
+	aview := afek.Scan(memory.Free)
 	for i, e := range aview {
 		if !e.OK {
 			t.Errorf("afek component %d unset after stress", i)

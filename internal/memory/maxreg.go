@@ -1,9 +1,6 @@
 package memory
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Maxer is a max register with an attached payload: WriteMax installs
 // (key, payload) and ReadMax returns the payload carrying the largest key
@@ -33,7 +30,6 @@ type Maxer[T any] interface {
 type MaxRegister[T any] struct {
 	rep     repMode
 	lf      atomic.Pointer[maxState[T]]
-	mu      sync.Mutex
 	key     uint64
 	payload T
 	set     bool
@@ -60,14 +56,13 @@ func (m *MaxRegister[T]) WriteMax(ctx Context, key uint64, payload T) {
 	ctx.Step()
 	armed := faultsArmed()
 	var after maxState[T]
-	switch {
-	case m.rep.of(ctx) == repLockFree:
+	if m.rep.of(ctx) == repLockFree {
 		st := &maxState[T]{key: key, payload: payload}
 		for {
 			cur := m.lf.Load()
 			if cur != nil && cur.key >= key {
 				// The current maximum already dominates (ties keep the
-				// incumbent payload, matching the locked path's key >
+				// incumbent payload, matching the direct path's key >
 				// m.key test); this write linearizes here as a no-op.
 				if armed {
 					after = *cur
@@ -82,22 +77,13 @@ func (m *MaxRegister[T]) WriteMax(ctx Context, key uint64, payload T) {
 			}
 			mMaxCAS.Inc()
 		}
-	case ctx.Exclusive():
+	} else {
 		if !m.set || key > m.key {
 			m.key, m.payload, m.set = key, payload, true
 		}
 		if armed {
 			after = maxState[T]{key: m.key, payload: m.payload}
 		}
-	default:
-		lockMeter(&m.mu, mMaxContend)
-		if !m.set || key > m.key {
-			m.key, m.payload, m.set = key, payload, true
-		}
-		if armed {
-			after = maxState[T]{key: m.key, payload: m.payload}
-		}
-		m.mu.Unlock()
 	}
 	if armed {
 		if f := asFaulter(ctx); f != nil {
@@ -130,17 +116,12 @@ func (m *MaxRegister[T]) ReadMax(ctx Context) (uint64, T, bool) {
 		p  T
 		ok bool
 	)
-	switch {
-	case m.rep.of(ctx) == repLockFree:
+	if m.rep.of(ctx) == repLockFree {
 		if st := m.lf.Load(); st != nil {
 			k, p, ok = st.key, st.payload, true
 		}
-	case ctx.Exclusive():
+	} else {
 		k, p, ok = m.key, m.payload, m.set
-	default:
-		lockMeter(&m.mu, mMaxContend)
-		k, p, ok = m.key, m.payload, m.set
-		m.mu.Unlock()
 	}
 	m.ops.inc()
 	mMaxRead.Inc()

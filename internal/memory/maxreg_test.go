@@ -172,8 +172,12 @@ func TestTreeMaxRegisterCostGrowsWithBits(t *testing.T) {
 	}
 }
 
-type countingCtx struct{ steps int }
+// countingCtx is a Context that counts the steps charged through it.
+type countingCtx struct {
+	steps     int
+	exclusive bool
+}
 
 func (c *countingCtx) Step() { c.steps++ }
 
-func (c *countingCtx) Exclusive() bool { return false }
+func (c *countingCtx) Exclusive() bool { return c.exclusive }

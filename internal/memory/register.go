@@ -1,9 +1,6 @@
 package memory
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Register is a linearizable atomic multi-writer multi-reader register
 // holding a value of type T. The zero-value register is empty; Read
@@ -22,7 +19,6 @@ import (
 type Register[T any] struct {
 	rep repMode
 	lf  atomic.Pointer[T]
-	mu  sync.Mutex
 	val T
 	set bool
 	ops opCounter
@@ -36,17 +32,10 @@ func NewRegister[T any]() *Register[T] {
 // Write atomically stores v, charging one step.
 func (r *Register[T]) Write(ctx Context, v T) {
 	ctx.Step()
-	switch {
-	case r.rep.of(ctx) == repLockFree:
+	if r.rep.of(ctx) == repLockFree {
 		r.lfStore(v)
-	case ctx.Exclusive():
-		r.val = v
-		r.set = true
-	default:
-		lockMeter(&r.mu, mRegContend)
-		r.val = v
-		r.set = true
-		r.mu.Unlock()
+	} else {
+		r.val, r.set = v, true
 	}
 	if faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
@@ -78,17 +67,12 @@ func (r *Register[T]) Read(ctx Context) (T, bool) {
 		v  T
 		ok bool
 	)
-	switch {
-	case r.rep.of(ctx) == repLockFree:
+	if r.rep.of(ctx) == repLockFree {
 		if p := r.lf.Load(); p != nil {
 			v, ok = *p, true
 		}
-	case ctx.Exclusive():
+	} else {
 		v, ok = r.val, r.set
-	default:
-		lockMeter(&r.mu, mRegContend)
-		v, ok = r.val, r.set
-		r.mu.Unlock()
 	}
 	r.ops.inc()
 	mRegRead.Inc()
@@ -106,25 +90,11 @@ func (r *Register[T]) CompareEmptyAndWrite(ctx Context, v T) (T, bool) {
 		val       T
 		installed bool
 	)
-	switch {
-	case r.rep.of(ctx) == repLockFree:
+	if r.rep.of(ctx) == repLockFree {
 		val, installed = r.lfInstallEmpty(v)
-	case ctx.Exclusive():
-		val = r.val
-		if !r.set {
-			r.val = v
-			r.set = true
-			val, installed = v, true
-		}
-	default:
-		lockMeter(&r.mu, mRegContend)
-		val = r.val
-		if !r.set {
-			r.val = v
-			r.set = true
-			val, installed = v, true
-		}
-		r.mu.Unlock()
+	} else if val = r.val; !r.set {
+		r.val, r.set = v, true
+		val, installed = v, true
 	}
 	if installed && faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
@@ -145,7 +115,7 @@ func (r *Register[T]) CompareEmptyAndWrite(ctx Context, v T) (T, bool) {
 // lfStore publishes v on the lock-free cell. Kept out of line so the
 // heap allocation for v's box is confined to the lock-free path: inlined
 // into Write, escape analysis would heap-allocate every caller's v, and
-// the exclusive path's zero-alloc guarantee would silently die.
+// the direct path's zero-alloc guarantee would silently die.
 //
 //go:noinline
 func (r *Register[T]) lfStore(v T) {
@@ -183,7 +153,6 @@ func (r *Register[T]) Ops() int64 { return r.ops.load() }
 func (r *Register[T]) Reset() {
 	var zero T
 	r.lf = atomic.Pointer[T]{}
-	r.mu = sync.Mutex{}
 	r.val, r.set = zero, false
 	r.ops = opCounter{}
 }

@@ -153,7 +153,7 @@ func TestCompareEmptyAndWriteCounters(t *testing.T) {
 		name string
 		ctx  Context
 	}{
-		{"locked", Free},
+		{"lock-free", Free},
 		{"exclusive", FreeExclusive},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,9 +197,8 @@ func TestRegisterReset(t *testing.T) {
 		ctx  Context
 		rep  int32
 	}{
-		{"locked", Free, repDirect},
 		{"exclusive", FreeExclusive, repDirect},
-		{"lock-free", FreeLockFree, repLockFree},
+		{"lock-free", Free, repLockFree},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			arr := NewRegisterArray[string](3)

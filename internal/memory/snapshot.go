@@ -1,9 +1,6 @@
 package memory
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Entry is one component of a snapshot view: a value plus whether that
 // component has ever been updated (the paper's "non-null S[j]").
@@ -30,7 +27,6 @@ type Entry[T any] struct {
 type Snapshot[T any] struct {
 	rep  repMode
 	lf   atomic.Pointer[[]Entry[T]]
-	mu   sync.Mutex
 	vals []Entry[T]
 	ops  opCounter
 }
@@ -47,8 +43,7 @@ func (s *Snapshot[T]) Components() int { return len(s.vals) }
 // Update atomically installs v as component i, charging one step.
 func (s *Snapshot[T]) Update(ctx Context, i int, v T) {
 	ctx.Step()
-	switch {
-	case s.rep.of(ctx) == repLockFree:
+	if s.rep.of(ctx) == repLockFree {
 		for {
 			old := s.lf.Load()
 			next := make([]Entry[T], len(s.vals))
@@ -61,12 +56,8 @@ func (s *Snapshot[T]) Update(ctx Context, i int, v T) {
 			}
 			mSnapCAS.Inc()
 		}
-	case ctx.Exclusive():
+	} else {
 		s.vals[i] = Entry[T]{Value: v, OK: true}
-	default:
-		lockMeter(&s.mu, mSnapCont)
-		s.vals[i] = Entry[T]{Value: v, OK: true}
-		s.mu.Unlock()
 	}
 	if faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
@@ -92,19 +83,14 @@ func (s *Snapshot[T]) ScanInto(ctx Context, buf []Entry[T]) []Entry[T] {
 	} else {
 		buf = buf[:len(s.vals)]
 	}
-	switch {
-	case s.rep.of(ctx) == repLockFree:
+	if s.rep.of(ctx) == repLockFree {
 		if p := s.lf.Load(); p != nil {
 			copy(buf, *p)
 		} else {
 			clear(buf)
 		}
-	case ctx.Exclusive():
+	} else {
 		copy(buf, s.vals)
-	default:
-		lockMeter(&s.mu, mSnapCont)
-		copy(buf, s.vals)
-		s.mu.Unlock()
 	}
 	if faultsArmed() {
 		if f := asFaulter(ctx); f != nil {

@@ -31,7 +31,7 @@ func TestControlledHotPathZeroAllocs(t *testing.T) {
 			return
 		}
 		if !p.Exclusive() {
-			t.Error("controlled Proc is not exclusive by default")
+			t.Error("controlled Proc is not exclusive")
 		}
 		reg := memory.NewRegister[int]()
 		maxr := memory.NewMaxRegister[int]()

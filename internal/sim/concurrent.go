@@ -1,6 +1,5 @@
 // Concurrent execution harness: free-running goroutines over the
-// lock-free (or, on request, locked) memory substrate, with the Go
-// runtime as the weak adversary.
+// lock-free memory substrate, with the Go runtime as the weak adversary.
 //
 // ConcurrentRunner is the reusable form: it spawns its worker goroutines
 // once and runs many trials over them, so a benchmark or stress sweep
@@ -130,7 +129,6 @@ func (r *ConcurrentRunner) Run(body Body, cfg Config) (Result, error) {
 	for i := 0; i < r.n; i++ {
 		p := r.procs[i]
 		root.ForkNamedInto(uint64(i), &p.rng)
-		p.lockfree = !cfg.LockedMemory
 		if p.scratch != nil {
 			clear(p.scratch)
 		}

@@ -129,33 +129,14 @@ func TestConcurrentRunnerWorkerPoolSmallerThanN(t *testing.T) {
 	}
 }
 
-func TestConcurrentLockedMemorySelectable(t *testing.T) {
-	// With LockedMemory the objects must latch the mutex representation:
-	// a post-run probe through the plain Free context (which always takes
-	// the locked path) observes the run's writes, proving both took the
-	// same representation.
-	reg := memory.NewRegister[int]()
-	if _, err := RunConcurrent(4, func(p *Proc) {
-		if p.LockFree() {
-			t.Error("LockedMemory run handed out a lock-free context")
-		}
-		reg.Write(p, 7)
-	}, Config{AlgSeed: 3, LockedMemory: true}); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := reg.Read(memory.Free); !ok || v != 7 {
-		t.Fatalf("Free read after locked run = (%d, %v), want (7, true)", v, ok)
-	}
-}
-
 func TestConcurrentLockFreeDefault(t *testing.T) {
-	// Default concurrent runs are lock-free, and the latch is sticky:
-	// later operations through a non-lock-free context still observe the
+	// Concurrent runs are non-exclusive, so their objects latch the
+	// lock-free representation, and a later Free read observes the
 	// lock-free cell's state.
 	reg := memory.NewRegister[int]()
 	if _, err := RunConcurrent(4, func(p *Proc) {
-		if !p.LockFree() {
-			t.Error("default concurrent context is not lock-free")
+		if p.Exclusive() {
+			t.Error("concurrent context reports Exclusive")
 		}
 		reg.Write(p, p.ID()+1)
 	}, Config{AlgSeed: 3}); err != nil {

@@ -13,9 +13,9 @@
 //
 //   - Concurrent: processes run as free goroutines over the same
 //     linearizable objects, with the Go runtime as the (weak, effectively
-//     content-oblivious) scheduler. By default the shared objects run on
-//     their lock-free representations (hardware CAS instead of mutexes;
-//     see memory.LockFreer and Config.LockedMemory), so this mode
+//     content-oblivious) scheduler. Its processes are not Exclusive, so
+//     the shared objects run on their lock-free representations (atomic
+//     pointers and CAS loops; see the memory package), and this mode
 //     measures real multi-core throughput. Used by the examples, the
 //     -race tests, and the concurrent benchmarks; ConcurrentRunner (in
 //     concurrent.go) is the reusable multi-trial harness behind
@@ -38,7 +38,7 @@
 // The coroutine engine also makes the run sequential *by construction*:
 // at any instant exactly one of {driver, some process} is running, and
 // every switch is a synchronization point. That invariant is what lets
-// the memory substrate elide its mutexes in exclusive mode (see
+// the memory substrate use plain fields in exclusive mode (see
 // Proc.Exclusive and the memory package): no two processes of a
 // controlled run can ever touch a shared object concurrently.
 //
@@ -74,21 +74,6 @@ var ErrSlotBudget = errors.New("sim: slot budget exceeded")
 // step-latency observation over when metrics are enabled: two clock reads
 // per batch instead of two per step.
 const meterBatch = 256
-
-// lockedSubstrate inverts the exclusive-substrate toggle so the zero
-// value means "exclusive mode on", the default.
-var lockedSubstrate atomic.Bool
-
-// SetExclusiveSubstrate enables (on=true, the default) or disables the
-// exclusive memory substrate for controlled runs started after the call,
-// returning the previous setting. With it disabled, controlled runs use
-// the same mutex-guarded object implementations as concurrent mode —
-// useful for cross-mode equivalence tests and for debugging under -race.
-func SetExclusiveSubstrate(on bool) bool {
-	prev := !lockedSubstrate.Load()
-	lockedSubstrate.Store(!on)
-	return prev
-}
 
 // procAborted unwinds a process coroutine whose modeled execution ended
 // before the body returned (crashed, schedule exhausted, or budget
@@ -155,13 +140,6 @@ type Proc struct {
 	id         int
 	rng        xrand.Rand
 	controlled bool
-	exclusive  bool
-
-	// lockfree reports whether this process's shared-memory operations
-	// should latch objects onto the lock-free (CAS/atomic.Pointer)
-	// representations. Set only for concurrent-mode processes, and only
-	// while the run's Config keeps LockedMemory off.
-	lockfree bool
 
 	// inj is the run's fault injector, nil for unfaulted runs. Proc
 	// delegates the memory.Faulter capability to it, adding the pid.
@@ -195,7 +173,6 @@ type Proc struct {
 var _ memory.Context = (*Proc)(nil)
 var _ memory.Scratcher = (*Proc)(nil)
 var _ memory.Faulter = (*Proc)(nil)
-var _ memory.LockFreer = (*Proc)(nil)
 
 // ID returns the process id in [0, n).
 func (p *Proc) ID() int { return p.id }
@@ -229,16 +206,10 @@ func (p *Proc) Step() {
 }
 
 // Exclusive implements memory.Context. It reports whether shared objects
-// may skip their mutexes for this process's operations: true only in
-// controlled mode (where the coroutine engine makes execution sequential
-// by construction) and while the exclusive substrate is enabled.
-func (p *Proc) Exclusive() bool { return p.exclusive }
-
-// LockFree implements memory.LockFreer: concurrent-mode processes direct
-// shared objects onto the lock-free CAS implementations unless the run
-// asked for the locked substrate (Config.LockedMemory). Controlled-mode
-// processes always report false.
-func (p *Proc) LockFree() bool { return p.lockfree }
+// may use their direct representation for this process's operations:
+// true exactly in controlled mode, where the coroutine engine makes
+// execution sequential by construction.
+func (p *Proc) Exclusive() bool { return p.controlled }
 
 // ScratchMap implements memory.Scratcher, exposing the per-process
 // scratch arena shared objects use to reuse buffers across operations.
@@ -306,13 +277,6 @@ type Config struct {
 	// runs refuse them with ErrConcurrentFaults rather than silently
 	// running unfaulted.
 	Faults *fault.Schedule
-
-	// LockedMemory forces a concurrent run's processes onto the
-	// mutex-guarded object paths instead of the lock-free substrate —
-	// the pre-lock-free behavior, kept selectable for cross-substrate
-	// equivalence tests and benchmarks. Controlled runs ignore it (their
-	// substrate is chosen by SetExclusiveSubstrate).
-	LockedMemory bool
 }
 
 const defaultMaxSlots = 1 << 26
@@ -434,7 +398,6 @@ func RunControlled(src sched.Source, body Body, cfg Config) (Result, error) {
 		defer memory.DisarmFaults()
 	}
 	rs := getState(n)
-	exclusive := !lockedSubstrate.Load()
 	var root xrand.Rand
 	root.Reseed(cfg.AlgSeed)
 	for i := 0; i < n; i++ {
@@ -442,7 +405,6 @@ func RunControlled(src sched.Source, body Body, cfg Config) (Result, error) {
 		p.id = i
 		root.ForkNamedInto(uint64(i), &p.rng)
 		p.controlled = true
-		p.exclusive = exclusive
 		p.steps = 0
 		p.inj = inj
 		p.incarnation = 0
