@@ -45,8 +45,8 @@ func benchRun(b *testing.B, n int, algSeed, schedSeed uint64, body func(p *sim.P
 // processes each perform a fixed number of trivial shared-memory steps
 // and the benchmark reports modeled steps and schedule slots per second.
 // The skewed-tail case leaves one process running long after the rest
-// finish, so most slots are uncharged no-ops — the case the bulk
-// slot-skipping fast path exists for.
+// finish, so most slots are uncharged no-ops — the case RoundRobin's
+// peeking no-op skip exists for.
 func BenchmarkControlledSteps(b *testing.B) {
 	benchControlledSteps(b)
 }

@@ -49,7 +49,7 @@ func TestCompareBaselineHostMismatchSkips(t *testing.T) {
 			var b strings.Builder
 			// The entry is 100x below baseline: without the skip this
 			// would be a hard regression failure.
-			if err := compareBaseline(&b, entries, path, "concurrent-steps/"); err != nil {
+			if err := compareBaseline(&b, nil, entries, path, "concurrent-steps/"); err != nil {
 				t.Fatalf("host mismatch gated instead of skipping: %v", err)
 			}
 			out := b.String()
@@ -69,7 +69,7 @@ func TestCompareBaselineSameHostStillGates(t *testing.T) {
 		Experiments: []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 1000}},
 	})
 	var b strings.Builder
-	err := compareBaseline(&b, []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 10}}, path, "controlled-steps/")
+	err := compareBaseline(&b, nil, []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 10}}, path, "controlled-steps/")
 	if err == nil {
 		t.Fatalf("100x regression on a matching host passed:\n%s", b.String())
 	}
@@ -79,7 +79,7 @@ func TestCompareBaselineSameHostStillGates(t *testing.T) {
 
 	// And a non-regressed entry still passes.
 	b.Reset()
-	if err := compareBaseline(&b, []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 990}}, path, "controlled-steps/"); err != nil {
+	if err := compareBaseline(&b, nil, []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 990}}, path, "controlled-steps/"); err != nil {
 		t.Errorf("healthy entry failed the gate: %v", err)
 	}
 }
@@ -93,10 +93,65 @@ func TestCompareBaselineLegacyRecordWithoutGomaxprocs(t *testing.T) {
 		Experiments: []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 1000}},
 	})
 	var b strings.Builder
-	if err := compareBaseline(&b, []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 950}}, path, "controlled-steps/"); err != nil {
+	if err := compareBaseline(&b, nil, []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 950}}, path, "controlled-steps/"); err != nil {
 		t.Fatalf("legacy record without gomaxprocs was not compared: %v", err)
 	}
 	if strings.Contains(b.String(), "skipping") {
 		t.Errorf("legacy record spuriously skipped:\n%s", b.String())
+	}
+}
+
+// TestCompareBaselineExactCounts: at the record's seed, quick flag and
+// trial count, an entry's steps and slots must equal the record's. The
+// check ignores host shape (counts do not depend on it) and steps/s, and
+// does not apply to runs at other settings or without a run header.
+func TestCompareBaselineExactCounts(t *testing.T) {
+	const id = "flat-steps/x"
+	run := benchRecord{Seed: 7, Quick: true}
+	tests := []struct {
+		name     string
+		run      *benchRecord
+		rec      benchRecord
+		entry    benchEntry
+		wantFail bool
+	}{
+		{"counts match", &run,
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: id, Steps: 100, Slots: 150, StepsPerSec: 1000}, false},
+		{"slots differ", &run,
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: id, Steps: 100, Slots: 151, StepsPerSec: 1000}, true},
+		{"steps differ", &run,
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: id, Steps: 99, Slots: 150, StepsPerSec: 1000}, true},
+		{"checked before the host-shape skip", &run,
+			benchRecord{Seed: 7, Quick: true, NumCPU: runtime.NumCPU() + 1},
+			benchEntry{ID: id, Steps: 100, Slots: 151, StepsPerSec: 1000}, true},
+		{"other seed", &benchRecord{Seed: 8, Quick: true},
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: id, Steps: 99, Slots: 151, StepsPerSec: 1000}, false},
+		{"other quick", &benchRecord{Seed: 7},
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: id, Steps: 99, Slots: 151, StepsPerSec: 1000}, false},
+		{"other trials", &benchRecord{Seed: 7, Quick: true, Trials: 10},
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: id, Steps: 99, Slots: 151, StepsPerSec: 1000}, false},
+		{"no run header", nil,
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: id, Steps: 99, Slots: 151, StepsPerSec: 1000}, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tt.rec.Experiments = []benchEntry{{ID: id, Steps: 100, Slots: 150, StepsPerSec: 1000}}
+			path := writeBaseline(t, tt.rec)
+			var b strings.Builder
+			err := compareBaseline(&b, tt.run, []benchEntry{tt.entry}, path, "flat-steps/")
+			if tt.wantFail != (err != nil) {
+				t.Fatalf("err = %v, want failure %v\n%s", err, tt.wantFail, b.String())
+			}
+			if err != nil && !strings.Contains(err.Error(), "work counts differ") {
+				t.Errorf("unexpected error: %v", err)
+			}
+		})
 	}
 }

@@ -442,10 +442,10 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *benchBaseline != "" {
-		if err := compareBaseline(out, rec.Experiments, *benchBaseline, "controlled-steps/"); err != nil {
+		if err := compareBaseline(out, &rec, rec.Experiments, *benchBaseline, "controlled-steps/"); err != nil {
 			return err
 		}
-		if err := compareBaseline(out, rec.Experiments, *benchBaseline, "flat-steps/"); err != nil {
+		if err := compareBaseline(out, &rec, rec.Experiments, *benchBaseline, "flat-steps/"); err != nil {
 			return err
 		}
 	}
@@ -462,7 +462,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		if *benchConcBaseline != "" {
-			if err := compareBaseline(out, crec.Experiments, *benchConcBaseline, "concurrent-steps/"); err != nil {
+			if err := compareBaseline(out, nil, crec.Experiments, *benchConcBaseline, "concurrent-steps/"); err != nil {
 				return err
 			}
 		}
@@ -577,7 +577,13 @@ const regressionTolerance = 0.9
 // if any workload regressed by more than 10% steps/s. Workloads absent
 // from the baseline are reported and skipped, so new workloads can be
 // introduced before the baseline is refreshed.
-func compareBaseline(out io.Writer, entries []benchEntry, path, prefix string) error {
+//
+// run is the header of this run's record, or nil when its work counts
+// are not reproducible. When its seed, quick flag and trial count match
+// the record's, every compared entry's steps and slots must equal the
+// record's exactly: they are a pure function of those settings, so this
+// check applies on any host and runs before the host-shape skip.
+func compareBaseline(out io.Writer, run *benchRecord, entries []benchEntry, path, prefix string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading bench baseline: %w", err)
@@ -585,6 +591,23 @@ func compareBaseline(out io.Writer, entries []benchEntry, path, prefix string) e
 	var base benchRecord
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing bench baseline %s: %w", path, err)
+	}
+	baseline := make(map[string]benchEntry, len(base.Experiments))
+	for _, e := range base.Experiments {
+		baseline[e.ID] = e
+	}
+	if run != nil && run.Seed == base.Seed && run.Quick == base.Quick && run.Trials == base.Trials {
+		var drift []string
+		for _, e := range entries {
+			b, ok := baseline[e.ID]
+			if ok && strings.HasPrefix(e.ID, prefix) && (e.Steps != b.Steps || e.Slots != b.Slots) {
+				drift = append(drift, fmt.Sprintf("%s (steps %d vs %d, slots %d vs %d)", e.ID, e.Steps, b.Steps, e.Slots, b.Slots))
+			}
+		}
+		if len(drift) > 0 {
+			return fmt.Errorf("bench-baseline: work counts differ from %s at the same seed and quick: %s",
+				path, strings.Join(drift, ", "))
+		}
 	}
 	// steps/s is a property of the measuring host: a record taken on a
 	// 1-CPU runner says nothing about a 16-core laptop, and gating on the
@@ -596,10 +619,6 @@ func compareBaseline(out io.Writer, entries []benchEntry, path, prefix string) e
 		fmt.Fprintf(out, "bench-baseline: skipping %s: baseline host (num_cpu=%d, gomaxprocs=%d) does not match this host (num_cpu=%d, gomaxprocs=%d); steps/s are not comparable across hosts\n",
 			path, base.NumCPU, base.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 		return nil
-	}
-	baseline := make(map[string]benchEntry, len(base.Experiments))
-	for _, e := range base.Experiments {
-		baseline[e.ID] = e
 	}
 	var failures []string
 	compared := 0

@@ -46,31 +46,65 @@ func FuzzSolveRegister(f *testing.F) {
 	})
 }
 
-// FuzzScheduleSkipper checks the sched.Skipper contract on every
-// schedule family: interleaving SkipWhile with Next — in any pattern a
-// fuzzed byte program can express — must never change the emitted pid
-// stream relative to a twin source driven by Next alone, and the slot
-// accounting SkipWhile returns must exactly match the number of slots
-// its predicate approved (in particular it can never go negative). This
-// is the contract the simulator's no-op slot batching fast path leans
-// on.
+// FuzzScheduleSkipper checks the sched.Skipper contract on every source
+// that implements it — RoundRobin, Explicit and trace.ReplaySource:
+// interleaving SkipWhile with Next, in any pattern a fuzzed byte program
+// can express, must never change the emitted pid stream relative to a
+// twin source driven by Next alone, and the count SkipWhile returns must
+// exactly match the number of slots its predicate approved. For the
+// crash-aware ReplaySource, the predicate must also see Alive exactly as
+// a draw-then-check Next sequence would, and a rejected slot must leave
+// the crash clock where it was. This is the contract the simulator's
+// no-op skip leans on.
 func FuzzScheduleSkipper(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint64(1), []byte{0x00, 0x07, 0x12, 0x01})
-	f.Add(uint8(3), uint8(8), uint64(9), []byte{0xff, 0x00, 0xff, 0x00, 0x3c})
-	f.Add(uint8(5), uint8(1), uint64(42), []byte{0x81, 0x81, 0x81})
-	f.Add(uint8(2), uint8(15), uint64(7), []byte{0x10, 0x20, 0x30, 0x40, 0x50})
+	f.Add(uint8(1), uint8(8), uint64(9), []byte{0xff, 0x00, 0xff, 0x00, 0x3c})
+	f.Add(uint8(2), uint8(1), uint64(42), []byte{0x81, 0x81, 0x81})
+	f.Add(uint8(2), uint8(15), uint64(7), []byte{0x10, 0x21, 0x30, 0x41, 0x50, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, rawKind, rawN uint8, seed uint64, program []byte) {
-		kinds := sched.Kinds()
-		kind := kinds[int(rawKind)%len(kinds)]
 		n := int(rawN%16) + 1
 		if len(program) > 256 {
 			program = program[:256]
 		}
-		skipping := sched.New(kind, n, seed)
-		reference := sched.New(kind, n, seed)
-		skipper, ok := skipping.(sched.Skipper)
-		if !ok {
-			t.Skipf("%v source does not implement Skipper", kind)
+		// Finite sources get a seeded slot list that the program can run
+		// off the end of, and ReplaySource seeded death slots.
+		rng := xrand.New(seed)
+		slots := make([]int, rng.Intn(300))
+		for i := range slots {
+			slots[i] = rng.Intn(n)
+		}
+		deadAt := make([]int, n)
+		for pid := range deadAt {
+			deadAt[pid] = rng.Intn(len(slots)+2) - 1
+		}
+		var mk func() sched.Source
+		switch rawKind % 3 {
+		case 0:
+			mk = func() sched.Source { return sched.NewRoundRobin(n) }
+		case 1:
+			mk = func() sched.Source { return sched.NewExplicit(n, slots) }
+		default:
+			mk = func() sched.Source {
+				src, err := trace.NewReplay(n, slots, deadAt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return src
+			}
+		}
+		skipping, reference := mk(), mk()
+		skipper := skipping.(sched.Skipper)
+		ca, _ := skipping.(sched.CrashAware)
+		refCA, _ := reference.(sched.CrashAware)
+		sameClock := func(pc int) {
+			if ca == nil {
+				return
+			}
+			for pid := 0; pid < n; pid++ {
+				if ca.Alive(pid) != refCA.Alive(pid) {
+					t.Fatalf("op %d: Alive(%d) = %v, reference %v", pc, pid, ca.Alive(pid), refCA.Alive(pid))
+				}
+			}
 		}
 		for pc, op := range program {
 			if op&1 == 0 {
@@ -78,29 +112,35 @@ func FuzzScheduleSkipper(f *testing.F) {
 				if got != want {
 					t.Fatalf("op %d: Next = %d, reference = %d", pc, got, want)
 				}
+				sameClock(pc)
 				continue
 			}
 			budget := int(op>>1) % 8
-			var approved []int
+			type seen struct {
+				pid   int
+				alive bool
+			}
+			var approved []seen
 			skipped := skipper.SkipWhile(func(pid int) bool {
 				if budget == 0 {
 					return false
 				}
 				budget--
-				approved = append(approved, pid)
+				approved = append(approved, seen{pid, ca == nil || ca.Alive(pid)})
 				return true
 			})
-			if skipped < 0 {
-				t.Fatalf("op %d: SkipWhile returned negative count %d", pc, skipped)
-			}
 			if skipped != int64(len(approved)) {
 				t.Fatalf("op %d: SkipWhile = %d slots, predicate approved %d", pc, skipped, len(approved))
 			}
-			for i, pid := range approved {
-				if want := reference.Next(); pid != want {
-					t.Fatalf("op %d: skipped slot %d = pid %d, reference = %d", pc, i, pid, want)
+			for i, s := range approved {
+				if want := reference.Next(); s.pid != want {
+					t.Fatalf("op %d: skipped slot %d = pid %d, reference = %d", pc, i, s.pid, want)
+				}
+				if refCA != nil && s.alive != refCA.Alive(s.pid) {
+					t.Fatalf("op %d: skipped slot %d saw Alive(%d) = %v, reference after Next %v", pc, i, s.pid, s.alive, refCA.Alive(s.pid))
 				}
 			}
+			sameClock(pc)
 		}
 	})
 }
@@ -145,8 +185,8 @@ func FuzzCrashScheduleReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("replayed run: %v", err)
 		}
-		if res.TotalSteps != replayed.TotalSteps {
-			t.Fatalf("total steps: recorded %d, replayed %d", res.TotalSteps, replayed.TotalSteps)
+		if res.TotalSteps != replayed.TotalSteps || res.Slots != replayed.Slots {
+			t.Fatalf("steps/slots: recorded %d/%d, replayed %d/%d", res.TotalSteps, res.Slots, replayed.TotalSteps, replayed.Slots)
 		}
 		for pid := range res.Steps {
 			if res.Steps[pid] != replayed.Steps[pid] {

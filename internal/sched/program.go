@@ -93,13 +93,9 @@ type Program struct {
 	segRem   int // slots left in the current segment
 	asc      int // ascending round-robin cursor
 	desc     int // descending cursor
-	buf      skipBuf
 }
 
-var (
-	_ Source  = (*Program)(nil)
-	_ Skipper = (*Program)(nil)
-)
+var _ Source = (*Program)(nil)
 
 // NewProgram builds a Program over n processes. It validates the spec:
 // weights must be empty or n positive entries; prefix pids must be in
@@ -199,16 +195,10 @@ func NewProgram(n int, spec ProgramSpec, rng *xrand.Rand) (*Program, error) {
 // N implements Source.
 func (p *Program) N() int { return p.n }
 
-// SkipWhile implements Skipper.
-func (p *Program) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(p, &p.buf, pred) }
-
 // Next implements Source. The program never ends: after the prefix the
 // segment list cycles forever (or the weighted draw runs alone when the
 // list is empty).
 func (p *Program) Next() int {
-	if pid, ok := p.buf.take(); ok {
-		return pid
-	}
 	if p.prefix < len(p.spec.Prefix) {
 		pid := p.spec.Prefix[p.prefix]
 		p.prefix++
@@ -266,13 +256,9 @@ type Seq struct {
 	n    int
 	srcs []Source
 	cur  int
-	buf  skipBuf
 }
 
-var (
-	_ Source  = (*Seq)(nil)
-	_ Skipper = (*Seq)(nil)
-)
+var _ Source = (*Seq)(nil)
 
 // NewSeq concatenates the given sources; they must all cover the same
 // number of processes, and at least one is required.
@@ -294,9 +280,6 @@ func (s *Seq) N() int { return s.n }
 
 // Next implements Source.
 func (s *Seq) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	for s.cur < len(s.srcs) {
 		pid := s.srcs[s.cur].Next()
 		if pid != Exhausted {
@@ -306,7 +289,3 @@ func (s *Seq) Next() int {
 	}
 	return Exhausted
 }
-
-// SkipWhile implements Skipper by drawing through Next and stashing the
-// first rejected slot, like every buffered source here.
-func (s *Seq) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }

@@ -38,10 +38,14 @@ type CrashAware interface {
 	Alive(pid int) bool
 }
 
-// Skipper is implemented by sources that can consume a run of consecutive
-// slots in one call. The simulator uses it to fast-forward over slots
-// allocated to finished or crashed processes (uncharged no-ops in the
-// paper's model) without paying one driver-loop iteration per slot.
+// Skipper is implemented by sources that can look ahead without drawing:
+// RoundRobin and Explicit here, and trace.ReplaySource, whose upcoming
+// slots are fixed by a cursor. After an uncharged no-op slot (a finished
+// or crashed process, per the paper's model) the simulator uses it to
+// fast-forward over the no-op slots that follow without paying one
+// driver-loop iteration per slot. A source that must draw to see its
+// next slot can do no better than the driver's own draw-and-test loop,
+// so the random sources do not implement it.
 type Skipper interface {
 	// SkipWhile consumes upcoming slots as long as pred accepts their pid
 	// and returns how many slots were consumed. The first slot whose pid
@@ -50,45 +54,10 @@ type Skipper interface {
 	// ones Next would have produced, so interleaving SkipWhile with Next
 	// never changes the schedule.
 	//
-	// If pred accepts every pid a source can still emit, a call may not
-	// return (random sources draw until a rejection) or may stop after one
-	// full cycle (RoundRobin); callers must guarantee at least one
-	// still-schedulable pid is rejected.
+	// If pred accepts every pid a source can still emit, a call stops
+	// after one full cycle (RoundRobin) or at the end of the schedule;
+	// callers that need a run to end must still reject some pid.
 	SkipWhile(pred func(pid int) bool) int64
-}
-
-// skipBuf buffers one already-drawn slot. Stateful (random) sources
-// cannot peek at the next slot without consuming RNG state, so their
-// SkipWhile draws until it hits a rejected pid, stashes that pid here,
-// and Next hands it back before drawing anything new.
-type skipBuf struct {
-	pid int
-	ok  bool
-}
-
-func (b *skipBuf) take() (int, bool) {
-	if !b.ok {
-		return 0, false
-	}
-	b.ok = false
-	return b.pid, true
-}
-
-func (b *skipBuf) put(pid int) { b.pid, b.ok = pid, true }
-
-// skipWhile implements Skipper for sources that cannot peek: it draws via
-// Next, counting accepted slots, and stashes the first rejected pid (or
-// Exhausted) in buf for the next Next call.
-func skipWhile(src Source, buf *skipBuf, pred func(pid int) bool) int64 {
-	var skipped int64
-	for {
-		pid := src.Next()
-		if pid == Exhausted || !pred(pid) {
-			buf.put(pid)
-			return skipped
-		}
-		skipped++
-	}
 }
 
 // Kind names a built-in schedule family for experiment sweeps.
@@ -173,16 +142,9 @@ func New(kind Kind, n int, seed uint64) Source {
 	}
 }
 
-// Compile-time checks that every built-in source supports bulk skipping.
+// Compile-time checks for the sources that can skip without drawing.
 var (
 	_ Skipper = (*RoundRobin)(nil)
-	_ Skipper = (*Random)(nil)
-	_ Skipper = (*Staggered)(nil)
-	_ Skipper = (*Split)(nil)
-	_ Skipper = (*Zipf)(nil)
-	_ Skipper = (*CrashHalf)(nil)
-	_ Skipper = (*CrashSet)(nil)
-	_ Skipper = (*Favored)(nil)
 	_ Skipper = (*Explicit)(nil)
 )
 
@@ -223,7 +185,6 @@ func (s *RoundRobin) SkipWhile(pred func(pid int) bool) int64 {
 type Random struct {
 	n   int
 	rng *xrand.Rand
-	buf skipBuf
 }
 
 // NewRandom returns a uniform random source over n processes.
@@ -237,14 +198,8 @@ func (s *Random) N() int { return s.n }
 
 // Next implements Source.
 func (s *Random) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	return s.rng.Intn(s.n)
 }
-
-// SkipWhile implements Skipper.
-func (s *Random) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
 
 // Staggered runs each process for block consecutive slots, visiting
 // processes in a fresh random order each sweep. This is the classic
@@ -255,7 +210,6 @@ type Staggered struct {
 	rng      *xrand.Rand
 	order    []int
 	pos, rem int
-	buf      skipBuf
 }
 
 // NewStaggered returns a staggered source with the given block length.
@@ -270,14 +224,8 @@ func NewStaggered(n, block int, rng *xrand.Rand) *Staggered {
 // N implements Source.
 func (s *Staggered) N() int { return s.n }
 
-// SkipWhile implements Skipper.
-func (s *Staggered) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
-
 // Next implements Source.
 func (s *Staggered) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	if s.rem == 0 {
 		if s.pos == 0 || s.pos >= s.n {
 			s.order = s.rng.Perm(s.n)
@@ -297,7 +245,6 @@ type Split struct {
 	n, phaseLen int
 	slot        int
 	lo, hi      int
-	buf         skipBuf
 }
 
 // NewSplit returns a split source; phases shorter than 1 are clamped.
@@ -312,14 +259,8 @@ func NewSplit(n, phaseLen int) *Split {
 // N implements Source.
 func (s *Split) N() int { return s.n }
 
-// SkipWhile implements Skipper.
-func (s *Split) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
-
 // Next implements Source.
 func (s *Split) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	half := s.n / 2
 	if half == 0 {
 		return 0
@@ -342,7 +283,6 @@ type Zipf struct {
 	n   int
 	rng *xrand.Rand
 	cdf []float64
-	buf skipBuf
 }
 
 // NewZipf returns a Zipf-skewed source with the given exponent (> 0).
@@ -363,14 +303,8 @@ func NewZipf(n int, exponent float64, rng *xrand.Rand) *Zipf {
 // N implements Source.
 func (s *Zipf) N() int { return s.n }
 
-// SkipWhile implements Skipper.
-func (s *Zipf) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
-
 // Next implements Source.
 func (s *Zipf) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	u := s.rng.Float64()
 	lo, hi := 0, s.n-1
 	for lo < hi {
@@ -395,7 +329,6 @@ type CrashHalf struct {
 	slot    int
 	crashed []bool
 	live    []int
-	buf     skipBuf
 }
 
 // NewCrashHalf returns a crash-half source; the crash set and crash time
@@ -427,20 +360,12 @@ func (s *CrashHalf) N() int { return s.n }
 
 // Next implements Source.
 func (s *CrashHalf) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	s.slot++
 	if s.slot <= s.cutoff {
 		return s.rng.Intn(s.n)
 	}
 	return s.live[s.rng.Intn(len(s.live))]
 }
-
-// SkipWhile implements Skipper. A stashed slot has already advanced the
-// crash clock, which matches the per-slot protocol: Alive answers for the
-// state after the stashed slot was drawn.
-func (s *CrashHalf) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
 
 // Alive implements CrashAware. All processes are alive until the cutoff
 // slot has been scheduled, so victims really do take steps (and leave
@@ -455,7 +380,6 @@ func (s *CrashHalf) Alive(pid int) bool { return s.slot <= s.cutoff || !s.crashe
 // process still makes progress.
 type Favored struct {
 	n, slot, next int
-	buf           skipBuf
 }
 
 // NewFavored returns a favored-process source (pid 0 is favored). For
@@ -468,14 +392,8 @@ func NewFavored(n int) *Favored {
 // N implements Source.
 func (s *Favored) N() int { return s.n }
 
-// SkipWhile implements Skipper.
-func (s *Favored) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
-
 // Next implements Source.
 func (s *Favored) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	s.slot++
 	if s.n == 1 || s.slot%2 == 1 {
 		return 0
@@ -499,7 +417,6 @@ type CrashSet struct {
 	slot    int
 	live    []int
 	rng     *xrand.Rand
-	buf     skipBuf
 }
 
 // NewCrashSet returns a source that behaves like inner until cutoff slots
@@ -534,18 +451,12 @@ func (s *CrashSet) N() int { return s.inner.N() }
 
 // Next implements Source.
 func (s *CrashSet) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	s.slot++
 	if s.slot <= s.cutoff {
 		return s.inner.Next()
 	}
 	return s.live[s.rng.Intn(len(s.live))]
 }
-
-// SkipWhile implements Skipper.
-func (s *CrashSet) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
 
 // Alive implements CrashAware.
 func (s *CrashSet) Alive(pid int) bool { return s.slot <= s.cutoff || !s.crashed[pid] }

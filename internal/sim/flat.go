@@ -44,14 +44,15 @@ type FlatMachine interface {
 // FlatRunner drives FlatMachines under schedule sources with the same
 // slot-level semantics as the coroutine driver (see drive): one operation
 // per charged slot, uncharged no-op slots for finished or crashed
-// processes (bulk-skipped via sched.Skipper when available), the same
-// slot budget, and the same RNG fork layout. A runner is reusable across
-// runs and, with RunInto, allocation-free in steady state; it is not safe
-// for concurrent use.
+// processes (skipped in bulk after a no-op when the source is a
+// sched.Skipper), the same slot budget, and the same RNG fork layout. A
+// runner is reusable across runs and, with RunInto, allocation-free in
+// steady state; it is not safe for concurrent use.
 //
-// The type parameter devirtualizes the per-slot Step call when
-// instantiated with a concrete machine type, keeping interface dispatch
-// out of the hot path.
+// The type parameter only types the machine argument; it does not
+// devirtualize Step. Go stencils generic code per GC shape, so every
+// pointer machine shares the FlatRunner[go.shape.*uint8] instantiation
+// and Step is called through its dictionary.
 type FlatRunner[M FlatMachine] struct {
 	done    []bool
 	steps   []int64
@@ -69,10 +70,9 @@ type FlatRunner[M FlatMachine] struct {
 func NewFlatRunner[M FlatMachine]() *FlatRunner[M] {
 	fr := &FlatRunner[M]{}
 	// Built once so the hot loop never allocates a closure. Mirrors
-	// drive's skipPred, including the skipBatch bound (see drive for why
-	// the bound is a correctness requirement under crash cutoffs).
+	// drive's skipPred.
 	fr.skipPred = func(pid int) bool {
-		if fr.batch >= skipBatch || !(fr.done[pid] || !fr.alive(pid)) {
+		if fr.batch >= skipBatch || !(fr.done[pid] || !fr.alive(pid)) || fr.ca != nil && fr.liveDone() {
 			return false
 		}
 		fr.batch++
@@ -83,26 +83,24 @@ func NewFlatRunner[M FlatMachine]() *FlatRunner[M] {
 
 func (fr *FlatRunner[M]) alive(pid int) bool { return fr.ca == nil || fr.ca.Alive(pid) }
 
-func (fr *FlatRunner[M]) liveDone(n int) bool {
-	if fr.doneCnt == n {
+func (fr *FlatRunner[M]) liveDone() bool {
+	if fr.doneCnt == len(fr.done) {
 		return true
 	}
 	if fr.ca == nil {
 		return false
 	}
-	for pid := 0; pid < n; pid++ {
-		if !fr.done[pid] && fr.ca.Alive(pid) {
+	for pid, done := range fr.done {
+		if !done && fr.ca.Alive(pid) {
 			return false
 		}
 	}
 	return true
 }
 
-// skipBatch bounds uncharged-slot skipping per SkipWhile call; it must
-// match the coroutine driver's bound so both engines consume schedule
-// sources identically. (They do regardless of the bound — SkipWhile
-// leaves the schedule unchanged — but sharing the constant keeps the
-// engines structurally parallel.)
+// skipBatch bounds the no-op slots one SkipWhile call may consume, so a
+// skip overshoots the slot budget by at most this much before the driver
+// clamps Result.Slots. Both engines share it.
 const skipBatch = 1024
 
 // Run executes one controlled run of m under src, allocating fresh
@@ -167,7 +165,7 @@ func (fr *FlatRunner[M]) RunInto(src sched.Source, m M, cfg Config, res *Result)
 	)
 
 	for {
-		if fr.liveDone(n) {
+		if fr.liveDone() {
 			break
 		}
 		if slots >= maxSlots {
@@ -175,26 +173,21 @@ func (fr *FlatRunner[M]) RunInto(src sched.Source, m M, cfg Config, res *Result)
 			err = fmt.Errorf("%w (budget %d)", ErrSlotBudget, maxSlots)
 			break
 		}
-		if skipper != nil {
-			fr.batch = 0
-			slots += skipper.SkipWhile(fr.skipPred)
-			if slots >= maxSlots {
-				if slots > maxSlots {
-					slots = maxSlots
-				}
-				continue
-			}
-		}
 		pid := src.Next()
 		if pid == sched.Exhausted {
-			if !fr.liveDone(n) {
+			if !fr.liveDone() {
 				err = ErrScheduleExhausted
 			}
 			break
 		}
 		slots++
 		if fr.done[pid] || !fr.alive(pid) {
-			// Uncharged no-op slot, per the model.
+			// Uncharged no-op slot, per the model; a source that can
+			// peek hands over the no-op slots that follow in one call.
+			if skipper != nil {
+				fr.batch = 0
+				slots = min(slots+skipper.SkipWhile(fr.skipPred), maxSlots)
+			}
 			continue
 		}
 		if metered && grants == 0 {

@@ -28,8 +28,9 @@
 //
 // Each process body runs inside an iter.Pull coroutine. The driver is the
 // adversary loop: it draws one schedule slot at a time from the source
-// (resolving uncharged no-op slots in bulk when the source supports
-// sched.Skipper) and resumes the scheduled process's coroutine, which
+// (after an uncharged no-op slot, a source that can look ahead without
+// drawing — a sched.Skipper — hands over the no-op slots that follow in
+// one call) and resumes the scheduled process's coroutine, which
 // executes exactly one shared-memory operation and parks at its next
 // Step. A coroutine switch is a direct register-level transfer that never
 // goes through the goroutine scheduler, so one simulated step costs far
@@ -470,10 +471,12 @@ func restartProc(rs *runState, pid int, body Body, algSeed uint64) {
 	}
 }
 
-// drive is the adversary loop. It consumes schedule slots one at a time —
-// resolving uncharged no-op slots (finished or crashed processes) in bulk
-// when the source supports sched.Skipper — and resumes the scheduled
-// process's coroutine for exactly one operation per charged slot.
+// drive is the adversary loop. It draws schedule slots one at a time and
+// resumes the scheduled process's coroutine for exactly one operation per
+// charged slot. A slot for a finished or crashed process is an uncharged
+// no-op; after one, a source that implements sched.Skipper consumes the
+// no-op slots that follow in a single call, since it can look at them
+// without drawing.
 func drive(src sched.Source, rs *runState, cfg Config, body Body, inj *fault.Injector) (Result, error) {
 	procs := rs.procs
 	n := src.N()
@@ -523,18 +526,16 @@ func drive(src sched.Source, rs *runState, cfg Config, body Body, inj *fault.Inj
 		// trace.RecordingSource makes to see every slot).
 		skipper = nil
 	}
-	// skipPred accepts uncharged no-op slots, bounded to skipBatch per
-	// SkipWhile call. The bound matters for correctness, not just
-	// fairness: a crash cutoff can pass in the middle of a skipped run,
-	// at which point every pid the source still emits may be a no-op and
-	// an unbounded skip would never return — the driver must get control
-	// back to re-evaluate liveDone. A pid rejected by the bound is
-	// stashed by the source, re-delivered by the next Next, and handled
-	// as an ordinary no-op slot, so the schedule is unchanged.
-	const skipBatch = 1024
+	// skipPred accepts a slot only when this loop, drawing it, would
+	// spend it as a no-op and go on: the pid is finished or crashed, and
+	// the run is not over. Skipping therefore never changes a Result
+	// (slots a skip consumes past the budget are clamped away). Without
+	// crashes a run cannot end during a skip, since no process steps, so
+	// only crash-aware sources pay the liveDone scan: their crash clock
+	// can end the run mid-skip. skipBatch bounds one call.
 	batch := 0
 	skipPred := func(pid int) bool {
-		if batch >= skipBatch || !(rs.done[pid] || !alive(pid)) {
+		if batch >= skipBatch || !(rs.done[pid] || !alive(pid)) || ca != nil && liveDone() {
 			return false
 		}
 		batch++
@@ -573,16 +574,6 @@ func drive(src sched.Source, rs *runState, cfg Config, body Body, inj *fault.Inj
 			err = fmt.Errorf("%w (budget %d)", ErrSlotBudget, maxSlots)
 			break
 		}
-		if skipper != nil {
-			batch = 0
-			slots += skipper.SkipWhile(skipPred)
-			if slots >= maxSlots {
-				if slots > maxSlots {
-					slots = maxSlots
-				}
-				continue
-			}
-		}
 		pid := src.Next()
 		if pid == sched.Exhausted {
 			if !liveDone() {
@@ -592,7 +583,12 @@ func drive(src sched.Source, rs *runState, cfg Config, body Body, inj *fault.Inj
 		}
 		slots++
 		if rs.done[pid] || !alive(pid) {
-			// Uncharged no-op slot, per the model.
+			// Uncharged no-op slot, per the model; a source that can
+			// peek hands over the no-op slots that follow in one call.
+			if skipper != nil {
+				batch = 0
+				slots = min(slots+skipper.SkipWhile(skipPred), maxSlots)
+			}
 			continue
 		}
 		if inj != nil && inj.Wasted(pid, slots-1) {

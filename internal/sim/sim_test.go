@@ -2,10 +2,13 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/oblivious-consensus/conciliator/internal/memory"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
+	"github.com/oblivious-consensus/conciliator/internal/trace"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
@@ -135,18 +138,6 @@ func TestSlotBudget(t *testing.T) {
 	}
 }
 
-// noSkipCrashSource hides the Skipper fast path of a crash-aware source,
-// forcing the driver onto slot-at-a-time draws (the path recording
-// sources take).
-type noSkipCrashSource struct {
-	src sched.Source
-	ca  sched.CrashAware
-}
-
-func (s noSkipCrashSource) N() int             { return s.src.N() }
-func (s noSkipCrashSource) Next() int          { return s.src.Next() }
-func (s noSkipCrashSource) Alive(pid int) bool { return s.ca.Alive(pid) }
-
 func TestCrashTailEndsRunAtCutoff(t *testing.T) {
 	// The survivor finishes before the crash cutoff passes; the victims
 	// never finish. Crossing the cutoff completes the run mid-draw, and
@@ -154,7 +145,7 @@ func TestCrashTailEndsRunAtCutoff(t *testing.T) {
 	// the slot budget (found by FuzzCrashScheduleReplay).
 	const cutoff = 50
 	cs := sched.NewCrashSet(sched.NewRoundRobin(3), []int{0, 1}, cutoff, 1)
-	res, err := RunControlled(noSkipCrashSource{src: cs, ca: cs}, func(p *Proc) {
+	res, err := RunControlled(cs, func(p *Proc) {
 		steps := 1
 		if p.ID() != 2 {
 			steps = 100000 // victims can never finish
@@ -174,6 +165,75 @@ func TestCrashTailEndsRunAtCutoff(t *testing.T) {
 		if f != want[pid] {
 			t.Errorf("Finished[%d] = %v, want %v", pid, f, want[pid])
 		}
+	}
+}
+
+// runBothEngines runs the countdown workload (process pid takes need[pid]
+// steps) under a fresh source from mk on the coroutine engine and on the
+// flat engine, failing unless the two agree on error, slots and steps.
+func runBothEngines(t *testing.T, mk func() sched.Source, need []int, cfg Config) (Result, error) {
+	t.Helper()
+	co, coErr := RunControlled(mk(), countdownBody(need, make([]uint64, len(need))), cfg)
+	fl, flErr := RunFlat(mk(), newCountdown(need), cfg)
+	if fmt.Sprint(coErr) != fmt.Sprint(flErr) {
+		t.Fatalf("errors differ: coroutine %v, flat %v", coErr, flErr)
+	}
+	if co.Slots != fl.Slots || co.TotalSteps != fl.TotalSteps {
+		t.Fatalf("slots/steps differ: coroutine %d/%d, flat %d/%d", co.Slots, co.TotalSteps, fl.Slots, fl.TotalSteps)
+	}
+	for pid := range need {
+		if co.Steps[pid] != fl.Steps[pid] || co.Finished[pid] != fl.Finished[pid] {
+			t.Fatalf("pid %d differs: coroutine %d/%v, flat %d/%v", pid, co.Steps[pid], co.Finished[pid], fl.Steps[pid], fl.Finished[pid])
+		}
+	}
+	return co, coErr
+}
+
+func TestLazySkipReplayTailEndsAtCutoff(t *testing.T) {
+	// A crash-aware replay whose recording runs far past the point where
+	// its victims die: the survivor finished long before, so the run is
+	// over at the cutoff. The no-op skip that follows the first dead slot
+	// must stop there too, not run on for a whole skip batch.
+	const cutoff = 50
+	slots := make([]int, 5000)
+	for i := range slots {
+		slots[i] = i % 3
+	}
+	mk := func() sched.Source {
+		src, err := trace.NewReplay(3, slots, []int{cutoff, cutoff, -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	res, err := runBothEngines(t, mk, []int{100000, 100000, 1}, Config{AlgSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Slots != cutoff {
+		t.Fatalf("slots = %d, want the run to end at the cutoff (%d)", res.Slots, cutoff)
+	}
+	if want := []int64{17, 16, 1}; !slices.Equal(res.Steps, want) {
+		t.Fatalf("steps = %v, want %v", res.Steps, want)
+	}
+}
+
+func TestLazySkipBudgetRunsOutInsideSkip(t *testing.T) {
+	// Process 1 finishes at slot 2 and owns the next 2000 slots, so the
+	// skip after its first no-op slot runs through the 100-slot budget.
+	// The run reports exactly the budget, as the slot-at-a-time loop does.
+	slots := append([]int{0, 1}, slices.Repeat([]int{1}, 2000)...)
+	slots = append(slots, 0)
+	mk := func() sched.Source { return sched.NewExplicit(2, slots) }
+	res, err := runBothEngines(t, mk, []int{1 << 20, 1}, Config{AlgSeed: 1, MaxSlots: 100})
+	if !errors.Is(err, ErrSlotBudget) {
+		t.Fatalf("err = %v, want ErrSlotBudget", err)
+	}
+	if res.Slots != 100 {
+		t.Fatalf("slots = %d, want the budget (100)", res.Slots)
+	}
+	if want := []int64{1, 1}; !slices.Equal(res.Steps, want) {
+		t.Fatalf("steps = %v, want %v", res.Steps, want)
 	}
 }
 

@@ -192,10 +192,10 @@ func (s *ReplaySource) Alive(pid int) bool {
 	return d < 0 || s.pos < d
 }
 
-// SkipWhile implements sched.Skipper. The slot clock is advanced before
-// pred runs and rewound on rejection, so pred observes Alive exactly as
-// it would through a draw-then-check Next sequence — matching how the
-// original (stash-based) crash sources behave under bulk skipping.
+// SkipWhile implements sched.Skipper by peeking at the slot list. The
+// slot clock is advanced before pred runs and rewound on rejection, so
+// pred observes Alive exactly as the driver does after drawing the slot
+// with Next, and a rejected slot leaves the crash clock unchanged.
 func (s *ReplaySource) SkipWhile(pred func(pid int) bool) int64 {
 	var skipped int64
 	for s.pos < len(s.slots) {
