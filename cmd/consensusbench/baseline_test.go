@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -139,13 +141,27 @@ func TestCompareBaselineExactCounts(t *testing.T) {
 		{"no run header", nil,
 			benchRecord{Seed: 7, Quick: true},
 			benchEntry{ID: id, Steps: 99, Slots: 151, StepsPerSec: 1000}, false},
+		{"experiment entry outside the prefix", &run,
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: "E3", Steps: 41, Slots: 80}, true},
+		{"experiment entry matches", &run,
+			benchRecord{Seed: 7, Quick: true},
+			benchEntry{ID: "E3", Steps: 40, Slots: 80}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			tt.rec.Experiments = []benchEntry{{ID: id, Steps: 100, Slots: 150, StepsPerSec: 1000}}
+			tt.rec.Experiments = []benchEntry{
+				{ID: id, Steps: 100, Slots: 150, StepsPerSec: 1000},
+				{ID: "E3", Steps: 40, Slots: 80},
+			}
 			path := writeBaseline(t, tt.rec)
 			var b strings.Builder
-			err := compareBaseline(&b, tt.run, []benchEntry{tt.entry}, path, "flat-steps/")
+			entries := []benchEntry{tt.entry}
+			if tt.entry.ID != id {
+				// Keep the steps/s comparison something to compare.
+				entries = append(entries, benchEntry{ID: id, Steps: 100, Slots: 150, StepsPerSec: 1000})
+			}
+			err := compareBaseline(&b, tt.run, entries, path, "flat-steps/")
 			if tt.wantFail != (err != nil) {
 				t.Fatalf("err = %v, want failure %v\n%s", err, tt.wantFail, b.String())
 			}
@@ -153,5 +169,47 @@ func TestCompareBaselineExactCounts(t *testing.T) {
 				t.Errorf("unexpected error: %v", err)
 			}
 		})
+	}
+}
+
+// TestQuickSuiteCountsMatchRecord runs the quick suite the way
+// BENCH_controlled_steps.json was recorded (-all -quick -bench-json) and
+// requires the same entries with exactly the record's steps and slots:
+// every experiment and every controlled-steps and flat-steps workload.
+// Wall-clock figures are not compared; the counts depend only on the
+// code, the seed and -quick, so this holds on any host.
+func TestQuickSuiteCountsMatchRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick suite")
+	}
+	const recordPath = "../../BENCH_controlled_steps.json"
+	base, err := readBenchRecord(recordPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "bench.json")
+	if err := run([]string{"-all", "-quick", "-bench-json", out}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := readBenchRecord(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seed != base.Seed || rec.Quick != base.Quick || rec.Trials != base.Trials {
+		t.Fatalf("run settings (seed %d, quick %v, trials %d) differ from the record's (%d, %v, %d)",
+			rec.Seed, rec.Quick, rec.Trials, base.Seed, base.Quick, base.Trials)
+	}
+	var got, want []string
+	for _, e := range rec.Experiments {
+		got = append(got, e.ID)
+	}
+	for _, e := range base.Experiments {
+		want = append(want, e.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("entries %v, record has %v", got, want)
+	}
+	if err := checkWorkCounts(&rec, rec.Experiments, base, recordPath); err != nil {
+		t.Fatal(err)
 	}
 }

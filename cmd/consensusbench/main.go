@@ -567,6 +567,47 @@ func controlledStepsEntries() []benchEntry {
 	return entries
 }
 
+// readBenchRecord loads a conciliator-bench/v1 record.
+func readBenchRecord(path string) (benchRecord, error) {
+	var rec benchRecord
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return rec, fmt.Errorf("reading bench baseline: %w", err)
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, fmt.Errorf("parsing bench baseline %s: %w", path, err)
+	}
+	return rec, nil
+}
+
+// checkWorkCounts compares the modeled work of a run with the record
+// base (read from path). When run's seed, quick flag and trial count
+// match the record's, every entry whose id the record also has — each
+// experiment and each controlled-steps and flat-steps workload — must
+// have exactly the record's steps and slots: they are a pure function of
+// the code and those settings, so the check applies on any host. A nil
+// run (work counts not reproducible) checks nothing.
+func checkWorkCounts(run *benchRecord, entries []benchEntry, base benchRecord, path string) error {
+	if run == nil || run.Seed != base.Seed || run.Quick != base.Quick || run.Trials != base.Trials {
+		return nil
+	}
+	baseline := make(map[string]benchEntry, len(base.Experiments))
+	for _, e := range base.Experiments {
+		baseline[e.ID] = e
+	}
+	var drift []string
+	for _, e := range entries {
+		if b, ok := baseline[e.ID]; ok && (e.Steps != b.Steps || e.Slots != b.Slots) {
+			drift = append(drift, fmt.Sprintf("%s (steps %d vs %d, slots %d vs %d)", e.ID, e.Steps, b.Steps, e.Slots, b.Slots))
+		}
+	}
+	if len(drift) > 0 {
+		return fmt.Errorf("bench-baseline: work counts differ from %s at the same seed and quick: %s",
+			path, strings.Join(drift, ", "))
+	}
+	return nil
+}
+
 // regressionTolerance is how far below baseline a controlled-steps
 // workload's steps/s may fall before compareBaseline fails the run.
 const regressionTolerance = 0.9
@@ -579,35 +620,18 @@ const regressionTolerance = 0.9
 // introduced before the baseline is refreshed.
 //
 // run is the header of this run's record, or nil when its work counts
-// are not reproducible. When its seed, quick flag and trial count match
-// the record's, every compared entry's steps and slots must equal the
-// record's exactly: they are a pure function of those settings, so this
-// check applies on any host and runs before the host-shape skip.
+// are not reproducible; see checkWorkCounts, which runs first.
 func compareBaseline(out io.Writer, run *benchRecord, entries []benchEntry, path, prefix string) error {
-	data, err := os.ReadFile(path)
+	base, err := readBenchRecord(path)
 	if err != nil {
-		return fmt.Errorf("reading bench baseline: %w", err)
+		return err
 	}
-	var base benchRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing bench baseline %s: %w", path, err)
+	if err := checkWorkCounts(run, entries, base, path); err != nil {
+		return err
 	}
 	baseline := make(map[string]benchEntry, len(base.Experiments))
 	for _, e := range base.Experiments {
 		baseline[e.ID] = e
-	}
-	if run != nil && run.Seed == base.Seed && run.Quick == base.Quick && run.Trials == base.Trials {
-		var drift []string
-		for _, e := range entries {
-			b, ok := baseline[e.ID]
-			if ok && strings.HasPrefix(e.ID, prefix) && (e.Steps != b.Steps || e.Slots != b.Slots) {
-				drift = append(drift, fmt.Sprintf("%s (steps %d vs %d, slots %d vs %d)", e.ID, e.Steps, b.Steps, e.Slots, b.Slots))
-			}
-		}
-		if len(drift) > 0 {
-			return fmt.Errorf("bench-baseline: work counts differ from %s at the same seed and quick: %s",
-				path, strings.Join(drift, ", "))
-		}
 	}
 	// steps/s is a property of the measuring host: a record taken on a
 	// 1-CPU runner says nothing about a 16-core laptop, and gating on the

@@ -1,5 +1,7 @@
 package adoptcommit
 
+import "github.com/oblivious-consensus/conciliator/internal/sim"
+
 // This file compiles the two adopt-commit objects used by the flat
 // consensus machine (internal/consensus) to dense step-function cores:
 // the object's shared state lives in small flat structs, and each
@@ -8,6 +10,12 @@ package adoptcommit
 // equivalence with RegisterAC/SnapshotAC — same operation count, same
 // visibility, same decision rule under every interleaving — which the
 // cross-engine identity tests and FuzzFlatVsCoroutine pin.
+//
+// FlatBinaryAC is driven one operation at a time as NextOp, Apply and
+// Deliver (see sim.FlatMachine): the flat engine applies the op to the
+// object's own registers, and the discrete-event simulator applies it to
+// its memory server's. FlatSnapshotAC keeps a fused Step; no driver
+// needs its ops.
 
 // FlatACCursor is one process's progress through one flat adopt-commit
 // Propose. The zero value is the start state; reuse by assigning the
@@ -25,8 +33,9 @@ type FlatACCursor struct {
 
 // FlatBinaryAC is the dense image of NewBinaryAC: a RegisterAC over the
 // one-digit binary conflict detector (one FlagsCD(2)), restricted to
-// values {0, 1}. Propose costs 4 operations on the conflict path and 5
-// on the commit path, exactly like the original:
+// values {0, 1}. Its four registers are the two CD flags (presence is
+// the flag bit), clean and dirty. Propose costs 4 operations on the
+// conflict path and 5 on the commit path, exactly like the original:
 //
 //	op 0: write own CD flag        op 2': dirty.Write   (conflict path)
 //	op 1: read the other CD flag   op 3': clean.Read → adopt
@@ -34,51 +43,73 @@ type FlatACCursor struct {
 //	op 3: dirty.Read
 //	op 4: clean.Read → commit iff undisturbed
 type FlatBinaryAC struct {
-	flag     [2]bool
-	clean    int64
-	cleanSet bool
-	dirty    bool
+	val [FlatACRegs]int32
+	set [FlatACRegs]bool
 }
+
+// Register indices of FlatBinaryAC, the FlatOp.Obj of its operations.
+const (
+	acFlag0 = 0 // the CD flag of value v is register acFlag0+v
+	acClean = 2
+	acDirty = 3
+	// FlatACRegs is the number of registers one FlatBinaryAC uses.
+	FlatACRegs = 4
+)
 
 // Reset empties the object for reuse.
-func (a *FlatBinaryAC) Reset() {
-	a.flag[0], a.flag[1] = false, false
-	a.cleanSet, a.dirty = false, false
-}
+func (a *FlatBinaryAC) Reset() { *a = FlatBinaryAC{} }
 
-// Step executes cur's next operation of Propose(v) for a value in
-// {0, 1}. It returns done=true when the Propose completed, with commit
-// and out carrying the decision; before that, commit and out are
-// meaningless.
-func (a *FlatBinaryAC) Step(cur *FlatACCursor, v int64) (done, commit bool, out int64) {
+// NextOp returns cur's next operation of Propose(v) for a value in
+// {0, 1}.
+func (a *FlatBinaryAC) NextOp(cur *FlatACCursor, v int64) sim.FlatOp {
 	switch cur.PC {
 	case 0: // conflict detector: write own flag
-		a.flag[v] = true
-		cur.OK = true
+		return sim.FlatOp{Kind: sim.OpWriteV, Obj: acFlag0 + int32(v), Arg: 1}
 	case 1: // conflict detector: read the other flag
-		if a.flag[1-v] {
-			cur.OK = false
-		}
+		return sim.FlatOp{Kind: sim.OpReadV, Obj: acFlag0 + 1 - int32(v)}
 	case 2:
 		if cur.OK {
-			a.clean, a.cleanSet = v, true
-		} else {
-			a.dirty = true
+			return sim.FlatOp{Kind: sim.OpWriteV, Obj: acClean, Arg: int32(v)}
 		}
+		return sim.FlatOp{Kind: sim.OpWriteV, Obj: acDirty, Arg: 1}
+	}
+	if cur.PC == 3 && cur.OK {
+		return sim.FlatOp{Kind: sim.OpReadV, Obj: acDirty}
+	}
+	return sim.FlatOp{Kind: sim.OpReadV, Obj: acClean} // op 3' and op 4
+}
+
+// Apply executes a NextOp operation on the object's registers.
+func (a *FlatBinaryAC) Apply(op sim.FlatOp) sim.FlatResult {
+	if op.Kind == sim.OpWriteV {
+		a.val[op.Obj], a.set[op.Obj] = op.Arg, true
+		return sim.FlatResult{}
+	}
+	return sim.FlatResult{OK: a.set[op.Obj], Val: a.val[op.Obj]}
+}
+
+// Deliver advances cur by the result of its current operation. It
+// returns done=true when the Propose completed, with commit and out
+// carrying the decision; before that, commit and out are meaningless.
+func (a *FlatBinaryAC) Deliver(cur *FlatACCursor, v int64, r sim.FlatResult) (done, commit bool, out int64) {
+	switch cur.PC {
+	case 1: // no conflict iff the other flag is unset
+		cur.OK = !r.OK
 	case 3:
 		if cur.OK {
-			cur.Conflicted = a.dirty
-		} else {
-			// Conflict path: read clean and adopt what it holds (or keep
-			// v if it is still empty).
-			if a.cleanSet {
-				return true, false, a.clean
-			}
-			return true, false, v
+			cur.Conflicted = r.OK
+			break
 		}
+		// Conflict path: adopt what clean holds, or keep v if it is
+		// still empty.
+		if r.OK {
+			return true, false, int64(r.Val)
+		}
+		return true, false, v
 	case 4:
-		// Commit path: re-read clean. Own write guarantees presence.
-		w := a.clean
+		// Commit path: re-read clean. The own write guarantees presence
+		// in atomic memory; a wiped register reads as 0.
+		w := int64(r.Val)
 		if cur.Conflicted || w != v {
 			return true, false, w
 		}
@@ -88,31 +119,28 @@ func (a *FlatBinaryAC) Step(cur *FlatACCursor, v int64) (done, commit bool, out 
 	return false, false, 0
 }
 
-// StepBound returns the operation bound of one Propose.
-func (a *FlatBinaryAC) StepBound() int { return 5 }
-
 // FlatSnapshotAC is the dense image of SnapshotAC: two n-component
 // unit-cost snapshots held as flat slices. Propose costs exactly 4
 // operations (update, scan, update, scan), like the original.
 type FlatSnapshotAC struct {
-	n      int
-	p1val  []int64
-	p1ok   []bool
-	p2val  []int64
+	n       int
+	p1val   []int64
+	p1ok    []bool
+	p2val   []int64
 	p2clean []bool
-	p2ok   []bool
+	p2ok    []bool
 }
 
 // NewFlatSnapshotAC returns an empty flat snapshot adopt-commit object
 // for n processes.
 func NewFlatSnapshotAC(n int) *FlatSnapshotAC {
 	return &FlatSnapshotAC{
-		n:      n,
-		p1val:  make([]int64, n),
-		p1ok:   make([]bool, n),
-		p2val:  make([]int64, n),
+		n:       n,
+		p1val:   make([]int64, n),
+		p1ok:    make([]bool, n),
+		p2val:   make([]int64, n),
 		p2clean: make([]bool, n),
-		p2ok:   make([]bool, n),
+		p2ok:    make([]bool, n),
 	}
 }
 
@@ -170,6 +198,3 @@ func (a *FlatSnapshotAC) Step(cur *FlatACCursor, pid int, v int64) (done, commit
 	cur.PC++
 	return false, false, 0
 }
-
-// StepBound returns the operation count of one Propose.
-func (a *FlatSnapshotAC) StepBound() int { return 4 }

@@ -19,23 +19,31 @@ import (
 // coroutine round loops do, and must charge exactly one modeled step per
 // Step call with the same shared-memory semantics as internal/memory.
 // The cross-engine identity tests and FuzzFlatVsCoroutine pin this.
+//
+// Each machine's Step is NextOp (the process's next operation, read off
+// its cursor), Apply (that operation on the machine's own round
+// objects) and Deliver (the result advances the cursor). The
+// discrete-event simulator runs NextOp and Deliver at a process and
+// applies the op at its memory server instead, so the round logic here
+// is the only copy of it.
 
 // FlatPersonae is the dense persona pool: the flat-engine image of
 // persona.Persona values. Persona identity is the index (the coroutine
-// engine uses pointer identity); all pre-drawn randomness lives in
-// flattened per-round slices. Draw replicates persona.New's draw order
-// exactly: coin first, then per-round priorities, then per-round write
-// bits.
+// engine uses pointer identity), handed out in draw order; all pre-drawn
+// randomness lives in flattened per-round slices. Draw replicates
+// persona.New's draw order exactly: coin first, then per-round
+// priorities, then per-round write bits. No flat protocol reads the coin
+// or the origin, so neither is stored.
 type FlatPersonae struct {
 	prioRounds int
 	prioBound  uint64
 	writeProbs []float64
 
-	vals    []int64
-	origins []int32
-	coins   []bool
-	prios   []uint64
-	bits    []bool
+	vals  []int64
+	prios []uint64
+	bits  []bool
+
+	next int32 // the id the next Draw takes
 }
 
 // NewFlatPersonae returns an empty pool drawing personae with the given
@@ -48,50 +56,42 @@ func NewFlatPersonae(cfg persona.Config) *FlatPersonae {
 	}
 }
 
-// EnsureIDs grows the pool's backing arrays to hold ids [0, count).
+// ensureIDs grows the pool's backing arrays to hold ids [0, count).
 // Growth is geometric, so steady-state reuse across trials does not
 // allocate.
-func (pp *FlatPersonae) EnsureIDs(count int) {
+func (pp *FlatPersonae) ensureIDs(count int) {
 	if count <= len(pp.vals) {
 		return
 	}
-	grow := func(n, need int) int {
-		if n == 0 {
-			n = need
-		}
-		for n < need {
-			n *= 2
-		}
-		return n
+	c := len(pp.vals)
+	if c == 0 {
+		c = count
 	}
-	c := grow(len(pp.vals), count)
-	vals := make([]int64, c)
-	copy(vals, pp.vals)
-	pp.vals = vals
-	origins := make([]int32, c)
-	copy(origins, pp.origins)
-	pp.origins = origins
-	coins := make([]bool, c)
-	copy(coins, pp.coins)
-	pp.coins = coins
-	if pp.prioRounds > 0 {
-		prios := make([]uint64, c*pp.prioRounds)
-		copy(prios, pp.prios)
-		pp.prios = prios
+	for c < count {
+		c *= 2
 	}
-	if len(pp.writeProbs) > 0 {
-		bits := make([]bool, c*len(pp.writeProbs))
-		copy(bits, pp.bits)
-		pp.bits = bits
-	}
+	pp.vals = grown(pp.vals, c)
+	pp.prios = grown(pp.prios, c*pp.prioRounds)
+	pp.bits = grown(pp.bits, c*len(pp.writeProbs))
 }
 
-// Draw fills persona id with value val owned by origin, drawing all
-// randomness from rng in the same order persona.New does.
-func (pp *FlatPersonae) Draw(id int, val int64, origin int, rng *xrand.Rand) {
+// grown returns a copy of s with length n.
+func grown[T any](s []T, n int) []T {
+	t := make([]T, n)
+	copy(t, s)
+	return t
+}
+
+// Draw creates a persona with value val under the next unused id,
+// drawing all randomness from rng in the same order persona.New does,
+// and returns the id. A process that draws again (an amnesiac restart)
+// therefore never overwrites a persona other processes adopted.
+func (pp *FlatPersonae) Draw(val int64, rng *xrand.Rand) int32 {
+	id := int(pp.next)
+	pp.next++
+	pp.ensureIDs(id + 1)
 	pp.vals[id] = val
-	pp.origins[id] = int32(origin)
-	pp.coins[id] = rng.Bool()
+	rng.Bool() // the coin
 	if pp.prioRounds > 0 {
 		base := id * pp.prioRounds
 		for i := 0; i < pp.prioRounds; i++ {
@@ -108,13 +108,11 @@ func (pp *FlatPersonae) Draw(id int, val int64, origin int, rng *xrand.Rand) {
 			pp.bits[base+i] = rng.Bernoulli(prob)
 		}
 	}
+	return int32(id)
 }
 
 // Value returns persona id's input value.
 func (pp *FlatPersonae) Value(id int32) int64 { return pp.vals[id] }
-
-// Origin returns the id of the process that created persona id.
-func (pp *FlatPersonae) Origin(id int32) int32 { return pp.origins[id] }
 
 // Priority returns persona id's pre-drawn priority for round i.
 func (pp *FlatPersonae) Priority(id int32, i int) uint64 {
@@ -127,33 +125,18 @@ func (pp *FlatPersonae) WriteBit(id int32, i int) bool {
 	return pp.bits[int(id)*len(pp.writeProbs)+i]
 }
 
-// SifterHalfRounds returns the round count of the constant-p = 1/2
-// sifter baseline: survivors halve in expectation each round, so
-// Theta(log n) rounds drive the survivor bound through the same epsilon
-// tail the tuned schedule reaches in ceil(log log n) rounds (compare
-// SifterRounds).
-func SifterHalfRounds(n int, epsilon float64) int {
-	r := stats.CeilLog2(n) + stats.CeilLogBase(4.0/3.0, 8/epsilon)
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
 // HalfSifterConfig returns the SifterConfig of the constant-p = 1/2
-// baseline for n processes: SifterHalfRounds rounds, every round writing
-// with probability 1/2. Feeding it to NewSifter and NewFlatSifter yields
-// byte-identical executions of the ablation the DES port calls
-// "sifter-half".
+// sifter baseline for n processes ("sifter-half"): every round writes
+// with probability 1/2. Survivors halve in expectation each round, so it
+// takes ceil(log2 n) + ceil(log_{4/3}(8/epsilon)) rounds, Theta(log n),
+// to drive the survivor bound through the same epsilon tail the tuned
+// schedule reaches in ceil(log log n) rounds (compare SifterRounds).
 func HalfSifterConfig(n int, epsilon float64) SifterConfig {
 	if epsilon <= 0 || epsilon >= 1 {
 		epsilon = 0.5
 	}
-	return SifterConfig{
-		Epsilon: epsilon,
-		Rounds:  SifterHalfRounds(n, epsilon),
-		Probs:   []float64{0.5},
-	}
+	rounds := stats.CeilLog2(n) + stats.CeilLogBase(4.0/3.0, 8/epsilon)
+	return SifterConfig{Epsilon: epsilon, Rounds: max(rounds, 1), Probs: []float64{0.5}}
 }
 
 // FlatSifter is Algorithm 2 compiled to a flat machine: one int32
@@ -164,9 +147,7 @@ func HalfSifterConfig(n int, epsilon float64) SifterConfig {
 // The ablation switches (SharePersonae=false, TrackSurvivors) are not
 // ported; NewFlatSifter rejects configurations that ask for them.
 type FlatSifter struct {
-	n      int
 	rounds int
-	probs  []float64
 	pp     *FlatPersonae
 
 	regs   []int32 // per round: persona id or -1
@@ -203,15 +184,13 @@ func NewFlatSifter(n int, cfg SifterConfig) *FlatSifter {
 		}
 	}
 	m := &FlatSifter{
-		n:      n,
 		rounds: rounds,
-		probs:  probs,
 		pp:     NewFlatPersonae(persona.Config{WriteProbs: probs}),
 		regs:   make([]int32, rounds),
 		pers:   make([]int32, n),
 		round:  make([]int32, n),
 	}
-	m.pp.EnsureIDs(n)
+	m.pp.ensureIDs(n)
 	m.Reset(nil)
 	return m
 }
@@ -227,34 +206,62 @@ func (m *FlatSifter) Reset(inputs []int64) {
 	for i := range m.regs {
 		m.regs[i] = -1
 	}
-	for pid := 0; pid < m.n; pid++ {
-		m.pers[pid] = int32(pid)
-		m.round[pid] = 0
-	}
+	m.pp.next = 0
 }
 
 // Init implements sim.FlatMachine: persona creation, the only pre-step
-// randomness of the sifter body.
+// randomness of the sifter body. Calling it again for the same process
+// restarts that process at round 0 under a fresh persona.
 func (m *FlatSifter) Init(pid int, rng *xrand.Rand) {
-	val := int64(pid)
-	if m.inputs != nil {
-		val = m.inputs[pid]
+	m.pers[pid] = m.pp.Draw(flatInput(m.inputs, pid), rng)
+	m.round[pid] = 0
+}
+
+// flatInput is process pid's conciliator input: inputs[pid], or pid when
+// inputs is nil.
+func flatInput(inputs []int64, pid int) int64 {
+	if inputs != nil {
+		return inputs[pid]
 	}
-	m.pp.Draw(pid, val, pid, rng)
+	return int64(pid)
 }
 
 // Step implements sim.FlatMachine: one sifting round, exactly one
 // register operation.
 func (m *FlatSifter) Step(pid int, _ *xrand.Rand) bool {
+	return m.Deliver(pid, m.Apply(m.NextOp(pid)))
+}
+
+// NextOp returns pid's operation in its current round: a write of its
+// persona when the persona's pre-drawn bit for the round is set, a read
+// otherwise.
+func (m *FlatSifter) NextOp(pid int) sim.FlatOp {
 	i := m.round[pid]
-	pers := m.pers[pid]
-	if m.pp.WriteBit(pers, int(i)) {
-		m.regs[i] = pers
-	} else if r := m.regs[i]; r >= 0 {
-		m.pers[pid] = r
+	if pers := m.pers[pid]; m.pp.WriteBit(pers, int(i)) {
+		return sim.FlatOp{Kind: sim.OpWriteP, Obj: i, Arg: pers}
 	}
-	m.round[pid] = i + 1
-	return int(i+1) >= m.rounds
+	return sim.FlatOp{Kind: sim.OpReadP, Obj: i}
+}
+
+// Apply executes a NextOp operation on the machine's round registers.
+func (m *FlatSifter) Apply(op sim.FlatOp) sim.FlatResult {
+	if op.Kind == sim.OpWriteP {
+		m.regs[op.Obj] = op.Arg
+		return sim.FlatResult{}
+	}
+	r := m.regs[op.Obj]
+	return sim.FlatResult{OK: r >= 0, Val: max(r, 0)}
+}
+
+// Deliver advances pid past its current round, adopting the persona a
+// read returned. It returns true after the last round.
+func (m *FlatSifter) Deliver(pid int, r sim.FlatResult) bool {
+	if r.OK {
+		m.pers[pid] = r.Val
+	}
+	i := m.round[pid] + 1
+	m.round[pid] = i
+	return int(i) >= m.rounds
 }
 
 // Value returns the conciliator output of a finished process.
@@ -267,14 +274,12 @@ func (m *FlatSifter) Value(pid int) int64 { return m.pp.Value(m.pers[pid]) }
 // snapshot rounds, tree max registers, compact values, and the ablation
 // switches are rejected.
 type FlatPriorityMax struct {
-	n      int
 	rounds int
-	bound  uint64
 	pp     *FlatPersonae
 
 	maxKey  []uint64 // per round: incumbent key
 	maxPers []int32  // per round: incumbent persona id, -1 empty
-	pers    []int32  // per process
+	pers    []int32  // per process: current persona id
 	pos     []int32  // per process: operation index (2 per round)
 	inputs  []int64
 }
@@ -303,16 +308,14 @@ func NewFlatPriorityMax(n int, cfg PriorityConfig) *FlatPriorityMax {
 		bound = uint64(math.Ceil(float64(rounds) * float64(n) * float64(n) / cfg.Epsilon))
 	}
 	m := &FlatPriorityMax{
-		n:       n,
 		rounds:  rounds,
-		bound:   bound,
 		pp:      NewFlatPersonae(persona.Config{PriorityRounds: rounds, PriorityBound: bound}),
 		maxKey:  make([]uint64, rounds),
 		maxPers: make([]int32, rounds),
 		pers:    make([]int32, n),
 		pos:     make([]int32, n),
 	}
-	m.pp.EnsureIDs(n)
+	m.pp.ensureIDs(n)
 	m.Reset(nil)
 	return m
 }
@@ -328,40 +331,59 @@ func (m *FlatPriorityMax) Reset(inputs []int64) {
 		m.maxKey[i] = 0
 		m.maxPers[i] = -1
 	}
-	for pid := 0; pid < m.n; pid++ {
-		m.pers[pid] = int32(pid)
-		m.pos[pid] = 0
-	}
+	m.pp.next = 0
 }
 
-// Init implements sim.FlatMachine.
+// Init implements sim.FlatMachine. Calling it again for the same process
+// restarts that process at round 0 under a fresh persona.
 func (m *FlatPriorityMax) Init(pid int, rng *xrand.Rand) {
-	val := int64(pid)
-	if m.inputs != nil {
-		val = m.inputs[pid]
-	}
-	m.pp.Draw(pid, val, pid, rng)
+	m.pers[pid] = m.pp.Draw(flatInput(m.inputs, pid), rng)
+	m.pos[pid] = 0
 }
 
 // Step implements sim.FlatMachine: alternating WriteMax / ReadMax-adopt
-// operations, two per round, with the max register's semantics (strictly
-// greater key replaces; ties keep the incumbent).
+// operations, two per round.
 func (m *FlatPriorityMax) Step(pid int, _ *xrand.Rand) bool {
+	return m.Deliver(pid, m.Apply(m.NextOp(pid)))
+}
+
+// NextOp returns pid's next operation: the WriteMax of its persona under
+// the round's priority, then the round's ReadMax.
+func (m *FlatPriorityMax) NextOp(pid int) sim.FlatOp {
 	pos := m.pos[pid]
-	i := int(pos) / 2
+	i := pos / 2
 	if pos&1 == 0 {
-		key := m.pp.Priority(m.pers[pid], i)
-		if m.maxPers[i] < 0 || key > m.maxKey[i] {
-			m.maxKey[i] = key
-			m.maxPers[i] = m.pers[pid]
-		}
-	} else {
-		// The process's own WriteMax preceded, so the register is never
-		// empty here; adopt unconditionally, as the coroutine round does.
-		m.pers[pid] = m.maxPers[i]
+		pers := m.pers[pid]
+		return sim.FlatOp{Kind: sim.OpWriteMax, Obj: i, Arg: pers, Key: m.pp.Priority(pers, int(i))}
 	}
-	m.pos[pid] = pos + 1
-	return int(pos+1) >= 2*m.rounds
+	return sim.FlatOp{Kind: sim.OpReadMax, Obj: i}
+}
+
+// Apply executes a NextOp operation on the machine's round max
+// registers: a strictly greater key replaces the incumbent, ties keep it.
+func (m *FlatPriorityMax) Apply(op sim.FlatOp) sim.FlatResult {
+	i := op.Obj
+	if op.Kind == sim.OpWriteMax {
+		if m.maxPers[i] < 0 || op.Key > m.maxKey[i] {
+			m.maxKey[i], m.maxPers[i] = op.Key, op.Arg
+		}
+		return sim.FlatResult{}
+	}
+	p := m.maxPers[i]
+	return sim.FlatResult{OK: p >= 0, Val: max(p, 0), Key: m.maxKey[i]}
+}
+
+// Deliver advances pid past its current operation, adopting the persona
+// a ReadMax returned. The process's own WriteMax precedes the read, so
+// the register is empty only if something wiped it; the process then
+// keeps its persona. It returns true after the last round's read.
+func (m *FlatPriorityMax) Deliver(pid int, r sim.FlatResult) bool {
+	if r.OK {
+		m.pers[pid] = r.Val
+	}
+	pos := m.pos[pid] + 1
+	m.pos[pid] = pos
+	return int(pos) >= 2*m.rounds
 }
 
 // Value returns the conciliator output of a finished process.

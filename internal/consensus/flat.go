@@ -18,6 +18,12 @@ import (
 // pinned by the cross-engine identity tests and FuzzFlatVsCoroutine:
 // same slots, same per-process step counts, same decisions under every
 // schedule and algorithm seed.
+//
+// Step is NextOp, an apply on the machine's own objects, and Deliver (see
+// sim.FlatMachine). The discrete-event simulator (internal/des) drives
+// the same machine through Init, NextOp and Deliver with its memory
+// server applying the ops, so this file is the one definition of the
+// phase loop both engines run.
 
 // Conciliator and adopt-commit selectors for FlatConfig.
 const (
@@ -42,6 +48,10 @@ type FlatConfig struct {
 	// MaxPhases bounds the phase loop (0 = default 64), with the same
 	// validity valve as the coroutine Protocol.
 	MaxPhases int
+	// PaperPriorityRange draws priority-max priorities from the paper's
+	// bounded range {1..ceil(R n^2/Epsilon)} instead of full-width
+	// uint64 (see conciliator.PriorityConfig).
+	PaperPriorityRange bool
 }
 
 func (cfg FlatConfig) withDefaults() FlatConfig {
@@ -70,7 +80,7 @@ func (cfg FlatConfig) sifterConfig(n int) conciliator.SifterConfig {
 }
 
 func (cfg FlatConfig) priorityConfig() conciliator.PriorityConfig {
-	return conciliator.PriorityConfig{Epsilon: cfg.Epsilon, UseMaxRegisters: true}
+	return conciliator.PriorityConfig{Epsilon: cfg.Epsilon, UseMaxRegisters: true, PaperPriorityRange: cfg.PaperPriorityRange}
 }
 
 const (
@@ -84,11 +94,11 @@ const (
 // like Protocol.phase) and are retained across Reset, so steady-state
 // Monte Carlo trials run without allocation.
 type FlatConsensus struct {
-	n         int
-	cfg       FlatConfig
-	concKind  int8
-	binary    bool
-	maxPhases int
+	n        int
+	cfg      FlatConfig
+	concKind int8
+	binary   bool
+	rounds   int32 // conciliator rounds per phase
 
 	// Per-process cursors.
 	pref    []int64
@@ -115,16 +125,15 @@ var _ sim.FlatMachine = (*FlatConsensus)(nil)
 func NewFlat(n int, cfg FlatConfig) (*FlatConsensus, error) {
 	cfg = cfg.withDefaults()
 	m := &FlatConsensus{
-		n:         n,
-		cfg:       cfg,
-		maxPhases: cfg.MaxPhases,
-		pref:      make([]int64, n),
-		phase:     make([]int32, n),
-		inConc:    make([]bool, n),
-		acCur:     make([]adoptcommit.FlatACCursor, n),
-		acVal:     make([]int64, n),
-		decided:   make([]bool, n),
-		phases:    make([]int32, n),
+		n:       n,
+		cfg:     cfg,
+		pref:    make([]int64, n),
+		phase:   make([]int32, n),
+		inConc:  make([]bool, n),
+		acCur:   make([]adoptcommit.FlatACCursor, n),
+		acVal:   make([]int64, n),
+		decided: make([]bool, n),
+		phases:  make([]int32, n),
 	}
 	switch cfg.Conciliator {
 	case ConcSifter, ConcSifterHalf:
@@ -142,6 +151,11 @@ func NewFlat(n int, cfg FlatConfig) (*FlatConsensus, error) {
 		return nil, fmt.Errorf("consensus: unknown flat adopt-commit %q", cfg.AC)
 	}
 	m.Reset(nil)
+	if m.concKind == concKindSifter {
+		m.rounds = int32(m.sifters[0].Rounds())
+	} else {
+		m.rounds = int32(m.prios[0].Rounds())
+	}
 	return m, nil
 }
 
@@ -194,13 +208,6 @@ func (m *FlatConsensus) Reset(inputs []int64) {
 		}
 	}
 	m.inputs = inputs
-	for pid := 0; pid < m.n; pid++ {
-		m.phase[pid] = 0
-		m.inConc[pid] = true
-		m.acCur[pid] = adoptcommit.FlatACCursor{}
-		m.decided[pid] = false
-		m.phases[pid] = 0
-	}
 	for _, s := range m.sifters {
 		s.Reset(m.pref)
 	}
@@ -245,15 +252,23 @@ func (m *FlatConsensus) enterPhase(ph int) {
 	}
 }
 
-// Init implements sim.FlatMachine: record the input preference and draw
-// the phase-0 persona, the only pre-first-step randomness of the
-// coroutine body.
+// Init implements sim.FlatMachine: put process pid at the start of
+// phase 0 with its input as preference and draw the phase-0 persona, the
+// only pre-first-step randomness of the coroutine body.
+//
+// Calling Init again mid-run is an amnesiac crash-recovery of pid: the
+// process loses its local state and re-enters phase 0 with its original
+// input and a persona drawn from rng. Shared objects keep what it wrote,
+// and the new persona takes a fresh persona id, so personae other
+// processes adopted from the old incarnation keep their values and
+// randomness.
 func (m *FlatConsensus) Init(pid int, rng *xrand.Rand) {
 	v := int64(pid % 2)
 	if m.inputs != nil {
 		v = m.inputs[pid]
 	}
 	m.pref[pid] = v
+	m.phase[pid], m.inConc[pid], m.decided[pid], m.phases[pid] = 0, true, false, 0
 	m.concInit(0, pid, rng)
 }
 
@@ -269,64 +284,145 @@ func (m *FlatConsensus) concInit(ph, pid int, rng *xrand.Rand) {
 	}
 }
 
+// Progress reports what Deliver did to a process.
+type Progress uint8
+
+const (
+	// Running: the process is inside a conciliator or adopt-commit
+	// object; NextOp is its next operation there.
+	Running Progress = iota
+	// Proposing: the phase's conciliator finished, and the process now
+	// proposes Proposal(pid) to the phase's adopt-commit.
+	Proposing
+	// Adopted: adopt-commit adopted Output(pid), and the process entered
+	// the next phase with it.
+	Adopted
+	// Committed: adopt-commit committed; the process decided Output(pid).
+	Committed
+	// OutOfPhases: adopt-commit adopted in the last phase MaxPhases
+	// allows. The machine decides Output(pid) by the validity valve.
+	OutOfPhases
+)
+
 // Step implements sim.FlatMachine: exactly one shared-memory operation
-// of the current phase's conciliator or adopt-commit object.
+// — the current phase object's NextOp, applied to that object, then its
+// Deliver. It dispatches once and calls the object's halves directly
+// rather than through NextOp and Deliver below, which would route the
+// op by phase twice more per step.
 func (m *FlatConsensus) Step(pid int, rng *xrand.Rand) bool {
-	ph := int(m.phase[pid])
+	ph := m.phase[pid]
 	if m.inConc[pid] {
 		var fin bool
-		switch m.concKind {
-		case concKindSifter:
+		if m.concKind == concKindSifter {
 			s := m.sifters[ph]
-			if fin = s.Step(pid, rng); fin {
-				m.acVal[pid] = s.Value(pid)
-			}
-		case concKindPriorityMax:
+			fin = s.Deliver(pid, s.Apply(s.NextOp(pid)))
+		} else {
 			p := m.prios[ph]
-			if fin = p.Step(pid, rng); fin {
-				m.acVal[pid] = p.Value(pid)
-			}
+			fin = p.Deliver(pid, p.Apply(p.NextOp(pid)))
 		}
 		if fin {
-			m.inConc[pid] = false
-			m.acCur[pid] = adoptcommit.FlatACCursor{}
+			m.propose(pid)
 		}
-		// A conciliator's last operation is never the body's last: the
-		// phase's adopt-commit Propose always follows.
 		return false
 	}
-
 	var done, commit bool
 	var out int64
+	cur, v := &m.acCur[pid], m.acVal[pid]
 	if m.binary {
-		done, commit, out = m.regACs[ph].Step(&m.acCur[pid], m.acVal[pid])
+		a := &m.regACs[ph]
+		done, commit, out = a.Deliver(cur, v, a.Apply(a.NextOp(cur, v)))
 	} else {
-		done, commit, out = m.snapACs[ph].Step(&m.acCur[pid], pid, m.acVal[pid])
+		done, commit, out = m.snapACs[ph].Step(cur, pid, v)
 	}
-	if !done {
-		return false
+	return done && m.finishAC(pid, commit, out, rng) >= Committed
+}
+
+// NextOp returns process pid's next shared-memory operation, its object
+// indexed across phases: round objects at phase*Rounds()+round,
+// adopt-commit registers at phase*adoptcommit.FlatACRegs+register. It
+// serves the sifter and priority-max conciliators and the ACRegister
+// adopt-commit; the snapshot adopt-commit runs only inside Step.
+func (m *FlatConsensus) NextOp(pid int) sim.FlatOp {
+	ph := m.phase[pid]
+	var op sim.FlatOp
+	switch {
+	case !m.inConc[pid]:
+		op = m.regACs[ph].NextOp(&m.acCur[pid], m.acVal[pid])
+		op.Obj += ph * adoptcommit.FlatACRegs
+		return op
+	case m.concKind == concKindSifter:
+		op = m.sifters[ph].NextOp(pid)
+	default:
+		op = m.prios[ph].NextOp(pid)
 	}
+	op.Obj += ph * m.rounds
+	return op
+}
+
+// Deliver advances process pid by the result of its NextOp operation.
+// Entering the next phase draws that phase's persona from rng.
+func (m *FlatConsensus) Deliver(pid int, r sim.FlatResult, rng *xrand.Rand) Progress {
+	ph := m.phase[pid]
+	if !m.inConc[pid] {
+		done, commit, out := m.regACs[ph].Deliver(&m.acCur[pid], m.acVal[pid], r)
+		if !done {
+			return Running
+		}
+		return m.finishAC(pid, commit, out, rng)
+	}
+	var fin bool
+	if m.concKind == concKindSifter {
+		fin = m.sifters[ph].Deliver(pid, r)
+	} else {
+		fin = m.prios[ph].Deliver(pid, r)
+	}
+	if !fin {
+		return Running
+	}
+	m.propose(pid)
+	return Proposing
+}
+
+// propose moves process pid from its finished conciliator to the
+// phase's adopt-commit, proposing the conciliator's output. The
+// conciliator's last operation is never the body's last: the
+// adopt-commit Propose always follows.
+func (m *FlatConsensus) propose(pid int) {
+	ph := m.phase[pid]
+	if m.concKind == concKindSifter {
+		m.acVal[pid] = m.sifters[ph].Value(pid)
+	} else {
+		m.acVal[pid] = m.prios[ph].Value(pid)
+	}
+	m.inConc[pid] = false
+	m.acCur[pid] = adoptcommit.FlatACCursor{}
+}
+
+// finishAC completes process pid's adopt-commit Propose in its current
+// phase: commit decides, adopt carries out into the next phase.
+func (m *FlatConsensus) finishAC(pid int, commit bool, out int64, rng *xrand.Rand) Progress {
+	ph := int(m.phase[pid])
 	m.pref[pid] = out
 	if commit {
 		m.decided[pid] = true
 		m.phases[pid] = int32(ph + 1)
-		return true
+		return Committed
 	}
-	if ph+1 >= m.maxPhases {
+	m.phase[pid] = int32(ph + 1)
+	if ph+1 >= m.cfg.MaxPhases {
 		// Safety valve, exactly like ProposeWithPhases: return the
 		// current preference, which is still some process's input.
 		m.decided[pid] = true
-		m.phases[pid] = int32(m.maxPhases)
-		return true
+		m.phases[pid] = int32(m.cfg.MaxPhases)
+		return OutOfPhases
 	}
-	m.phase[pid] = int32(ph + 1)
 	m.inConc[pid] = true
 	m.enterPhase(ph + 1)
 	// Entering the next conciliator draws its persona now — local
 	// computation between this operation and the process's next one,
 	// at the same position in the per-process stream as the coroutine.
 	m.concInit(ph+1, pid, rng)
-	return false
+	return Adopted
 }
 
 // Output returns the decision of a finished process.
@@ -338,3 +434,14 @@ func (m *FlatConsensus) Decided(pid int) bool { return m.decided[pid] }
 
 // Phases returns how many phases a decided process executed.
 func (m *FlatConsensus) Phases(pid int) int { return int(m.phases[pid]) }
+
+// Phase returns the index of process pid's current phase. After
+// OutOfPhases it is MaxPhases.
+func (m *FlatConsensus) Phase(pid int) int { return int(m.phase[pid]) }
+
+// Proposal returns what process pid proposes to its current phase's
+// adopt-commit (meaningful from Proposing on).
+func (m *FlatConsensus) Proposal(pid int) int64 { return m.acVal[pid] }
+
+// Rounds returns the conciliator's round count per phase.
+func (m *FlatConsensus) Rounds() int { return int(m.rounds) }

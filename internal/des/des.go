@@ -6,8 +6,11 @@
 // The model is the classic client/server emulation of shared memory:
 // every register, max register, and conflict-detector flag lives on a
 // memory server node, and each of the n processes runs the conciliator +
-// adopt-commit stack as an explicit event-driven state machine that
-// issues one stop-and-wait RPC per shared-memory operation. There are no
+// adopt-commit stack of consensus.FlatConsensus — the machine the flat
+// Monte Carlo engine runs, not a copy of it. A process takes its next
+// operation from the machine (NextOp), ships it to the server in one
+// stop-and-wait RPC, and hands the reply back to the machine (Deliver);
+// the server applies the op to its own memory objects. There are no
 // goroutines and no real time: a priority event queue keyed by virtual
 // nanoseconds (ties broken by insertion order) drives everything, so a
 // run is a pure function of its Config — including every latency sample,
@@ -35,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/consensus"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 )
 
@@ -42,15 +46,15 @@ import (
 const (
 	// ProtoSifter is Algorithm 2 with the paper's tuned per-round write
 	// probabilities: O(log log n) rounds.
-	ProtoSifter = "sifter"
+	ProtoSifter = consensus.ConcSifter
 	// ProtoSifterHalf is the constant-probability (p = 1/2) sifter: the
 	// classical O(log n)-round baseline the tuned schedule is measured
 	// against.
-	ProtoSifterHalf = "sifter-half"
+	ProtoSifterHalf = consensus.ConcSifterHalf
 	// ProtoPriorityMax is Algorithm 1 in its footnote-1 form: priorities
 	// resolved through a max register instead of snapshots, O(log* n)
 	// rounds and O(1) server work per operation.
-	ProtoPriorityMax = "priority-max"
+	ProtoPriorityMax = consensus.ConcPriorityMax
 )
 
 // Protocols lists the supported protocol names in presentation order.

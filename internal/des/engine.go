@@ -60,7 +60,9 @@ const (
 )
 
 // event is one scheduled occurrence. It is stored by value in near, far
-// and the wheel's slab; keep it compact.
+// and the wheel's slab; keep it compact. It holds no pointers, so the
+// queue's slices are never scanned by the garbage collector and vacated
+// slots need no clearing.
 type event struct {
 	at   int64 // virtual time, nanoseconds
 	seq  uint64
@@ -180,7 +182,6 @@ func (q *eventQueue) pop() (event, bool) {
 	k := q.order[last]
 	q.order = q.order[:last]
 	top := q.near[k]
-	q.near[k] = event{} // release the persona pointer
 	if last == 0 {
 		q.near = q.near[:0]
 	}
@@ -208,7 +209,6 @@ func (q *eventQueue) advance() {
 		for c := q.heads[b]; c != noChunk; n = chunkSize {
 			run := q.evs[int(c)*chunkSize : int(c)*chunkSize+n]
 			q.near = append(q.near, run...)
-			clear(run) // release the persona pointers
 			q.wheelN -= n
 			nx := q.next[c]
 			q.next[c] = q.free
@@ -289,13 +289,11 @@ func heapPush(h []event, e event) []event {
 	return h
 }
 
-// heapPop removes the minimum of the non-empty binary min-heap h,
-// clearing the vacated slot.
+// heapPop removes the minimum of the non-empty binary min-heap h.
 func heapPop(h []event) ([]event, event) {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = event{} // release the persona pointer
 	h = h[:last]
 	if last > 1 {
 		siftDown(h, 0)

@@ -2,58 +2,19 @@ package des
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"github.com/oblivious-consensus/conciliator/internal/conciliator"
+	"github.com/oblivious-consensus/conciliator/internal/consensus"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
-	"github.com/oblivious-consensus/conciliator/internal/persona"
+	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// pcState is where a process's state machine is parked while it waits
-// for the reply to its outstanding operation. Every transition consumes
-// exactly one reply and issues at most one new request; there are no
-// goroutines and no blocking.
-type pcState uint8
-
-const (
-	// Conciliator states.
-	pcSiftOp    pcState = iota // sifter: the round's single write-or-read
-	pcPrioWrite                // priority-max: WriteMax of this round
-	pcPrioRead                 // priority-max: ReadMax of this round
-
-	// Adopt-commit states (the binary RegisterAC ported op by op; see
-	// adoptcommit.RegisterAC and FlagsCD for the shared-memory original).
-	pcACFlagWrite      // writing own conflict-detector flag
-	pcACFlagRead       // reading the other flag
-	pcACDirtyWrite     // conflict path: marking dirty
-	pcACCleanReadAdopt // conflict path: reading clean to adopt
-	pcACCleanWrite     // clean path: writing clean
-	pcACDirtyRead      // clean path: checking dirty
-	pcACCleanRead      // clean path: re-reading clean
-
-	// pcResync: a freshly amnesiac incarnation re-establishing its RPC
-	// session with the memory server before re-running the protocol.
-	pcResync
-
-	pcDone // decided
-)
-
-// proc is one process's explicit state machine.
+// proc is one process's RPC, retry and chaos state. Its protocol state
+// is its cursor in the runner's consensus machine, indexed by id.
 type proc struct {
-	id    int32
-	rng   xrand.Rand
-	input int
-
-	prefer int // current phase's preference
-	pers   *persona.Persona[int]
-	phase  int32
-	round  int32
-	pc     pcState
-
-	acIn       int
-	acConflict bool
+	id  int32
+	rng xrand.Rand
 
 	// Stop-and-wait RPC state.
 	opSeq   uint32
@@ -72,9 +33,11 @@ type proc struct {
 	opRetries int
 	seedBase  uint64
 	resyncs   int64
+	// syncing: a fresh amnesiac incarnation is re-establishing its RPC
+	// session with the memory server before it resumes the machine.
+	syncing bool
 
-	decided  bool
-	decision int
+	decided bool
 }
 
 // runner holds one run's entire state.
@@ -85,8 +48,7 @@ type runner struct {
 	srv     *server
 	mon     *fault.Monitor
 	procs   []proc
-	rounds  int
-	persCfg persona.Config
+	m       *consensus.FlatConsensus
 	now     int64
 	decided int
 	events  int64
@@ -109,37 +71,9 @@ type runner struct {
 	restarts   int64
 	chaosDrops int64
 
-	// overflowed is set when a process exceeds the phase budget; the
-	// main loop converts it to a run error.
-	overflowed *proc
-}
-
-// protocolRounds returns the conciliator rounds per phase and the
-// persona configuration (how much randomness each persona pre-draws) for
-// a protocol.
-func protocolRounds(protocol string, n int, epsilon float64) (int, persona.Config) {
-	switch protocol {
-	case ProtoSifter:
-		r := conciliator.SifterRounds(n, epsilon)
-		return r, persona.Config{WriteProbs: conciliator.SifterProbs(n, r)}
-	case ProtoSifterHalf:
-		r := conciliator.SifterHalfRounds(n, epsilon)
-		probs := make([]float64, r)
-		for i := range probs {
-			probs[i] = 0.5
-		}
-		return r, persona.Config{WriteProbs: probs}
-	case ProtoPriorityMax:
-		r := conciliator.PriorityRounds(n, epsilon)
-		// Priorities use the paper's bounded range ceil(R n^2 / epsilon)
-		// rather than full-width uint64: the monitored max register's
-		// linearizability checker needs keys that fit in int64, and the
-		// bounded range (about 6e11 at n=100k) does with room to spare.
-		bound := uint64(math.Ceil(float64(r) * float64(n) * float64(n) / epsilon))
-		return r, persona.Config{PriorityRounds: r, PriorityBound: bound}
-	default:
-		panic("des: unknown protocol " + protocol)
-	}
+	// overflow is set when a process exceeds the phase budget; the main
+	// loop returns it as the run error.
+	overflow error
 }
 
 // Run executes one discrete-event consensus run and returns its Result.
@@ -163,7 +97,20 @@ func Run(cfg Config) (Result, error) {
 	chaosRng := root.ForkNamed(0xc405) // crash schedule materialization
 
 	mon := fault.NewMonitor()
-	rounds, persCfg := protocolRounds(cfg.Protocol, cfg.N, cfg.Epsilon)
+	// Priorities use the paper's bounded range ceil(R n^2 / epsilon)
+	// rather than full-width uint64: the monitored max register's
+	// linearizability checker needs keys that fit in int64, and the
+	// bounded range (about 6e11 at n=100k) does with room to spare.
+	m, err := consensus.NewFlat(cfg.N, consensus.FlatConfig{
+		Conciliator:        cfg.Protocol,
+		AC:                 consensus.ACRegister,
+		Epsilon:            cfg.Epsilon,
+		MaxPhases:          cfg.MaxPhases,
+		PaperPriorityRange: true,
+	})
+	if err != nil {
+		return Result{}, err
+	}
 
 	d := &runner{
 		cfg:      cfg,
@@ -171,8 +118,7 @@ func Run(cfg Config) (Result, error) {
 		srv:      newServer(cfg.N, mon),
 		mon:      mon,
 		procs:    make([]proc, cfg.N),
-		rounds:   rounds,
-		persCfg:  persCfg,
+		m:        m,
 		retryRng: retryRng,
 	}
 	d.q.setTick(cfg.Net.Latency.Mean.Nanoseconds())
@@ -203,18 +149,22 @@ func Run(cfg Config) (Result, error) {
 			inputs[i] = i % 2
 		}
 	}
+	in64 := make([]int64, cfg.N)
+	for i, v := range inputs {
+		in64[i] = int64(v)
+	}
+	m.Reset(in64)
 	for i := range d.procs {
 		p := &d.procs[i]
 		p.id = int32(i)
-		p.input = inputs[i]
-		p.prefer = inputs[i]
 		p.seedBase = procRng.SeedNamed(uint64(i))
 		p.rng.Reseed(p.seedBase)
 	}
 	// All processes wake at virtual time zero; their first requests get
 	// distinct latencies, which staggers them naturally.
 	for i := range d.procs {
-		d.startPhase(&d.procs[i])
+		m.Init(i, &d.procs[i].rng)
+		d.issue(&d.procs[i])
 	}
 	// Crash events enter the queue after the initial sends, so a crash
 	// at t=0 still lands after every process issued its first request —
@@ -224,8 +174,6 @@ func Run(cfg Config) (Result, error) {
 			message{key: uint64(e.Down.Nanoseconds()), val: int32(e.Restart)})
 	}
 
-	var err error
-loop:
 	for d.decided+d.gaveUp < cfg.N {
 		ev, ok := d.q.pop()
 		if !ok {
@@ -271,9 +219,9 @@ loop:
 		case evRestart:
 			d.onRestart(ev.to, ev.msg)
 		}
-		if perr := d.phaseOverflow(); perr != nil {
-			err = perr
-			break loop
+		if d.overflow != nil {
+			err = d.overflow
+			break
 		}
 	}
 
@@ -285,7 +233,7 @@ loop:
 	phases := 0
 	for i := range d.procs {
 		p := &d.procs[i]
-		outs[i], finished[i], steps[i] = p.decision, p.decided, p.steps
+		outs[i], finished[i], steps[i] = int(m.Output(i)), p.decided, p.steps
 		switch {
 		case p.decided:
 			outcomes[i] = OutcomeDecided
@@ -294,7 +242,7 @@ loop:
 		default:
 			outcomes[i] = OutcomeUndecided
 		}
-		if ph := int(p.phase) + 1; ph > phases {
+		if ph := m.Phase(i) + 1; ph > phases {
 			phases = ph
 		}
 	}
@@ -303,7 +251,7 @@ loop:
 	res := Result{
 		N:             cfg.N,
 		Protocol:      cfg.Protocol,
-		Rounds:        rounds,
+		Rounds:        m.Rounds(),
 		AllDecided:    d.decided == cfg.N,
 		Phases:        phases,
 		Steps:         steps,
@@ -333,30 +281,11 @@ loop:
 	return res, err
 }
 
-// phaseOverflow converts a process exceeding the phase budget (flagged
-// in finishAC) into a run error.
-func (d *runner) phaseOverflow() error {
-	if d.overflowed == nil {
-		return nil
-	}
-	p := d.overflowed
-	d.mon.Report("nontermination", "process %d exceeded the phase budget %d", p.id, d.cfg.MaxPhases)
-	return fmt.Errorf("des: process %d exceeded the phase budget %d without committing", p.id, d.cfg.MaxPhases)
+// issue sends p's next machine operation to the memory server.
+func (d *runner) issue(p *proc) {
+	op := d.m.NextOp(int(p.id))
+	d.sendReq(p, message{op: op.Kind, obj: op.Obj, val: op.Arg, key: op.Key})
 }
-
-// Object-index layout. Conciliator round objects are dense per phase;
-// adopt-commit uses four int registers per phase.
-func (d *runner) concObj(p *proc) int32 { return p.phase*int32(d.rounds) + p.round }
-
-const (
-	acFlag0 = iota
-	acFlag1
-	acClean
-	acDirty
-	acObjsPerPhase
-)
-
-func acObj(phase int32, which int) int32 { return phase*acObjsPerPhase + int32(which) }
 
 // sendReq issues a new stop-and-wait request from p (charging one step,
 // except for session resyncs, which are bookkeeping rather than protocol
@@ -449,7 +378,8 @@ func (d *runner) onCrash(to int32, m message) {
 // persisted state (the outstanding request is re-sent, since its reply
 // may have been discarded during the down window); amnesiac restarts
 // lose everything, bump the incarnation, reseed the protocol RNG from
-// the incarnation-keyed fork, and re-enter through an opSync handshake.
+// the incarnation-keyed fork, restart the machine at phase 0, and
+// re-enter through an opSync handshake.
 func (d *runner) onRestart(to int32, m message) {
 	if to == serverID {
 		d.srv.down = false
@@ -487,141 +417,49 @@ func (d *runner) onRestart(to int32, m message) {
 	p.inc++
 	p.resyncs++
 	xrand.New(p.seedBase).ForkNamedInto(uint64(p.inc), &p.rng)
-	p.phase, p.round = 0, 0
-	p.prefer = p.input
-	p.pers = nil
-	p.acConflict = false
+	d.m.Init(int(p.id), &p.rng)
 	p.opSeq = 0
 	p.await = false
 	p.opRetries = 0
-	p.pc = pcResync
+	p.syncing = true
 	d.sendReq(p, message{op: opSync})
 }
 
-// startPhase draws a fresh persona for the process's current preference
-// and begins the conciliator.
-func (d *runner) startPhase(p *proc) {
-	p.pers = persona.New(p.prefer, int(p.id), &p.rng, d.persCfg)
-	p.round = 0
-	d.beginRound(p)
-}
-
-// beginRound issues the first operation of conciliator round p.round, or
-// enters adopt-commit when the rounds are exhausted.
-func (d *runner) beginRound(p *proc) {
-	if int(p.round) >= d.rounds {
-		d.startAC(p)
-		return
-	}
-	obj := d.concObj(p)
-	if d.cfg.Protocol == ProtoPriorityMax {
-		p.pc = pcPrioWrite
-		d.sendReq(p, message{op: opWriteMax, obj: obj, key: p.pers.Priority(int(p.round)), pers: p.pers})
-		return
-	}
-	// Sifter round: one write (pre-drawn bit set) or one read-and-adopt.
-	p.pc = pcSiftOp
-	if p.pers.WriteBit(int(p.round)) {
-		d.sendReq(p, message{op: opWriteP, obj: obj, pers: p.pers})
-	} else {
-		d.sendReq(p, message{op: opReadP, obj: obj})
-	}
-}
-
-// startAC begins the binary adopt-commit Propose for the conciliator's
-// output value.
-func (d *runner) startAC(p *proc) {
-	p.acIn = p.pers.Value()
-	d.mon.ObserveACPropose(int(p.phase), int(p.id), p.acIn)
-	p.pc = pcACFlagWrite
-	d.sendReq(p, message{op: opWriteV, obj: acObj(p.phase, acFlag0+p.acIn), val: 1})
-}
-
-// onReply advances p's state machine by one reply. Stale or duplicate
-// replies (sequence mismatch) are ignored; the state machine only ever
-// moves on the reply it is waiting for.
-func (d *runner) onReply(p *proc, m message) {
-	if !p.await || m.opSeq != p.opSeq || m.inc != p.inc || p.decided || p.gaveUp {
+// onReply delivers the reply p is waiting for to its machine cursor
+// and issues the next operation. Stale or duplicate replies (sequence or
+// incarnation mismatch) are ignored: the machine only ever moves on the
+// reply it is waiting for, so an op a dead incarnation sent before an
+// amnesiac restart changes shared memory but not the new incarnation.
+func (d *runner) onReply(p *proc, r message) {
+	if !p.await || r.opSeq != p.opSeq || r.inc != p.inc || p.decided || p.gaveUp {
 		return
 	}
 	p.await = false
-	v := p.acIn
-	switch p.pc {
-	case pcResync:
-		// Session re-established; restart the protocol from phase zero.
-		d.startPhase(p)
-
-	case pcSiftOp:
-		if m.op == opReadP && m.ok {
-			p.pers = m.pers
-		}
-		p.round++
-		d.beginRound(p)
-
-	case pcPrioWrite:
-		p.pc = pcPrioRead
-		d.sendReq(p, message{op: opReadMax, obj: d.concObj(p)})
-	case pcPrioRead:
-		if m.ok {
-			p.pers = m.pers
-		}
-		p.round++
-		d.beginRound(p)
-
-	case pcACFlagWrite:
-		p.pc = pcACFlagRead
-		d.sendReq(p, message{op: opReadV, obj: acObj(p.phase, acFlag0+(1-v))})
-	case pcACFlagRead:
-		if m.ok {
-			// Conflict: announce dirty before looking at clean.
-			p.pc = pcACDirtyWrite
-			d.sendReq(p, message{op: opWriteV, obj: acObj(p.phase, acDirty), val: 1})
-		} else {
-			p.pc = pcACCleanWrite
-			d.sendReq(p, message{op: opWriteV, obj: acObj(p.phase, acClean), val: int32(v)})
-		}
-	case pcACDirtyWrite:
-		p.pc = pcACCleanReadAdopt
-		d.sendReq(p, message{op: opReadV, obj: acObj(p.phase, acClean)})
-	case pcACCleanReadAdopt:
-		out := v
-		if m.ok {
-			out = int(m.val)
-		}
-		d.finishAC(p, out, false)
-	case pcACCleanWrite:
-		p.pc = pcACDirtyRead
-		d.sendReq(p, message{op: opReadV, obj: acObj(p.phase, acDirty)})
-	case pcACDirtyRead:
-		p.acConflict = m.ok
-		p.pc = pcACCleanRead
-		d.sendReq(p, message{op: opReadV, obj: acObj(p.phase, acClean)})
-	case pcACCleanRead:
-		w := int(m.val) // own clean write guarantees presence
-		if p.acConflict || w != v {
-			d.finishAC(p, w, false)
-		} else {
-			d.finishAC(p, v, true)
-		}
+	if p.syncing {
+		// Session re-established; run the restarted machine.
+		p.syncing = false
+		d.issue(p)
+		return
 	}
-}
-
-// finishAC completes the phase's adopt-commit: commit decides, adopt
-// carries the returned value into the next phase.
-func (d *runner) finishAC(p *proc, out int, commit bool) {
-	d.mon.ObserveAC(int(p.phase), int(p.id), p.acIn, out, commit)
-	if commit {
+	pid := int(p.id)
+	ph := d.m.Phase(pid)
+	switch d.m.Deliver(pid, sim.FlatResult{OK: r.ok, Val: r.val, Key: r.key}, &p.rng) {
+	case consensus.Proposing:
+		d.mon.ObserveACPropose(ph, pid, int(d.m.Proposal(pid)))
+	case consensus.Adopted:
+		d.mon.ObserveAC(ph, pid, int(d.m.Proposal(pid)), int(d.m.Output(pid)), false)
+	case consensus.Committed:
+		d.mon.ObserveAC(ph, pid, int(d.m.Proposal(pid)), int(d.m.Output(pid)), true)
 		p.decided = true
-		p.decision = out
-		p.pc = pcDone
 		d.decided++
 		return
-	}
-	p.prefer = out
-	p.phase++
-	if int(p.phase) >= d.cfg.MaxPhases {
-		d.overflowed = p
+	case consensus.OutOfPhases:
+		// The machine's validity valve would decide here; the DES
+		// reports the exhausted budget as nontermination instead.
+		d.mon.ObserveAC(ph, pid, int(d.m.Proposal(pid)), int(d.m.Output(pid)), false)
+		d.mon.Report("nontermination", "process %d exceeded the phase budget %d", p.id, d.cfg.MaxPhases)
+		d.overflow = fmt.Errorf("des: process %d exceeded the phase budget %d without committing", p.id, d.cfg.MaxPhases)
 		return
 	}
-	d.startPhase(p)
+	d.issue(p)
 }

@@ -3,45 +3,38 @@ package des
 import (
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/memory"
-	"github.com/oblivious-consensus/conciliator/internal/persona"
+	"github.com/oblivious-consensus/conciliator/internal/sim"
 )
 
-// opKind names the shared-memory operations the server understands. The
-// object space is three pools, addressed by (pool implied by op, index):
+// opSync is the session resync after an amnesiac restart, the one
+// request that is not a consensus-machine operation.
+const opSync sim.FlatOpKind = 255
+
+// message is both RPC request and reply (a reply echoes the request's
+// op, opSeq, and inc with the result fields filled in). It is carried by
+// value inside events and holds no pointers. A request carries a machine
+// op (sim.FlatOp): its argument in val (persona id or value) and key,
+// and its object in obj, an index into one of three server pools, the
+// pool implied by the op:
 //
 //   - persona registers (sifter round registers),
-//   - persona max registers (priority-max round registers), and
-//   - int registers (adopt-commit flags, clean, dirty — presence doubles
-//     as the flag bit).
-type opKind uint8
-
-const (
-	opWriteP opKind = iota // persona register write
-	opReadP                // persona register read
-	opWriteMax             // max register WriteMax(key, persona)
-	opReadMax              // max register ReadMax
-	opWriteV               // int register write
-	opReadV                // int register read
-	opSync                 // session resync after an amnesiac restart
-)
-
-// message is both RPC request and reply (reply=true echoes the request's
-// op, opSeq, and inc with the result fields filled in). It is carried by
-// value inside events.
+//   - max registers (priority-max round registers), and
+//   - value registers (adopt-commit flags, clean, dirty — presence
+//     doubles as the flag bit).
+//
+// A reply carries the op's sim.FlatResult in ok, val and key.
 type message struct {
-	op    opKind
-	reply bool
+	op    sim.FlatOpKind
+	ok    bool
 	from  int32 // requesting process id
 	opSeq uint32
 	// inc is the sender's incarnation number: an amnesiac restart bumps
 	// it, so the server can fence the dead incarnation's stragglers and
 	// the client can ignore stale replies and timers.
-	inc  uint32
-	obj  int32
-	key  uint64
-	val  int32
-	ok   bool
-	pers *persona.Persona[int]
+	inc uint32
+	obj int32
+	val int32
+	key uint64
 }
 
 // opCtx is the memory.Context under which the server applies operations:
@@ -68,9 +61,9 @@ func (c opCtx) ID() int       { return c.pid }
 // lower incarnation is a dead process's straggler and is fenced; a
 // higher one resets the session.
 type server struct {
-	persRegs []*memory.Register[*persona.Persona[int]]
-	maxRegs  []*fault.MonitoredMaxer[*persona.Persona[int]]
-	intRegs  []*memory.Register[int]
+	persRegs []*memory.Register[int32]
+	maxRegs  []*fault.MonitoredMaxer[int32]
+	intRegs  []*memory.Register[int32]
 	mon      *fault.Monitor
 
 	lastInc  []uint32
@@ -95,26 +88,19 @@ func newServer(n int, mon *fault.Monitor) *server {
 	}
 }
 
-func (s *server) persReg(i int32) *memory.Register[*persona.Persona[int]] {
-	for int(i) >= len(s.persRegs) {
-		s.persRegs = append(s.persRegs, memory.NewRegister[*persona.Persona[int]]())
+// object returns object i of pool, growing the pool with fresh objects
+// to hold it.
+func object[T any](pool *[]T, i int32, fresh func() T) T {
+	for int(i) >= len(*pool) {
+		*pool = append(*pool, fresh())
 	}
-	return s.persRegs[i]
+	return (*pool)[i]
 }
 
-func (s *server) maxReg(i int32) *fault.MonitoredMaxer[*persona.Persona[int]] {
-	for int(i) >= len(s.maxRegs) {
-		s.maxRegs = append(s.maxRegs,
-			fault.NewMonitoredMaxer[*persona.Persona[int]](memory.NewMaxRegister[*persona.Persona[int]](), s.mon))
-	}
-	return s.maxRegs[i]
-}
-
-func (s *server) intReg(i int32) *memory.Register[int] {
-	for int(i) >= len(s.intRegs) {
-		s.intRegs = append(s.intRegs, memory.NewRegister[int]())
-	}
-	return s.intRegs[i]
+func (s *server) maxReg(i int32) *fault.MonitoredMaxer[int32] {
+	return object(&s.maxRegs, i, func() *fault.MonitoredMaxer[int32] {
+		return fault.NewMonitoredMaxer[int32](memory.NewMaxRegister[int32](), s.mon)
+	})
 }
 
 // handle processes one incoming request and routes the reply back
@@ -155,22 +141,20 @@ func (s *server) handle(q *eventQueue, nw *network, now int64, m message) {
 // apply executes one logical operation against the shared objects.
 func (s *server) apply(m message) message {
 	ctx := opCtx{pid: int(m.from)}
-	r := message{op: m.op, reply: true, from: m.from, opSeq: m.opSeq, inc: m.inc, obj: m.obj}
+	r := message{op: m.op, from: m.from, opSeq: m.opSeq, inc: m.inc, obj: m.obj}
 	switch m.op {
-	case opWriteP:
-		s.persReg(m.obj).Write(ctx, m.pers)
-	case opReadP:
-		r.pers, r.ok = s.persReg(m.obj).Read(ctx)
-	case opWriteMax:
-		s.maxReg(m.obj).WriteMax(ctx, m.key, m.pers)
-	case opReadMax:
-		r.key, r.pers, r.ok = s.maxReg(m.obj).ReadMax(ctx)
-	case opWriteV:
-		s.intReg(m.obj).Write(ctx, int(m.val))
-	case opReadV:
-		var v int
-		v, r.ok = s.intReg(m.obj).Read(ctx)
-		r.val = int32(v)
+	case sim.OpWriteP:
+		object(&s.persRegs, m.obj, memory.NewRegister[int32]).Write(ctx, m.val)
+	case sim.OpReadP:
+		r.val, r.ok = object(&s.persRegs, m.obj, memory.NewRegister[int32]).Read(ctx)
+	case sim.OpWriteMax:
+		s.maxReg(m.obj).WriteMax(ctx, m.key, m.val)
+	case sim.OpReadMax:
+		r.key, r.val, r.ok = s.maxReg(m.obj).ReadMax(ctx)
+	case sim.OpWriteV:
+		object(&s.intRegs, m.obj, memory.NewRegister[int32]).Write(ctx, m.val)
+	case sim.OpReadV:
+		r.val, r.ok = object(&s.intRegs, m.obj, memory.NewRegister[int32]).Read(ctx)
 	case opSync:
 		// Session re-establishment after an amnesiac restart: the
 		// incarnation bump above already reset the dedup slot; the ack

@@ -36,9 +36,60 @@ var ErrFlatFaults = errors.New("sim: flat engine does not support fault schedule
 //
 // Machines are single-run; callers reuse them across trials through their
 // own Reset mechanisms.
+//
+// The protocol machines split Step into two halves so that another
+// driver can own the shared memory: NextOp reads pid's local state and
+// returns its next operation as a FlatOp, and Deliver advances that local
+// state by the operation's FlatResult. Step applies the op to the
+// machine's own dense objects between the two, and contains no other
+// protocol logic. The discrete-event simulator (internal/des) calls the
+// same two halves with the op shipped to a memory-server node in
+// between, so both engines run one protocol definition.
 type FlatMachine interface {
 	Init(pid int, rng *xrand.Rand)
 	Step(pid int, rng *xrand.Rand) bool
+}
+
+// FlatOpKind names a shared-memory operation of a flat machine. Objects
+// come in three pools, the pool implied by the kind: persona registers
+// (sifter rounds), max registers (priority-max rounds) and value
+// registers (adopt-commit).
+type FlatOpKind uint8
+
+const (
+	OpWriteP   FlatOpKind = iota // persona register: Write(Arg)
+	OpReadP                      // persona register: Read
+	OpWriteMax                   // max register: WriteMax(Key, Arg)
+	OpReadMax                    // max register: ReadMax
+	OpWriteV                     // value register: Write(Arg)
+	OpReadV                      // value register: Read
+)
+
+// FlatOp is one shared-memory operation: its kind, its object, and its
+// argument. Persona values travel as persona ids. It has four fields
+// because the compiler splits only structs of at most four fields into
+// registers, and one is built and consumed on every flat step.
+type FlatOp struct {
+	Kind FlatOpKind
+	// Obj is the object's index in its pool. A single-phase machine
+	// numbers its rounds (conciliators) or registers (adopt-commit) from
+	// 0; a multi-phase machine lays phases out one after the other.
+	Obj int32
+	// Arg is the persona id (OpWriteP, OpWriteMax) or the value
+	// (OpWriteV) written.
+	Arg int32
+	// Key is the WriteMax key.
+	Key uint64
+}
+
+// FlatResult is what an operation returns. A write returns the zero
+// result. A read returns OK and the stored value or persona id in Val,
+// plus the incumbent key for OpReadMax; reading an empty object returns
+// OK false and Val 0.
+type FlatResult struct {
+	OK  bool
+	Val int32
+	Key uint64
 }
 
 // FlatRunner drives FlatMachines under schedule sources with the same
