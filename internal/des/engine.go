@@ -18,19 +18,19 @@ import (
 // Virtual time is cut into ticks of 1<<shift ns. Every queued event sits
 // in exactly one of three places:
 //
-//   - near: the events of the current tick (or earlier), with an index
-//     sorted by descending (at, seq); pop takes the index's last entry.
+//   - near: the events of the current tick, with an ascending index of
+//     packed integer keys; pop takes the index's next entry.
 //   - the wheel: events of the next wheelSize-1 ticks, appended unsorted
 //     to their tick's bucket. Buckets are lists of fixed-size chunks cut
-//     from one slab with a free list that the run reuses, so the steady
-//     state allocates nothing.
+//     from one slab, presized per run, with a free list that the run
+//     reuses, so the steady state allocates nothing.
 //   - far: a binary heap of everything later (backed-off timers, chaos
 //     crash and restart events).
 //
 // When near runs dry, pop advances to the earliest non-empty tick — the
 // next occupied bucket or far's top, whichever comes first — moves that
-// tick's events into near and sorts them. Every wheel event's tick lies
-// in (cur, cur+wheelSize), so a bucket never mixes two ticks.
+// tick's events into near and sorts the index. Every wheel event's tick
+// lies in (cur, cur+wheelSize), so a bucket never mixes two ticks.
 //
 // Ordering is (virtual time, insertion sequence). Keys are unique and the
 // order on them is total, so any exact priority queue pops the same
@@ -40,6 +40,23 @@ import (
 // configuration and seed, which is the whole determinism contract: two
 // events at the same virtual nanosecond are handled in the order they
 // were scheduled.
+//
+// The index never compares seq. advance fills near in seq order among
+// equal times: first far's events of the tick, which far pops in (at, seq)
+// order and which were all pushed before any wheel event of that tick (cur
+// only grows, so once a tick is inside the wheel's span it stays there);
+// then the bucket's chunks, oldest first, each filled in push order; and
+// a push into the current tick appends after them all. So a key of
+// offset-in-tick<<32 | index-in-near orders near exactly by (at, seq),
+// and a plain integer sort does what a comparator on events would. setTick
+// caps shift at maxShift so every offset fits in 32 bits; for a mean
+// latency so long that the cap binds, the wheel spans fewer means and
+// more events wait in far, with the order still exact.
+//
+// The one precondition: no push is earlier than the last pop (the engine
+// schedules at now plus a non-negative delay). That keeps every push at
+// or after the current tick; push panics on a violation rather than
+// misorder.
 
 // evKind discriminates what an event does on arrival.
 type evKind uint8
@@ -83,6 +100,9 @@ const (
 	// defaultTickMean is the latency mean a zero-value queue sizes its
 	// ticks for: Config's default of 1ms.
 	defaultTickMean = 1_000_000
+	// maxShift caps the tick width at 1<<32 ns, so an event's offset in
+	// its tick fits in the high half of a near key.
+	maxShift = 32
 	// chunkSize is how many events one slab chunk holds.
 	chunkSize = 8
 	// noChunk terminates bucket and free lists.
@@ -97,72 +117,97 @@ type eventQueue struct {
 	n     int   // events queued in total
 	shift uint  // tick width is 1<<shift ns
 	cur   int64 // current tick; near holds its events
+	last  int64 // time of the last pop; no push may be earlier
 
-	near  []event // events of ticks <= cur, unordered
-	order []int32 // indices into near, by descending (at, seq)
-	far   []event // binary heap: ticks >= cur+wheelSize at push time
+	near []event  // events of tick cur, in seq order among equal times
+	keys []uint64 // offset-in-tick<<32 | index into near, ascending
+	head int      // keys[head:] are still queued
+	far  []event  // binary heap: ticks >= cur+wheelSize at push time
 
 	// The wheel's slab is cut into chunks of chunkSize events, so a
 	// bucket is a short list of contiguous runs: draining one streams
 	// through memory instead of chasing a pointer per event. Chunk c
-	// holds evs[c*chunkSize:(c+1)*chunkSize]; a bucket's head chunk holds
-	// fill[b] events and every later chunk in its list is full.
-	heads  []int32                // per-bucket head chunk
-	fill   []uint8                // per-bucket events in the head chunk
-	occ    [wheelSize / 64]uint64 // occupancy bitmap over heads
-	evs    []event                // slab of chunks
-	next   []int32                // per chunk: next chunk in bucket or free list
-	free   int32                  // free-list head chunk
-	wheelN int                    // events in the wheel
+	// holds evs[c*chunkSize:(c+1)*chunkSize].
+	buckets []bucket
+	occ     [wheelSize / 64]uint64 // occupancy bitmap over buckets
+	evs     []event                // slab of chunks
+	next    []int32                // per chunk: next chunk in bucket or free list
+	free    int32                  // free-list head chunk
+	wheelN  int                    // events in the wheel
+}
+
+// bucket is one wheel slot's list of chunks, from its oldest chunk to its
+// newest, the tail, which holds fill events while every earlier chunk is
+// full.
+type bucket struct {
+	head, tail int32 // head is noChunk when the bucket is empty
+	fill       uint8
 }
 
 // setTick sizes the ticks so the wheel spans at least wheelSpanMeans
-// mean latencies. It must be called before the first push.
+// mean latencies, or as much as ticks of 1<<maxShift ns reach. It must
+// be called before the first push.
 func (q *eventQueue) setTick(meanNs int64) {
 	if meanNs < 1 {
 		meanNs = 1
 	}
 	minTick := (wheelSpanMeans*meanNs + wheelSize - 1) / wheelSize
-	q.shift = uint(bits.Len64(uint64(minTick - 1)))
-	q.heads = make([]int32, wheelSize)
-	for i := range q.heads {
-		q.heads[i] = noChunk
+	q.shift = min(uint(bits.Len64(uint64(minTick-1))), maxShift)
+	q.buckets = make([]bucket, wheelSize)
+	for i := range q.buckets {
+		q.buckets[i].head = noChunk
 	}
-	q.fill = make([]uint8, wheelSize)
 	q.free = noChunk
+}
+
+// reserve presizes the slab for a run of procs processes: one chunk per
+// process, up to one per bucket. That covers the peak of a lossy n=10k
+// run (about 7.7k chunks) so its hot loop never regrows the slab; other
+// runs still grow it as they need. The slab lives and dies with its run.
+func (q *eventQueue) reserve(procs int) {
+	chunks := min(procs, wheelSize)
+	q.evs = make([]event, 0, chunks*chunkSize)
+	q.next = make([]int32, 0, chunks)
 }
 
 func (q *eventQueue) len() int { return q.n }
 
-// push schedules msg for node `to` at virtual time `at`.
+// push schedules msg for node `to` at virtual time `at`, which must not
+// be earlier than the last pop.
 func (q *eventQueue) push(at int64, to int32, kind evKind, m message) {
-	if q.heads == nil {
+	if q.buckets == nil {
 		q.setTick(defaultTickMean)
+	}
+	if at < q.last {
+		panic("des: event pushed earlier than the last pop")
 	}
 	q.seq++
 	q.n++
 	e := event{at: at, seq: q.seq, to: to, kind: kind, msg: m}
 	t := at >> q.shift
 	switch d := t - q.cur; {
-	case d <= 0:
+	case d == 0:
+		// e follows every queued event of the tick with the same time:
+		// its index is the largest.
+		k := uint64(at-t<<q.shift)<<32 | uint64(len(q.near))
 		q.near = append(q.near, e)
-		// Keep order descending: e goes before the first smaller key.
-		k := int32(len(q.near) - 1)
-		i, _ := slices.BinarySearchFunc(q.order, k, func(x, k int32) int {
-			return cmpEvents(&q.near[k], &q.near[x])
-		})
-		q.order = slices.Insert(q.order, i, k)
+		i, _ := slices.BinarySearch(q.keys[q.head:], k)
+		q.keys = slices.Insert(q.keys, q.head+i, k)
 	case d < wheelSize:
 		b := t & wheelMask
-		c := q.heads[b]
-		if c == noChunk || q.fill[b] == chunkSize {
-			c = q.newChunk(c)
-			q.heads[b] = c
-			q.fill[b] = 0
+		bk := &q.buckets[b]
+		switch {
+		case bk.head == noChunk:
+			bk.head = q.newChunk()
+			bk.tail, bk.fill = bk.head, 0
 			q.occ[b>>6] |= 1 << (b & 63)
+		case bk.fill == chunkSize:
+			c := q.newChunk()
+			q.next[bk.tail] = c
+			bk.tail, bk.fill = c, 0
 		}
-		q.evs[int(c)*chunkSize+int(q.fill[b])] = e
-		q.fill[b]++
+		q.evs[int(bk.tail)*chunkSize+int(bk.fill)] = e
+		bk.fill++
 		q.wheelN++
 	default:
 		q.far = heapPush(q.far, e)
@@ -174,23 +219,19 @@ func (q *eventQueue) pop() (event, bool) {
 	if q.n == 0 {
 		return event{}, false
 	}
-	if len(q.order) == 0 {
+	if q.head == len(q.keys) {
 		q.advance()
 	}
 	q.n--
-	last := len(q.order) - 1
-	k := q.order[last]
-	q.order = q.order[:last]
-	top := q.near[k]
-	if last == 0 {
-		q.near = q.near[:0]
-	}
+	top := q.near[uint32(q.keys[q.head])]
+	q.head++
+	q.last = top.at
 	return top, true
 }
 
 // advance moves cur to the earliest non-empty tick, fills near with that
-// tick's events from its bucket and from far, and sorts them. near must
-// be empty and the queue non-empty.
+// tick's events from far and from its bucket, in that order, and sorts
+// their keys. near must be drained and the queue non-empty.
 func (q *eventQueue) advance() {
 	next := int64(math.MaxInt64)
 	if q.wheelN > 0 {
@@ -202,47 +243,51 @@ func (q *eventQueue) advance() {
 		}
 	}
 	q.cur = next
-	// A bucket holds only ticks in (cur, cur+wheelSize), so next's bucket
-	// holds tick next or nothing.
-	if b := next & wheelMask; q.heads[b] != noChunk {
-		n := int(q.fill[b])
-		for c := q.heads[b]; c != noChunk; n = chunkSize {
-			run := q.evs[int(c)*chunkSize : int(c)*chunkSize+n]
-			q.near = append(q.near, run...)
-			q.wheelN -= n
-			nx := q.next[c]
-			q.next[c] = q.free
-			q.free = c
-			c = nx
-		}
-		q.heads[b] = noChunk
-		q.occ[b>>6] &^= 1 << (b & 63)
-	}
+	q.near, q.keys, q.head = q.near[:0], q.keys[:0], 0
 	for len(q.far) > 0 && q.far[0].at>>q.shift == next {
 		var e event
 		q.far, e = heapPop(q.far)
 		q.near = append(q.near, e)
 	}
-	for i := range q.near {
-		q.order = append(q.order, int32(i))
+	// A bucket holds only ticks in (cur, cur+wheelSize), so next's bucket
+	// holds tick next or nothing.
+	if b := next & wheelMask; q.buckets[b].head != noChunk {
+		bk := &q.buckets[b]
+		for c := bk.head; ; {
+			n := chunkSize
+			if c == bk.tail {
+				n = int(bk.fill)
+			}
+			q.near = append(q.near, q.evs[int(c)*chunkSize:int(c)*chunkSize+n]...)
+			q.wheelN -= n
+			nx := q.next[c]
+			q.next[c] = q.free
+			q.free = c
+			if c == bk.tail {
+				break
+			}
+			c = nx
+		}
+		bk.head = noChunk
+		q.occ[b>>6] &^= 1 << (b & 63)
 	}
-	slices.SortFunc(q.order, func(a, b int32) int {
-		return cmpEvents(&q.near[b], &q.near[a])
-	})
+	base := next << q.shift
+	for i := range q.near {
+		q.keys = append(q.keys, uint64(q.near[i].at-base)<<32|uint64(i))
+	}
+	slices.Sort(q.keys)
 }
 
-// newChunk takes a chunk from the free list, or grows the slab by one,
-// and links it in front of chunk `rest`.
-func (q *eventQueue) newChunk(rest int32) int32 {
+// newChunk takes a chunk from the free list, or grows the slab by one.
+func (q *eventQueue) newChunk() int32 {
 	c := q.free
 	if c == noChunk {
 		c = int32(len(q.next))
 		q.evs = append(q.evs, make([]event, chunkSize)...)
-		q.next = append(q.next, rest)
+		q.next = append(q.next, noChunk)
 		return c
 	}
 	q.free = q.next[c]
-	q.next[c] = rest
 	return c
 }
 

@@ -47,9 +47,11 @@ type queueChecker struct {
 	id  int32
 }
 
-func (c *queueChecker) push(delay int64) {
+func (c *queueChecker) push(delay int64) { c.pushAt(c.now + delay) }
+
+// pushAt pushes at an absolute time, which must not be earlier than now.
+func (c *queueChecker) pushAt(at int64) {
 	c.id++
-	at := c.now + delay
 	c.q.push(at, c.id, evDeliver, message{val: c.id})
 	c.ref.push(event{at: at, seq: c.q.seq, to: c.id})
 }
@@ -69,6 +71,9 @@ func (c *queueChecker) pop() {
 		c.t.Fatalf("len = %d, want %d", c.q.len(), len(c.ref.evs))
 	}
 }
+
+// nearLen is how many events near still holds.
+func (c *queueChecker) nearLen() int { return len(c.q.keys) - c.q.head }
 
 func (c *queueChecker) drain() {
 	c.t.Helper()
@@ -93,14 +98,14 @@ func TestEventQueueEdges(t *testing.T) {
 				c.push(3 * tick / 2)
 			}
 			c.pop() // advances into tick 1, leaving three events in near
-			if len(c.q.order) != 3 {
-				c.t.Fatalf("near holds %d events, want 3", len(c.q.order))
+			if c.nearLen() != 3 {
+				c.t.Fatalf("near holds %d events, want 3", c.nearLen())
 			}
 			c.push(0)
 			c.push(tick/2 - 1) // still tick 1, later than the queued ones
 			c.push(tick)       // next tick: the wheel
-			if len(c.q.order) != 5 || c.q.wheelN != 1 {
-				c.t.Fatalf("near %d wheel %d, want 5 and 1", len(c.q.order), c.q.wheelN)
+			if c.nearLen() != 5 || c.q.wheelN != 1 {
+				c.t.Fatalf("near %d wheel %d, want 5 and 1", c.nearLen(), c.q.wheelN)
 			}
 		}},
 		{"one tick either side of the wheel horizon", func(c *queueChecker) {
@@ -151,6 +156,44 @@ func TestEventQueueEdges(t *testing.T) {
 				c.t.Fatalf("wheel %d, want %d", c.q.wheelN, 3*chunkSize+1)
 			}
 		}},
+		{"ties on one time across far, a multi-chunk bucket and near", func(c *queueChecker) {
+			at := horizon + tick/2
+			c.push(at) // far, tick wheelSize
+			c.push(tick)
+			c.pop() // cur = tick 1: tick wheelSize is now inside the wheel span
+			for i := 0; i < 2*chunkSize+1; i++ {
+				c.pushAt(at)
+			}
+			c.pushAt(at - 1) // same tick, one ns earlier
+			if c.q.wheelN != 2*chunkSize+2 || len(c.q.far) != 1 {
+				c.t.Fatalf("wheel %d far %d, want %d and 1", c.q.wheelN, len(c.q.far), 2*chunkSize+2)
+			}
+			c.pop() // advances into the tick and pops at-1
+			c.pushAt(at)
+			c.pushAt(at)
+			if c.nearLen() != 2*chunkSize+4 {
+				c.t.Fatalf("near holds %d events, want %d", c.nearLen(), 2*chunkSize+4)
+			}
+		}},
+		{"capped tick: offsets fill all 32 bits", func(c *queueChecker) {
+			c.q.setTick(3_600_000_000_000) // 1h mean: the cap binds
+			if c.q.shift != maxShift {
+				c.t.Fatalf("shift = %d, want the cap %d", c.q.shift, maxShift)
+			}
+			const capTick = int64(1) << maxShift
+			c.push(capTick - 1) // last ns of the current tick
+			c.push(0)
+			c.push(capTick - 1)
+			c.push(2*capTick - 1) // last ns of the next tick
+			c.push(capTick)
+			c.push(wheelSize*capTick + capTick - 1)
+			if c.nearLen() != 3 || c.q.wheelN != 2 || len(c.q.far) != 1 {
+				c.t.Fatalf("near %d wheel %d far %d, want 3, 2 and 1", c.nearLen(), c.q.wheelN, len(c.q.far))
+			}
+			c.pop()
+			c.pop()
+			c.push(0) // the current tick again, at its last ns
+		}},
 		{"zero-value queue", func(c *queueChecker) {
 			c.pop() // empty before any push
 			c.push(5)
@@ -172,13 +215,20 @@ func TestEventQueueEdges(t *testing.T) {
 
 // TestEventQueueTickSizing pins the wheel to span at least
 // wheelSpanMeans mean latencies with power-of-two ticks no wider than
-// needed.
+// needed, up to the maxShift cap, which a 1h mean hits.
 func TestEventQueueTickSizing(t *testing.T) {
-	for _, mean := range []int64{1, 1000, 250_000, 1_000_000, 7_777_777, 1_000_000_000} {
+	for _, mean := range []int64{1, 1000, 250_000, 1_000_000, 7_777_777, 1_000_000_000, 3_600_000_000_000} {
 		var q eventQueue
 		q.setTick(mean)
 		tick := int64(1) << q.shift
-		if wheelSize*tick < wheelSpanMeans*mean {
+		capped := wheelSize<<maxShift < wheelSpanMeans*mean
+		if capped != (mean == 3_600_000_000_000) {
+			t.Errorf("mean %d: cap binds = %v, want it to bind at the 1h mean only", mean, capped)
+		}
+		if capped && q.shift != maxShift {
+			t.Errorf("mean %d: shift %d, want the cap %d", mean, q.shift, maxShift)
+		}
+		if !capped && wheelSize*tick < wheelSpanMeans*mean {
 			t.Errorf("mean %d: wheel spans %d ns, want >= %d", mean, wheelSize*tick, wheelSpanMeans*mean)
 		}
 		if q.shift > 0 && wheelSize*tick/2 >= wheelSpanMeans*mean {
@@ -187,24 +237,62 @@ func TestEventQueueTickSizing(t *testing.T) {
 	}
 }
 
+// TestEventQueuePushBeforeLastPopPanics pins the queue's precondition:
+// a push earlier than the last pop would sort before events already
+// handled, so it panics instead.
+func TestEventQueuePushBeforeLastPopPanics(t *testing.T) {
+	var q eventQueue
+	q.push(100, 0, evDeliver, message{})
+	q.push(200, 0, evDeliver, message{})
+	q.pop()
+	q.push(100, 0, evDeliver, message{}) // the last pop's own time is fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push at 99 after a pop at 100 did not panic")
+		}
+	}()
+	q.push(99, 0, evDeliver, message{})
+}
+
 // FuzzEventQueue checks random push/pop interleavings pop by pop against
-// the sorting oracle. Each op byte is a pop or a push whose delay class
-// spans every region of the queue: zero, under one tick, exp(1ms), within
-// a tick of the wheel horizon, and far beyond it.
+// the sorting oracle. geom picks the tick geometry: 0 is the 1ms default,
+// anything else a mean latency from 1ns to past the point where maxShift
+// caps the tick. Each op byte is a pop or a push whose delay class spans
+// every region of the queue — zero, under one tick, exp(mean), within a
+// tick of the wheel horizon, and far beyond it — or a push that ties
+// exactly on the time of a queued event, alone or in a burst that spans
+// several chunks, so ties meet across far, the wheel and near.
 func FuzzEventQueue(f *testing.F) {
-	f.Add(uint64(1), []byte{1, 2, 3, 4, 5, 0, 0, 0, 0, 0})
-	f.Add(uint64(2), []byte{5, 5, 4, 4, 0, 3, 0, 2, 1, 0, 0, 3, 3, 3, 0})
-	f.Add(uint64(3), []byte{3, 3, 3, 3, 3, 3, 0, 3, 0, 4, 0, 5, 0, 0, 0, 0})
-	tick, horizon := defaultGeometry()
-	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+	f.Add(uint64(1), uint8(0), []byte{1, 2, 3, 4, 5, 0, 0, 0, 0, 0})
+	f.Add(uint64(2), uint8(0), []byte{5, 5, 4, 4, 0, 3, 0, 2, 1, 0, 0, 3, 3, 3, 0})
+	f.Add(uint64(3), uint8(0), []byte{3, 3, 3, 3, 3, 3, 0, 3, 0, 4, 0, 5, 0, 0, 0, 0})
+	f.Add(uint64(4), uint8(0), []byte{5, 4, 6, 7, 0, 6, 7, 0, 6, 3, 7, 0, 6, 0, 7, 6, 0, 0})
+	f.Add(uint64(5), uint8(1), []byte{2, 3, 7, 4, 6, 0, 5, 7, 0, 6, 0, 1, 6, 0})
+	f.Add(uint64(6), uint8(41), []byte{4, 3, 5, 7, 6, 0, 2, 6, 0, 7, 4, 0, 6, 0, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, geom uint8, ops []byte) {
 		// Bound the trace so the quadratic oracle stays fast.
 		if len(ops) > 2000 {
 			ops = ops[:2000]
 		}
 		rng := xrand.New(seed)
 		c := &queueChecker{t: t, q: &eventQueue{}}
+		mean := int64(defaultTickMean)
+		if geom != 0 {
+			m := int64(1) << (geom % 42) // up to 2^42 ns, past the cap near 2^39
+			mean = m + int64(rng.Uint64n(uint64(m)))
+		}
+		c.q.setTick(mean)
+		tick := int64(1) << c.q.shift
+		horizon := wheelSize * tick
+		// tieAt is the time of a random queued event, or now if none is.
+		tieAt := func() int64 {
+			if len(c.ref.evs) == 0 {
+				return c.now
+			}
+			return c.ref.evs[rng.Intn(len(c.ref.evs))].at
+		}
 		for _, op := range ops {
-			switch op % 6 {
+			switch op % 8 {
 			case 0:
 				c.pop()
 			case 1:
@@ -212,11 +300,20 @@ func FuzzEventQueue(f *testing.F) {
 			case 2:
 				c.push(int64(rng.Uint64n(uint64(tick))))
 			case 3:
-				c.push(int64(-1e6 * math.Log(1-rng.Float64())))
+				c.push(int64(-float64(mean) * math.Log(1-rng.Float64())))
 			case 4:
 				c.push(horizon - tick + int64(rng.Uint64n(uint64(2*tick))))
 			case 5:
-				c.push(horizon * int64(2+rng.Intn(1000)))
+				// Capped so 2000 pushes at the widest geometry cannot
+				// overflow virtual time.
+				c.push(min(horizon*int64(2+rng.Intn(1000)), 1<<50))
+			case 6:
+				c.pushAt(tieAt())
+			case 7:
+				at := tieAt()
+				for k := chunkSize + 1 + rng.Intn(2*chunkSize); k > 0; k-- {
+					c.pushAt(at)
+				}
 			}
 		}
 		c.drain()

@@ -157,3 +157,27 @@ func TestRunPhaseBudgetIsNontermination(t *testing.T) {
 		t.Errorf("%d of %d outcomes are not decided, want 13", undecided, len(res.Outcomes))
 	}
 }
+
+// TestRunPinnedScale pins both protocols at the perfbench des-scale
+// configuration: n=10k, exp(1ms) latency, 1% loss, seed 1. The n=64 pins
+// never reach a tick like this one's first retransmission deadline,
+// where all 10k initial timers tie on the same virtual nanosecond, so
+// this is the pin that checks the queue's tiebreak at scale. Its
+// Events/OpsApplied is perfbench's des.events_per_op.
+func TestRunPinnedScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=10k runs; skipped under -short")
+	}
+	want := map[string]pinCounts{
+		ProtoSifter:      {240000, 24, 729501, 488808, 483794, 5014, 0, 5724, 0, 0, 240000, 3247, 109976485, 1, 0, true},
+		ProtoPriorityMax: {210000, 21, 638246, 427654, 423263, 4391, 0, 4994, 0, 0, 210000, 2797, 111760794, 1, 0, true},
+	}
+	for _, proto := range []string{ProtoSifter, ProtoPriorityMax} {
+		res, err := Run(Config{N: 10_000, Protocol: proto, Seed: 1,
+			Net: NetConfig{Latency: LatencyDist{Kind: LatExp, Mean: time.Millisecond}, Loss: 0.01}})
+		requireClean(t, res, err)
+		if got := countsOf(res); got != want[proto] {
+			t.Errorf("%s: counts\n got %+v\nwant %+v", proto, got, want[proto])
+		}
+	}
+}

@@ -122,6 +122,7 @@ func Run(cfg Config) (Result, error) {
 		retryRng: retryRng,
 	}
 	d.q.setTick(cfg.Net.Latency.Mean.Nanoseconds())
+	d.q.reserve(cfg.N)
 	d.rto0 = cfg.Retry.RTO.Nanoseconds()
 	if d.rto0 <= 0 {
 		d.rto0 = 8 * cfg.Net.Latency.Mean.Nanoseconds()

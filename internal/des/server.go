@@ -41,7 +41,9 @@ type message struct {
 // free (steps are accounted at the client as RPC round trips), exclusive
 // (the engine is single-threaded, so the objects' direct representation
 // is safe), and carrying the originating process id so the fault
-// monitors attribute observations correctly.
+// monitors attribute observations correctly. The server keeps one per
+// process and passes a pointer, which converts to the interface without
+// allocating.
 type opCtx struct{ pid int }
 
 func (opCtx) Step()           {}
@@ -65,6 +67,7 @@ type server struct {
 	maxRegs  []*fault.MonitoredMaxer[int32]
 	intRegs  []*memory.Register[int32]
 	mon      *fault.Monitor
+	ctxs     []opCtx // per-process contexts, indexed by pid
 
 	lastInc  []uint32
 	lastSeq  []uint32
@@ -80,8 +83,13 @@ type server struct {
 }
 
 func newServer(n int, mon *fault.Monitor) *server {
+	ctxs := make([]opCtx, n)
+	for i := range ctxs {
+		ctxs[i].pid = i
+	}
 	return &server{
 		mon:     mon,
+		ctxs:    ctxs,
 		lastInc: make([]uint32, n),
 		lastSeq: make([]uint32, n),
 		lastRep: make([]message, n),
@@ -140,7 +148,7 @@ func (s *server) handle(q *eventQueue, nw *network, now int64, m message) {
 
 // apply executes one logical operation against the shared objects.
 func (s *server) apply(m message) message {
-	ctx := opCtx{pid: int(m.from)}
+	ctx := &s.ctxs[m.from]
 	r := message{op: m.op, from: m.from, opSeq: m.opSeq, inc: m.inc, obj: m.obj}
 	switch m.op {
 	case sim.OpWriteP:
