@@ -11,10 +11,7 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 )
 
-// attackFlags is the -attack* flag surface, collected so run() can
-// validate the combination up front — the same shape as faultFlags and
-// desFlags: any flag set makes the mode active, and an active mode
-// rejects every conflicting run shape before a single evaluation runs.
+// attackFlags is the -attack* flag surface.
 type attackFlags struct {
 	spec    string // -attack: protocols to search, comma-separated or "all"
 	jsonOut string // -attack-json: write attack-record/v1 artifacts
@@ -25,20 +22,9 @@ type attackFlags struct {
 	faults  bool   // -attack-faults
 }
 
-func (f *attackFlags) active() bool {
-	return f.spec != "" || f.jsonOut != "" || f.replay != "" ||
-		f.n != 0 || f.budget != 0 || f.trials != 0 || f.faults
-}
-
-// validate parses and checks every -attack-* value, returning the
-// resolved protocol list for search mode (empty in replay mode).
+// validate parses and checks every -attack-* value of a search,
+// returning the resolved protocol list.
 func (f *attackFlags) validate() ([]string, error) {
-	if f.replay != "" {
-		if f.spec != "" || f.jsonOut != "" || f.n != 0 || f.budget != 0 || f.trials != 0 || f.faults {
-			return nil, fmt.Errorf("-attack-replay cannot be combined with -attack/-attack-json/-attack-n/-attack-budget/-attack-trials/-attack-faults: a replay takes its whole configuration from the artifact")
-		}
-		return nil, nil
-	}
 	if f.spec == "" {
 		return nil, fmt.Errorf("-attack-json/-attack-n/-attack-budget/-attack-trials/-attack-faults require -attack")
 	}
@@ -157,15 +143,7 @@ func runAttackSearch(out io.Writer, af *attackFlags, seed uint64, quick bool, pa
 			fmt.Fprintf(out, "attack: wrote %s\n", path)
 		}
 	}
-
-	switch format {
-	case "markdown":
-		fmt.Fprintln(out, tbl.Markdown())
-	case "tsv":
-		fmt.Fprintf(out, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.TSV())
-	default:
-		fmt.Fprintln(out, tbl.Text())
-	}
+	printTable(out, &tbl, format)
 	return nil
 }
 

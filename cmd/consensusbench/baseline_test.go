@@ -35,13 +35,11 @@ func TestCompareBaselineHostMismatchSkips(t *testing.T) {
 		rec  benchRecord
 	}{
 		{"cpu count differs", benchRecord{
-			NumCPU:      runtime.NumCPU() + 1,
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
+			hostShape:   hostShape{NumCPU: runtime.NumCPU() + 1, GOMAXPROCS: runtime.GOMAXPROCS(0)},
 			Experiments: []benchEntry{{ID: "concurrent-steps/x", StepsPerSec: 100}},
 		}},
 		{"gomaxprocs differs", benchRecord{
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0) + 1,
+			hostShape:   hostShape{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0) + 1},
 			Experiments: []benchEntry{{ID: "concurrent-steps/x", StepsPerSec: 100}},
 		}},
 	}
@@ -66,8 +64,7 @@ func TestCompareBaselineHostMismatchSkips(t *testing.T) {
 // disable the gate when the host shape matches the record.
 func TestCompareBaselineSameHostStillGates(t *testing.T) {
 	path := writeBaseline(t, benchRecord{
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		hostShape:   hostShape{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
 		Experiments: []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 1000}},
 	})
 	var b strings.Builder
@@ -91,7 +88,7 @@ func TestCompareBaselineSameHostStillGates(t *testing.T) {
 // count alone rather than spuriously skipped.
 func TestCompareBaselineLegacyRecordWithoutGomaxprocs(t *testing.T) {
 	path := writeBaseline(t, benchRecord{
-		NumCPU:      runtime.NumCPU(),
+		hostShape:   hostShape{NumCPU: runtime.NumCPU()},
 		Experiments: []benchEntry{{ID: "controlled-steps/x", StepsPerSec: 1000}},
 	})
 	var b strings.Builder
@@ -127,7 +124,7 @@ func TestCompareBaselineExactCounts(t *testing.T) {
 			benchRecord{Seed: 7, Quick: true},
 			benchEntry{ID: id, Steps: 99, Slots: 150, StepsPerSec: 1000}, true},
 		{"checked before the host-shape skip", &run,
-			benchRecord{Seed: 7, Quick: true, NumCPU: runtime.NumCPU() + 1},
+			benchRecord{Seed: 7, Quick: true, hostShape: hostShape{NumCPU: runtime.NumCPU() + 1}},
 			benchEntry{ID: id, Steps: 100, Slots: 151, StepsPerSec: 1000}, true},
 		{"other seed", &benchRecord{Seed: 8, Quick: true},
 			benchRecord{Seed: 7, Quick: true},

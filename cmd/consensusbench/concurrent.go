@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/memory"
@@ -15,11 +14,8 @@ import (
 // as benchRecord so -bench-concurrent-baseline can parse a committed
 // record with the ordinary benchRecord decoder.
 type concurrentRecord struct {
-	Schema           string       `json:"schema"` // "conciliator-concurrent-bench/v1"
-	GOOS             string       `json:"goos"`
-	GOARCH           string       `json:"goarch"`
-	NumCPU           int          `json:"num_cpu"`
-	GOMAXPROCS       int          `json:"gomaxprocs"`
+	Schema string `json:"schema"` // "conciliator-concurrent-bench/v1"
+	hostShape
 	OpsPerProc       int          `json:"ops_per_proc"`
 	Runs             int          `json:"runs"`
 	TotalWallSeconds float64      `json:"total_wall_seconds"`
@@ -71,16 +67,7 @@ func concurrentStepsEntries() []benchEntry {
 			totalSteps += res.TotalSteps
 		}
 		r.Close()
-		secs := time.Since(start).Seconds()
-		entry := benchEntry{
-			ID:          fmt.Sprintf("concurrent-steps/n=%d", n),
-			WallSeconds: secs,
-			Steps:       totalSteps,
-		}
-		if secs > 0 {
-			entry.StepsPerSec = float64(totalSteps) / secs
-		}
-		entries = append(entries, entry)
+		entries = append(entries, benchEntryOf(fmt.Sprintf("concurrent-steps/n=%d", n), time.Since(start).Seconds(), totalSteps, 0))
 	}
 	return entries
 }
@@ -91,10 +78,7 @@ func buildConcurrentRecord(out io.Writer) concurrentRecord {
 	start := time.Now()
 	rec := concurrentRecord{
 		Schema:      "conciliator-concurrent-bench/v1",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		hostShape:   thisHost(),
 		OpsPerProc:  concurrentOpsPerProc,
 		Runs:        concurrentStepsRuns,
 		Experiments: concurrentStepsEntries(),

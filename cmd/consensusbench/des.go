@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -15,10 +13,7 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// desFlags is the -des* flag surface, collected so run() can validate
-// the combination up front — the same shape as faultFlags: any flag set
-// makes the mode active, and an active mode rejects every conflicting
-// run shape before a single trial executes.
+// desFlags is the -des* flag surface.
 type desFlags struct {
 	run        bool
 	jsonOut    string
@@ -32,12 +27,6 @@ type desFlags struct {
 	restart    string
 	repros     string
 	replay     string
-}
-
-func (f *desFlags) active() bool {
-	return f.run || f.jsonOut != "" || f.ns != "" || f.protocols != "" ||
-		f.trials != 0 || f.latency != "" || f.loss != 0 || f.partitions != "" ||
-		f.crash != "" || f.restart != "" || f.repros != "" || f.replay != ""
 }
 
 // desDefaultNs is the committed E18 sweep: the regime where log log n
@@ -350,23 +339,10 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 		}
 	}
 
-	switch format {
-	case "markdown":
-		fmt.Fprintln(out, tbl.Markdown())
-	case "tsv":
-		fmt.Fprintf(out, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.TSV())
-	default:
-		fmt.Fprintln(out, tbl.Text())
-	}
-
+	printTable(out, &tbl, format)
 	if df.jsonOut != "" {
-		data, merr := json.MarshalIndent(rec, "", "  ")
-		if merr != nil {
-			return fmt.Errorf("encoding DES record: %w", merr)
-		}
-		data = append(data, '\n')
-		if werr := os.WriteFile(df.jsonOut, data, 0o644); werr != nil {
-			return fmt.Errorf("writing DES record: %w", werr)
+		if err := writeJSON(df.jsonOut, "DES", rec); err != nil {
+			return err
 		}
 	}
 	if atomicViolations > 0 {

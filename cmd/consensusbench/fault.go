@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -14,8 +11,7 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/sched"
 )
 
-// faultFlags is the -fault* flag surface, collected so run() can
-// validate the combination up front before any work happens.
+// faultFlags is the -fault* flag surface.
 type faultFlags struct {
 	spec    string // -fault: comma-separated fault kinds, or "all"
 	trials  int    // -fault-trials
@@ -28,21 +24,9 @@ type faultFlags struct {
 	replay  string // -fault-replay
 }
 
-// active reports whether any fault-mode flag was set.
-func (f *faultFlags) active() bool {
-	return f.spec != "" || f.replay != "" || f.trials != 0 || f.n != 0 ||
-		f.scheds != "" || f.stutter != 0 || f.jsonOut != "" || f.repros != ""
-}
-
-// validate rejects bad flag combinations before any trial runs. It
+// validate checks the sweep's flag values before any trial runs. It
 // returns the parsed matrix axes for the sweep.
 func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault, kinds []sched.Kind, err error) {
-	if f.replay != "" {
-		if f.spec != "" || f.trials != 0 || f.n != 0 || f.scheds != "" || f.stutter != 0 {
-			return nil, nil, nil, fmt.Errorf("-fault-replay replays a recorded artifact and cannot be combined with sweep flags (-fault, -fault-trials, -fault-n, -fault-sched, -fault-stutter)")
-		}
-		return nil, nil, nil, nil
-	}
 	if f.spec == "" {
 		return nil, nil, nil, fmt.Errorf("fault flags require -fault <kinds> or -fault-replay <artifact> (e.g. -fault all, -fault stutter,safe)")
 	}
@@ -116,13 +100,12 @@ func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault
 
 // faultReport is the machine-readable record written by -fault-json.
 type faultReport struct {
-	Schema      string           `json:"schema"` // "conciliator-fault-report/v1"
-	Seed        uint64           `json:"seed"`
-	N           int              `json:"n"`
-	Trials      int              `json:"trials"`
-	Shrink      int              `json:"shrink_budget"`
-	GOOS        string           `json:"goos"`
-	GOARCH      string           `json:"goarch"`
+	Schema string `json:"schema"` // "conciliator-fault-report/v1"
+	Seed   uint64 `json:"seed"`
+	N      int    `json:"n"`
+	Trials int    `json:"trials"`
+	Shrink int    `json:"shrink_budget"`
+	hostShape
 	WallSeconds float64          `json:"wall_seconds"`
 	Cells       []faultCellEntry `json:"cells"`
 }
@@ -173,13 +156,12 @@ func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) erro
 	results := experiment.RunFaultSweep(cfg)
 
 	rep := faultReport{
-		Schema: "conciliator-fault-report/v1",
-		Seed:   params.Seed,
-		N:      cfg.N,
-		Trials: cfg.Trials,
-		Shrink: cfg.Shrink,
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
+		Schema:    "conciliator-fault-report/v1",
+		Seed:      params.Seed,
+		N:         cfg.N,
+		Trials:    cfg.Trials,
+		Shrink:    cfg.Shrink,
+		hostShape: thisHost(),
 	}
 	if rep.Seed == 0 {
 		rep.Seed = 20120716
@@ -226,13 +208,8 @@ func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) erro
 	fmt.Fprintf(out, "fault: %d cells, %d violated trials, %.1fs\n", len(results), totalViolated, rep.WallSeconds)
 
 	if ff.jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding fault report: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(ff.jsonOut, data, 0o644); err != nil {
-			return fmt.Errorf("writing fault report: %w", err)
+		if err := writeJSON(ff.jsonOut, "fault", rep); err != nil {
+			return err
 		}
 	}
 	if len(atomicFailures) > 0 {

@@ -1,5 +1,7 @@
-// Command consensusbench runs the paper-reproduction experiments E1-E12
-// and prints their tables.
+// Command consensusbench runs the paper-reproduction experiments E1-E21
+// and prints their tables. The -service*, -mc*, -attack*, -des* and
+// -fault* flags each select a standalone mode instead; one run drives
+// one mode, and a flag the mode does not read is an error.
 //
 // Usage:
 //
@@ -32,15 +34,12 @@ import (
 // Steps and slots come from the simulator's process-wide counters sampled
 // around each experiment, so they cover every trial the experiment ran.
 type benchRecord struct {
-	Schema           string       `json:"schema"` // "conciliator-bench/v1"
-	Seed             uint64       `json:"seed"`
-	Quick            bool         `json:"quick"`
-	Trials           int          `json:"trials,omitempty"`
-	Parallelism      int          `json:"parallelism"`
-	GOOS             string       `json:"goos"`
-	GOARCH           string       `json:"goarch"`
-	NumCPU           int          `json:"num_cpu"`
-	GOMAXPROCS       int          `json:"gomaxprocs,omitempty"`
+	Schema      string `json:"schema"` // "conciliator-bench/v1"
+	Seed        uint64 `json:"seed"`
+	Quick       bool   `json:"quick"`
+	Trials      int    `json:"trials,omitempty"`
+	Parallelism int    `json:"parallelism"`
+	hostShape
 	TotalWallSeconds float64      `json:"total_wall_seconds"`
 	Experiments      []benchEntry `json:"experiments"`
 }
@@ -58,14 +57,12 @@ type benchEntry struct {
 // -metrics-json: one registry-snapshot delta per experiment (counters
 // restricted to what that experiment moved) plus the suite-wide totals.
 type metricsRecord struct {
-	Schema      string           `json:"schema"` // "conciliator-metrics/v1"
-	Seed        uint64           `json:"seed"`
-	Quick       bool             `json:"quick"`
-	Trials      int              `json:"trials,omitempty"`
-	Parallelism int              `json:"parallelism"`
-	GOOS        string           `json:"goos"`
-	GOARCH      string           `json:"goarch"`
-	NumCPU      int              `json:"num_cpu"`
+	Schema      string `json:"schema"` // "conciliator-metrics/v1"
+	Seed        uint64 `json:"seed"`
+	Quick       bool   `json:"quick"`
+	Trials      int    `json:"trials,omitempty"`
+	Parallelism int    `json:"parallelism"`
+	hostShape
 	Experiments []metricsEntry   `json:"experiments"`
 	Totals      metrics.Snapshot `json:"totals"`
 }
@@ -86,7 +83,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("consensusbench", flag.ContinueOnError)
 	var (
 		list              = fs.Bool("list", false, "list experiments and exit")
-		expID             = fs.String("experiment", "", "experiment id(s) to run, comma-separated (E1..E16)")
+		expID             = fs.String("experiment", "", "experiment id(s) to run, comma-separated (E1..E21)")
 		all               = fs.Bool("all", false, "run every experiment")
 		trials            = fs.Int("trials", 0, "trials per configuration (0 = per-experiment default)")
 		seed              = fs.Uint64("seed", 0, "master seed (0 = default)")
@@ -158,148 +155,47 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if sf.active() {
-		// Service-load mode is its own run shape: it drives the live
-		// service node, not any simulator experiment, so every other
-		// mode's flags are contradictory.
-		if mf.active() || af.active() || df.active() || ff.active() {
-			return fmt.Errorf("-service flags cannot be combined with -mc/-attack/-des/-fault flags: the load generator drives the service node, not a simulator sweep")
-		}
-		if *benchOut != "" || *benchBaseline != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("-service flags cannot be combined with -bench-json/-bench-baseline/-bench-concurrent-json/-bench-concurrent-baseline: the service record (-service-json) carries its own throughput figures")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("-service flags cannot be combined with -experiment/-all/-list")
-		}
-		if !sf.load {
-			return fmt.Errorf("-service-json/-service-baseline/-service-addr require -service-load")
-		}
-		switch *format {
-		case "text", "markdown", "tsv":
-		default:
-			return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
-		}
-		return runServiceLoad(out, &sf, *seed, *quick, *format, *debugAddr)
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode, err := pickMode(set)
+	if err != nil {
+		return err
 	}
-
-	if mf.active() {
-		// Monte Carlo mode is its own run shape: reject every
-		// contradictory combination before any trial executes.
-		if af.active() || df.active() || ff.active() {
-			return fmt.Errorf("-mc flags cannot be combined with -attack/-des/-fault flags: the Monte Carlo sweep drives the flat shared-memory engine only")
-		}
-		if *benchOut != "" || *benchBaseline != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("-mc flags cannot be combined with -bench-json/-bench-baseline/-bench-concurrent-json/-bench-concurrent-baseline: the Monte Carlo record (-mc-json) carries its own throughput figures")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("-mc flags cannot be combined with -experiment/-all/-list (the curated Monte Carlo sweep runs as experiment E20)")
-		}
-		switch *format {
-		case "text", "markdown", "tsv":
-		default:
-			return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
-		}
-		return runMCSweep(out, &mf, *seed, *quick, *parallel, *format)
-	}
-
-	if af.active() {
-		// Attack mode is its own run shape, exactly like fault and DES
-		// mode: reject every contradictory combination before any
-		// evaluation executes.
-		if df.active() {
-			return fmt.Errorf("attack flags cannot be combined with -des flags: the search drives the shared-memory simulator, not the message-passing DES")
-		}
-		if ff.active() {
-			return fmt.Errorf("attack flags cannot be combined with -fault flags: the search owns its fault components (-attack-faults); the fault sweep is a separate mode")
-		}
-		if *benchOut != "" || *benchBaseline != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("attack flags cannot be combined with -bench-json/-bench-baseline/-bench-concurrent-json/-bench-concurrent-baseline: searched schedules measure adversarial damage, not throughput")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("attack flags cannot be combined with -experiment/-all/-list (the curated search runs as experiment E19)")
-		}
-		switch *format {
-		case "text", "markdown", "tsv":
-		default:
-			return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
-		}
-		if _, err := af.validate(); err != nil {
-			return err
-		}
-		if af.replay != "" {
-			return runAttackReplay(out, af.replay, *parallel)
-		}
-		return runAttackSearch(out, &af, *seed, *quick, *parallel, *format)
-	}
-
-	if df.active() {
-		// DES mode is its own run shape, exactly like fault mode: reject
-		// every contradictory combination before any trial executes.
-		if ff.active() {
-			return fmt.Errorf("des flags cannot be combined with -fault flags: the DES models message loss and partitions, the fault sweep models faulty shared memory")
-		}
-		if *benchOut != "" || *benchBaseline != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("des flags cannot be combined with -bench-json/-bench-baseline/-bench-concurrent-json/-bench-concurrent-baseline: those records measure the shared-memory simulators")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("des flags cannot be combined with -experiment/-all/-list (the curated DES sweep runs as experiment E18)")
-		}
-		switch *format {
-		case "text", "markdown", "tsv":
-		default:
-			return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
-		}
-		if df.replay != "" {
-			// Replay is a standalone shape: it re-executes a committed
-			// artifact's recorded config verbatim, so sweep flags have
-			// nothing to modify.
-			if df.run || df.jsonOut != "" || df.ns != "" || df.protocols != "" ||
-				df.trials != 0 || df.latency != "" || df.loss != 0 || df.partitions != "" ||
-				df.crash != "" || df.restart != "" || df.repros != "" {
-				return fmt.Errorf("-des-fault-replay cannot be combined with other -des flags: the artifact records its full configuration")
-			}
-			return runDESFaultReplay(out, df.replay)
-		}
-		if *trials != 0 && df.trials == 0 {
-			df.trials = *trials
-		}
-		return runDESSweep(out, &df, *seed, *format)
-	}
-
-	if ff.active() {
-		// Fault mode is its own run shape: validate the combination (and
-		// everything it conflicts with) before any trial executes.
-		if *benchBaseline != "" || *benchOut != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("fault flags cannot be combined with -bench-baseline/-bench-json/-bench-concurrent-json/-bench-concurrent-baseline: faulted runs measure safety, not throughput")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("fault flags cannot be combined with -experiment/-all/-list (the reduced fault matrix runs as experiment E17)")
-		}
-		if ff.replay != "" {
-			if ff.jsonOut != "" || ff.repros != "" {
-				return fmt.Errorf("-fault-replay cannot be combined with -fault-json/-fault-repros")
-			}
-			if _, _, _, err := ff.validate(); err != nil {
-				return err
-			}
-			return runFaultReplay(out, ff.replay)
-		}
-		if _, _, _, err := ff.validate(); err != nil {
-			return err
-		}
-		params := experiment.Params{Seed: *seed, Quick: *quick, Parallelism: *parallel}
-		if *trials != 0 && ff.trials == 0 {
-			ff.trials = *trials
-		}
-		return runFaultSweep(out, &ff, params)
-	}
-
 	// Validate the output format up front: a typo must not burn a full
-	// (minutes-long) experiment suite before erroring.
+	// (minutes-long) run before erroring.
 	switch *format {
 	case "text", "markdown", "tsv":
 	default:
 		return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
+	}
+	if mode != nil {
+		switch mode.prefix {
+		case "service":
+			return runServiceLoad(out, &sf, *seed, *quick, *format, *debugAddr)
+		case "mc":
+			return runMCSweep(out, &mf, *seed, *quick, *parallel, *format)
+		case "attack":
+			if af.replay != "" {
+				return runAttackReplay(out, af.replay, *parallel)
+			}
+			return runAttackSearch(out, &af, *seed, *quick, *parallel, *format)
+		case "des":
+			if df.replay != "" {
+				return runDESFaultReplay(out, df.replay)
+			}
+			if df.trials == 0 {
+				df.trials = *trials
+			}
+			return runDESSweep(out, &df, *seed, *format)
+		default: // fault
+			if ff.replay != "" {
+				return runFaultReplay(out, ff.replay)
+			}
+			if ff.trials == 0 {
+				ff.trials = *trials
+			}
+			return runFaultSweep(out, &ff, experiment.Params{Seed: *seed, Quick: *quick, Parallelism: *parallel})
+		}
 	}
 
 	if *list {
@@ -358,10 +254,7 @@ func run(args []string, out io.Writer) error {
 		Quick:       *quick,
 		Trials:      *trials,
 		Parallelism: *parallel,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		hostShape:   thisHost(),
 	}
 	if rec.Seed == 0 {
 		rec.Seed = 20120716 // the documented default master seed
@@ -375,9 +268,7 @@ func run(args []string, out io.Writer) error {
 		Quick:       *quick,
 		Trials:      *trials,
 		Parallelism: rec.Parallelism,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
+		hostShape:   rec.hostShape,
 	}
 	suiteStart := time.Now()
 	for _, e := range todo {
@@ -393,31 +284,13 @@ func run(args []string, out io.Writer) error {
 				Metrics: metrics.Default().Snapshot().Sub(mPrev),
 			})
 		}
-		for _, t := range tables {
-			switch *format {
-			case "markdown":
-				fmt.Fprintln(out, t.Markdown())
-			case "tsv":
-				fmt.Fprintf(out, "# %s: %s\n%s\n", t.ID, t.Title, t.TSV())
-			case "text":
-				fmt.Fprintln(out, t.Text())
-			}
+		for i := range tables {
+			printTable(out, &tables[i], *format)
 		}
 		if *timings {
 			fmt.Fprintf(out, "[%s took %v]\n\n", e.ID, wall.Round(time.Millisecond))
 		}
-		secs := wall.Seconds()
-		entry := benchEntry{
-			ID:          e.ID,
-			WallSeconds: secs,
-			Steps:       steps1 - steps0,
-			Slots:       slots1 - slots0,
-		}
-		if secs > 0 {
-			entry.StepsPerSec = float64(entry.Steps) / secs
-			entry.SlotsPerSec = float64(entry.Slots) / secs
-		}
-		rec.Experiments = append(rec.Experiments, entry)
+		rec.Experiments = append(rec.Experiments, benchEntryOf(e.ID, wall.Seconds(), steps1-steps0, slots1-slots0))
 	}
 	if *benchOut != "" || *benchBaseline != "" {
 		// The controlled-steps microbenchmarks measure raw simulator
@@ -432,13 +305,8 @@ func run(args []string, out io.Writer) error {
 	}
 	if *benchOut != "" {
 		rec.TotalWallSeconds = time.Since(suiteStart).Seconds()
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding bench record: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			return fmt.Errorf("writing bench record: %w", err)
+		if err := writeJSON(*benchOut, "bench", rec); err != nil {
+			return err
 		}
 	}
 	if *benchBaseline != "" {
@@ -452,13 +320,8 @@ func run(args []string, out io.Writer) error {
 	if *benchConcOut != "" || *benchConcBaseline != "" {
 		crec := buildConcurrentRecord(out)
 		if *benchConcOut != "" {
-			data, err := json.MarshalIndent(crec, "", "  ")
-			if err != nil {
-				return fmt.Errorf("encoding concurrent bench record: %w", err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*benchConcOut, data, 0o644); err != nil {
-				return fmt.Errorf("writing concurrent bench record: %w", err)
+			if err := writeJSON(*benchConcOut, "concurrent bench", crec); err != nil {
+				return err
 			}
 		}
 		if *benchConcBaseline != "" {
@@ -474,16 +337,66 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "metrics:\n%s", mrec.Totals.Text())
 	}
 	if *metricsOut != "" {
-		data, err := json.MarshalIndent(mrec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding metrics record: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*metricsOut, data, 0o644); err != nil {
-			return fmt.Errorf("writing metrics record: %w", err)
-		}
+		return writeJSON(*metricsOut, "metrics", mrec)
 	}
 	return nil
+}
+
+// printTable renders t in the output format every mode shares.
+func printTable(out io.Writer, t *experiment.Table, format string) {
+	switch format {
+	case "markdown":
+		fmt.Fprintln(out, t.Markdown())
+	case "tsv":
+		fmt.Fprintf(out, "# %s: %s\n%s\n", t.ID, t.Title, t.TSV())
+	default:
+		fmt.Fprintln(out, t.Text())
+	}
+}
+
+// writeJSON writes the record v to path as indented JSON, the layout of
+// every record this command writes; what names the record in errors.
+func writeJSON(path, what string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encoding %s record: %w", what, err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("writing %s record: %w", what, err)
+	}
+	return nil
+}
+
+// hostShape is the measuring host, carried by every record that holds
+// wall-clock figures so a baseline gate can tell comparable records
+// apart.
+type hostShape struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func thisHost() hostShape {
+	return hostShape{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+}
+
+// sameHost reports whether a baseline recorded on host base may gate
+// this run's wall-clock figures, and says so loudly when it may not:
+// throughput is a property of the measuring host, and a record taken on
+// a 1-CPU runner says nothing about a 16-core laptop. A zero field means
+// an older record that never captured the value, which can't be
+// checked. gate prefixes the message; figures names what is not
+// comparable ("steps/s are").
+func sameHost(out io.Writer, gate, path string, base hostShape, figures string) bool {
+	here := thisHost()
+	if (base.NumCPU != 0 && base.NumCPU != here.NumCPU) ||
+		(base.GOMAXPROCS != 0 && base.GOMAXPROCS != here.GOMAXPROCS) {
+		fmt.Fprintf(out, "%s: skipping %s: baseline host (num_cpu=%d, gomaxprocs=%d) does not match this host (num_cpu=%d, gomaxprocs=%d); %s not comparable across hosts\n",
+			gate, path, base.NumCPU, base.GOMAXPROCS, here.NumCPU, here.GOMAXPROCS, figures)
+		return false
+	}
+	return true
 }
 
 // controlledStepsRuns is the fixed per-workload run count of the
@@ -492,48 +405,61 @@ func run(args []string, out io.Writer) error {
 // meaningful across runs.
 const controlledStepsRuns = 64
 
-// controlledStepsEntries runs the controlled-steps microbenchmark suite —
-// the same four workloads as BenchmarkControlledSteps — and returns one
-// bench entry per workload under the "controlled-steps/" id prefix.
-func controlledStepsEntries() []benchEntry {
-	cases := []struct {
-		name  string
-		n     int
-		steps func(pid int) int
-		mk    func(n int, seed uint64) sched.Source
-	}{
-		{
-			name:  "round-robin/n=8",
-			n:     8,
-			steps: func(int) int { return 2048 },
-			mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
+// stepsWorkloads are the controlled-steps microbenchmark workloads, the
+// same four as BenchmarkControlledSteps, run on both engines.
+var stepsWorkloads = []struct {
+	name  string
+	n     int
+	steps func(pid int) int
+	mk    func(n int, seed uint64) sched.Source
+}{
+	{
+		name:  "round-robin/n=8",
+		n:     8,
+		steps: func(int) int { return 2048 },
+		mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
+	},
+	{
+		name:  "round-robin/n=64",
+		n:     64,
+		steps: func(int) int { return 256 },
+		mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
+	},
+	{
+		name:  "random/n=64",
+		n:     64,
+		steps: func(int) int { return 256 },
+		mk:    func(n int, seed uint64) sched.Source { return sched.NewRandom(n, xrand.New(seed)) },
+	},
+	{
+		name: "skewed-tail/n=64",
+		n:    64,
+		steps: func(pid int) int {
+			if pid == 0 {
+				return 4096
+			}
+			return 1
 		},
-		{
-			name:  "round-robin/n=64",
-			n:     64,
-			steps: func(int) int { return 256 },
-			mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-		{
-			name:  "random/n=64",
-			n:     64,
-			steps: func(int) int { return 256 },
-			mk:    func(n int, seed uint64) sched.Source { return sched.NewRandom(n, xrand.New(seed)) },
-		},
-		{
-			name: "skewed-tail/n=64",
-			n:    64,
-			steps: func(pid int) int {
-				if pid == 0 {
-					return 4096
-				}
-				return 1
-			},
-			mk: func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
+		mk: func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
+	},
+}
+
+// benchEntryOf is the bench entry for steps and slots done in secs.
+func benchEntryOf(id string, secs float64, steps, slots int64) benchEntry {
+	e := benchEntry{ID: id, WallSeconds: secs, Steps: steps, Slots: slots}
+	if secs > 0 {
+		e.StepsPerSec = float64(steps) / secs
+		e.SlotsPerSec = float64(slots) / secs
 	}
-	entries := make([]benchEntry, 0, len(cases))
-	for _, tc := range cases {
+	return e
+}
+
+// controlledStepsEntries runs stepsWorkloads on the coroutine engine and
+// returns one bench entry per workload under the "controlled-steps/" id
+// prefix.
+func controlledStepsEntries() []benchEntry {
+	entries := make([]benchEntry, 0, len(stepsWorkloads))
+	for _, tc := range stepsWorkloads {
 		var totalSteps, totalSlots int64
 		start := time.Now()
 		for i := 0; i < controlledStepsRuns; i++ {
@@ -551,18 +477,7 @@ func controlledStepsEntries() []benchEntry {
 			totalSteps += res.TotalSteps
 			totalSlots += res.Slots
 		}
-		secs := time.Since(start).Seconds()
-		entry := benchEntry{
-			ID:          "controlled-steps/" + tc.name,
-			WallSeconds: secs,
-			Steps:       totalSteps,
-			Slots:       totalSlots,
-		}
-		if secs > 0 {
-			entry.StepsPerSec = float64(totalSteps) / secs
-			entry.SlotsPerSec = float64(totalSlots) / secs
-		}
-		entries = append(entries, entry)
+		entries = append(entries, benchEntryOf("controlled-steps/"+tc.name, time.Since(start).Seconds(), totalSteps, totalSlots))
 	}
 	return entries
 }
@@ -633,15 +548,7 @@ func compareBaseline(out io.Writer, run *benchRecord, entries []benchEntry, path
 	for _, e := range base.Experiments {
 		baseline[e.ID] = e
 	}
-	// steps/s is a property of the measuring host: a record taken on a
-	// 1-CPU runner says nothing about a 16-core laptop, and gating on the
-	// comparison would pass or fail meaninglessly. Skip (loudly) when the
-	// host shape differs from the record's; a zero field means an older
-	// record that never captured the value, which can't be checked.
-	if (base.NumCPU != 0 && base.NumCPU != runtime.NumCPU()) ||
-		(base.GOMAXPROCS != 0 && base.GOMAXPROCS != runtime.GOMAXPROCS(0)) {
-		fmt.Fprintf(out, "bench-baseline: skipping %s: baseline host (num_cpu=%d, gomaxprocs=%d) does not match this host (num_cpu=%d, gomaxprocs=%d); steps/s are not comparable across hosts\n",
-			path, base.NumCPU, base.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	if !sameHost(out, "bench-baseline", path, base.hostShape, "steps/s are") {
 		return nil
 	}
 	var failures []string

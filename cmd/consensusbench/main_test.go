@@ -484,3 +484,29 @@ func TestBenchConcurrentConflictsWithFaults(t *testing.T) {
 		t.Fatalf("fault+concurrent-bench accepted: %v", err)
 	}
 }
+
+// TestUnreadFlagsRejected: a flag the selected mode does not read is an
+// error before anything runs, never silently dropped.
+func TestUnreadFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-service-clients", "3", "-experiment", "E3"},
+		{"-fault-shrink", "5", "-experiment", "E3"},
+		{"-mc", "all", "-metrics-json", "m.json"},
+		{"-attack", "all", "-trials", "7"},
+		{"-attack", "all", "-timings"},
+		{"-des", "-quick"},
+		{"-fault", "all", "-format", "markdown"},
+		{"-des-fault-replay", "DES_FAULT_REPRO_server_amnesia.json", "-seed", "3"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var b strings.Builder
+			err := run(args, &b)
+			if err == nil || !strings.Contains(err.Error(), "cannot be combined") {
+				t.Fatalf("err = %v, want a \"cannot be combined\" error", err)
+			}
+			if b.Len() != 0 {
+				t.Errorf("output written before the flags were checked: %q", b.String())
+			}
+		})
+	}
+}

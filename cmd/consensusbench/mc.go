@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -26,10 +24,6 @@ type mcFlags struct {
 	trials  int64
 	schedK  string
 	jsonOut string
-}
-
-func (f *mcFlags) active() bool {
-	return f.spec != "" || f.jsonOut != "" || f.n != 0 || f.trials != 0 || f.schedK != ""
 }
 
 // mcProtocols maps the -mc spec to flat configurations. "all" expands to
@@ -87,16 +81,13 @@ func (f *mcFlags) validate(quick bool) (kind sched.Kind, err error) {
 
 // mcRecord is the machine-readable Monte Carlo record written by -mc-json.
 type mcRecord struct {
-	Schema      string    `json:"schema"` // "conciliator-mc/v1"
-	Seed        uint64    `json:"seed"`
-	N           int       `json:"n"`
-	Trials      int64     `json:"trials"`
-	Sched       string    `json:"sched"`
-	Parallelism int       `json:"parallelism"`
-	GOOS        string    `json:"goos"`
-	GOARCH      string    `json:"goarch"`
-	NumCPU      int       `json:"num_cpu"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
+	Schema      string `json:"schema"` // "conciliator-mc/v1"
+	Seed        uint64 `json:"seed"`
+	N           int    `json:"n"`
+	Trials      int64  `json:"trials"`
+	Sched       string `json:"sched"`
+	Parallelism int    `json:"parallelism"`
+	hostShape
 	WallSeconds float64   `json:"total_wall_seconds"`
 	Entries     []mcEntry `json:"entries"`
 }
@@ -143,10 +134,7 @@ func runMCSweep(out io.Writer, f *mcFlags, seed uint64, quick bool, parallel int
 		Trials:      f.trials,
 		Sched:       kind.String(),
 		Parallelism: parallel,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		hostShape:   thisHost(),
 	}
 	tbl := experiment.Table{
 		ID:    "MC",
@@ -196,24 +184,10 @@ func runMCSweep(out io.Writer, f *mcFlags, seed uint64, quick bool, parallel int
 			StepsPerSec: res.StepsPerSec,
 		})
 	}
-	switch format {
-	case "markdown":
-		fmt.Fprintln(out, tbl.Markdown())
-	case "tsv":
-		fmt.Fprintf(out, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.TSV())
-	default:
-		fmt.Fprintln(out, tbl.Text())
-	}
+	printTable(out, &tbl, format)
 	if f.jsonOut != "" {
 		rec.WallSeconds = time.Since(start).Seconds()
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding mc record: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(f.jsonOut, data, 0o644); err != nil {
-			return fmt.Errorf("writing mc record: %w", err)
-		}
+		return writeJSON(f.jsonOut, "mc", rec)
 	}
 	return nil
 }
@@ -240,48 +214,12 @@ func (m *benchCountdown) Step(pid int, _ *xrand.Rand) bool {
 // in one record is still the engine speedup on identical modeled work.
 const flatStepsRuns = 16 * controlledStepsRuns
 
-// flatStepsEntries runs the controlled-steps microbenchmark workloads on
-// the flat state-machine engine and returns one bench entry per workload
-// under the "flat-steps/" id prefix.
+// flatStepsEntries runs stepsWorkloads on the flat state-machine engine
+// and returns one bench entry per workload under the "flat-steps/" id
+// prefix.
 func flatStepsEntries() []benchEntry {
-	cases := []struct {
-		name  string
-		n     int
-		steps func(pid int) int
-		mk    func(n int, seed uint64) sched.Source
-	}{
-		{
-			name:  "round-robin/n=8",
-			n:     8,
-			steps: func(int) int { return 2048 },
-			mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-		{
-			name:  "round-robin/n=64",
-			n:     64,
-			steps: func(int) int { return 256 },
-			mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-		{
-			name:  "random/n=64",
-			n:     64,
-			steps: func(int) int { return 256 },
-			mk:    func(n int, seed uint64) sched.Source { return sched.NewRandom(n, xrand.New(seed)) },
-		},
-		{
-			name: "skewed-tail/n=64",
-			n:    64,
-			steps: func(pid int) int {
-				if pid == 0 {
-					return 4096
-				}
-				return 1
-			},
-			mk: func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-	}
-	entries := make([]benchEntry, 0, len(cases))
-	for _, tc := range cases {
+	entries := make([]benchEntry, 0, len(stepsWorkloads))
+	for _, tc := range stepsWorkloads {
 		m := &benchCountdown{steps: tc.steps, left: make([]int, tc.n)}
 		fr := sim.NewFlatRunner[*benchCountdown]()
 		var res sim.Result
@@ -296,18 +234,7 @@ func flatStepsEntries() []benchEntry {
 			totalSteps += res.TotalSteps
 			totalSlots += res.Slots
 		}
-		secs := time.Since(start).Seconds()
-		entry := benchEntry{
-			ID:          "flat-steps/" + tc.name,
-			WallSeconds: secs,
-			Steps:       totalSteps,
-			Slots:       totalSlots,
-		}
-		if secs > 0 {
-			entry.StepsPerSec = float64(totalSteps) / secs
-			entry.SlotsPerSec = float64(totalSlots) / secs
-		}
-		entries = append(entries, entry)
+		entries = append(entries, benchEntryOf("flat-steps/"+tc.name, time.Since(start).Seconds(), totalSteps, totalSlots))
 	}
 	return entries
 }

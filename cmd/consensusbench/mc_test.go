@@ -17,10 +17,10 @@ func TestMCModeRejectsContradictoryFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"with all", []string{"-mc", "all", "-all"}, "-experiment/-all/-list"},
-		{"with des", []string{"-mc", "all", "-des"}, "-attack/-des/-fault"},
-		{"with fault", []string{"-mc", "all", "-fault", "all"}, "-attack/-des/-fault"},
-		{"with attack", []string{"-mc", "all", "-attack", "sifter"}, "-attack/-des/-fault"},
+		{"with all", []string{"-mc", "all", "-all"}, "-all cannot be combined with -mc"},
+		{"with des", []string{"-mc", "all", "-des"}, "cannot be combined with -des"},
+		{"with fault", []string{"-mc", "all", "-fault", "all"}, "cannot be combined with -fault"},
+		{"with attack", []string{"-mc", "all", "-attack", "sifter"}, "cannot be combined with -attack"},
 		{"with bench-json", []string{"-mc", "all", "-bench-json", "x.json"}, "-bench-json"},
 		{"bad pair", []string{"-mc", "sifter"}, "conciliator:adopt-commit"},
 		{"bad conciliator", []string{"-mc", "bogus:register", "-mc-trials", "1"}, "unknown flat conciliator"},

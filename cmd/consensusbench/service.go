@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
 	"github.com/oblivious-consensus/conciliator/internal/rsm"
 	"github.com/oblivious-consensus/conciliator/internal/service"
@@ -38,30 +39,23 @@ type serviceFlags struct {
 	baseline string
 }
 
-func (sf *serviceFlags) active() bool {
-	return sf.load || sf.jsonOut != "" || sf.baseline != "" || sf.addr != ""
-}
-
 // serviceRecord is the machine-readable load record written by
 // -service-json: one entry per shard count swept, same host-shape fields
 // as the bench records so the baseline gate can apply its cross-host
 // skip rule.
 type serviceRecord struct {
-	Schema          string         `json:"schema"` // "rsm-service/v1"
-	Seed            uint64         `json:"seed"`
-	Clients         int            `json:"clients"`
-	DurationSeconds float64        `json:"duration_seconds"`
-	ReadFrac        float64        `json:"read_frac"`
-	Keys            int            `json:"keys"`
-	Skew            string         `json:"skew"`
-	Protocol        string         `json:"protocol"`
-	Pipeline        int            `json:"pipeline"`
-	BatchMax        int            `json:"batch_max"`
-	GOOS            string         `json:"goos"`
-	GOARCH          string         `json:"goarch"`
-	NumCPU          int            `json:"num_cpu"`
-	GOMAXPROCS      int            `json:"gomaxprocs"`
-	Entries         []serviceEntry `json:"entries"`
+	Schema          string  `json:"schema"` // "rsm-service/v1"
+	Seed            uint64  `json:"seed"`
+	Clients         int     `json:"clients"`
+	DurationSeconds float64 `json:"duration_seconds"`
+	ReadFrac        float64 `json:"read_frac"`
+	Keys            int     `json:"keys"`
+	Skew            string  `json:"skew"`
+	Protocol        string  `json:"protocol"`
+	Pipeline        int     `json:"pipeline"`
+	BatchMax        int     `json:"batch_max"`
+	hostShape
+	Entries []serviceEntry `json:"entries"`
 }
 
 // serviceEntry is one swept configuration's end-to-end results. All
@@ -116,6 +110,9 @@ func (r *serviceRecord) Validate() error {
 
 // runServiceLoad is the -service-load run shape.
 func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, format, debugAddr string) error {
+	if !sf.load {
+		return fmt.Errorf("-service-* flags require -service-load")
+	}
 	if sf.addr != "" && sf.shards != "" {
 		return fmt.Errorf("-service-addr drives one remote node; -service-shards only applies to in-process sweeps")
 	}
@@ -178,10 +175,7 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 		Protocol:        protoOrDefault(sf.protocol),
 		Pipeline:        sf.pipeline,
 		BatchMax:        sf.batchMax,
-		GOOS:            runtime.GOOS,
-		GOARCH:          runtime.GOARCH,
-		NumCPU:          runtime.NumCPU(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
+		hostShape:       thisHost(),
 	}
 	lc := service.LoadConfig{
 		Clients:  sf.clients,
@@ -230,19 +224,13 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 		}
 	}
 
-	printServiceTable(out, &rec, format)
-
+	printTable(out, serviceTable(&rec), format)
 	if sf.jsonOut != "" {
 		if err := rec.Validate(); err != nil {
 			return fmt.Errorf("refusing to write invalid record: %w", err)
 		}
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding service record: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(sf.jsonOut, data, 0o644); err != nil {
-			return fmt.Errorf("writing service record: %w", err)
+		if err := writeJSON(sf.jsonOut, "service", rec); err != nil {
+			return err
 		}
 	}
 	if sf.baseline != "" {
@@ -307,41 +295,18 @@ func buildServiceEntry(id string, shards int, rep service.LoadReport, occ *stats
 	return e
 }
 
-func printServiceTable(out io.Writer, rec *serviceRecord, format string) {
-	head := []string{"config", "writes/s", "ops/s", "w_p50us", "w_p99us", "r_p99us", "batch_mean", "errors"}
-	rows := make([][]string, 0, len(rec.Entries))
+func serviceTable(rec *serviceRecord) *experiment.Table {
+	tbl := &experiment.Table{
+		ID: "SERVICE",
+		Title: fmt.Sprintf("%d closed-loop clients, %.1fs, read-frac %.2f, skew %s, protocol %s",
+			rec.Clients, rec.DurationSeconds, rec.ReadFrac, rec.Skew, rec.Protocol),
+		Columns: []string{"config", "writes/s", "ops/s", "w_p50us", "w_p99us", "r_p99us", "batch_mean", "errors"},
+	}
 	for _, e := range rec.Entries {
-		rows = append(rows, []string{
-			e.ID,
-			fmt.Sprintf("%.0f", e.WriteThroughput),
-			fmt.Sprintf("%.0f", e.Throughput),
-			strconv.FormatInt(e.WriteP50us, 10),
-			strconv.FormatInt(e.WriteP99us, 10),
-			strconv.FormatInt(e.ReadP99us, 10),
-			fmt.Sprintf("%.1f", e.BatchMean),
-			strconv.FormatInt(e.Errors, 10),
-		})
+		tbl.AddRow(e.ID, fmt.Sprintf("%.0f", e.WriteThroughput), fmt.Sprintf("%.0f", e.Throughput),
+			e.WriteP50us, e.WriteP99us, e.ReadP99us, fmt.Sprintf("%.1f", e.BatchMean), e.Errors)
 	}
-	switch format {
-	case "tsv":
-		fmt.Fprintln(out, strings.Join(head, "\t"))
-		for _, r := range rows {
-			fmt.Fprintln(out, strings.Join(r, "\t"))
-		}
-	case "markdown":
-		fmt.Fprintf(out, "| %s |\n", strings.Join(head, " | "))
-		fmt.Fprintf(out, "|%s\n", strings.Repeat(" --- |", len(head)))
-		for _, r := range rows {
-			fmt.Fprintf(out, "| %s |\n", strings.Join(r, " | "))
-		}
-	default:
-		fmt.Fprintf(out, "service load: %d clients, %.1fs, read-frac %.2f, skew %s, protocol %s\n",
-			rec.Clients, rec.DurationSeconds, rec.ReadFrac, rec.Skew, rec.Protocol)
-		for _, r := range rows {
-			fmt.Fprintf(out, "  %-22s %8s writes/s %8s ops/s  w_p50 %sus w_p99 %sus r_p99 %sus  batch %s  errors %s\n",
-				r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7])
-		}
-	}
+	return tbl
 }
 
 // serviceTolerance mirrors the bench gate: a configuration may fall to
@@ -365,10 +330,7 @@ func compareServiceBaseline(out io.Writer, rec *serviceRecord, path string) erro
 	if err := base.Validate(); err != nil {
 		return fmt.Errorf("service baseline %s: %w", path, err)
 	}
-	if (base.NumCPU != 0 && base.NumCPU != runtime.NumCPU()) ||
-		(base.GOMAXPROCS != 0 && base.GOMAXPROCS != runtime.GOMAXPROCS(0)) {
-		fmt.Fprintf(out, "service-baseline: skipping %s: baseline host (num_cpu=%d, gomaxprocs=%d) does not match this host (num_cpu=%d, gomaxprocs=%d); throughput is not comparable across hosts\n",
-			path, base.NumCPU, base.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	if !sameHost(out, "service-baseline", path, base.hostShape, "throughput is") {
 		return nil
 	}
 	baseline := make(map[string]serviceEntry, len(base.Entries))

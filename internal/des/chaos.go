@@ -238,9 +238,9 @@ func (c Config) ChaosSchedule() ([]ChaosEvent, error) {
 		return nil, nil
 	}
 	root := xrand.New(c.Seed)
-	root.ForkNamed(0x4e57)  // network fork: keep draw order aligned with Run
-	root.ForkNamed(0xa190)  // per-process fork
-	root.ForkNamed(0x4a77)  // retry-jitter fork
+	root.ForkNamed(0x4e57) // network fork: keep draw order aligned with Run
+	root.ForkNamed(0xa190) // per-process fork
+	root.ForkNamed(0x4a77) // retry-jitter fork
 	chaosRng := root.ForkNamed(0xc405)
 	return materializeChaos(c.Chaos, c.N, chaosRng), nil
 }

@@ -60,11 +60,11 @@ func e20MonteCarlo() Experiment {
 				}
 				for ci, c := range cells {
 					res, err := consensus.RunMonteCarlo(consensus.MCConfig{
-						N:      n,
-						Trials: trials,
-						Flat:   consensus.FlatConfig{Conciliator: c.conc, AC: c.ac},
-						Sched:  sched.KindRandom,
-						Seed:   p.Seed + uint64(1000*n+ci),
+						N:       n,
+						Trials:  trials,
+						Flat:    consensus.FlatConfig{Conciliator: c.conc, AC: c.ac},
+						Sched:   sched.KindRandom,
+						Seed:    p.Seed + uint64(1000*n+ci),
 						Workers: p.Parallelism,
 					})
 					if err != nil {

@@ -1,4 +1,4 @@
-// Package experiment defines the reproduction experiments E1–E12: one per
+// Package experiment defines the reproduction experiments E1–E21: one per
 // quantitative claim in the paper (lemmas, theorems, corollaries) plus
 // the ablations called out in DESIGN.md. Each experiment runs trials of
 // the relevant protocol under oblivious schedules and renders tables

@@ -94,7 +94,7 @@ func (c *LoadConfig) defaults() error {
 	if c.Skew != SkewUniform && c.Skew != SkewZipf {
 		return fmt.Errorf("service: unknown skew %q (want %q or %q)", c.Skew, SkewUniform, SkewZipf)
 	}
-	if c.Clients < 0 || c.Keys < 0 || c.ReadFrac < 0 || c.ReadFrac > 1 {
+	if c.Clients < 0 || c.Keys < 0 || c.Duration < 0 || c.ReadFrac < 0 || c.ReadFrac > 1 {
 		return fmt.Errorf("service: bad load config %+v", *c)
 	}
 	return nil

@@ -56,6 +56,9 @@ func TestRunLoadConfigValidation(t *testing.T) {
 	if _, err := RunLoad(NodeBackend{}, LoadConfig{ReadFrac: 1.5}); err == nil {
 		t.Fatal("RunLoad accepted ReadFrac > 1")
 	}
+	if _, err := RunLoad(NodeBackend{}, LoadConfig{Duration: -time.Second}); err == nil {
+		t.Fatal("RunLoad accepted a negative Duration")
+	}
 }
 
 // TestKeySamplerZipfSkew checks the zipf sampler actually skews: rank 0
