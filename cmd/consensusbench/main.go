@@ -168,6 +168,11 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
 	}
+	// Every mode that reads -trials takes 0 as its default, so a negative
+	// count would otherwise run the default silently.
+	if *trials < 0 {
+		return fmt.Errorf("-trials must be non-negative, got %d", *trials)
+	}
 	if mode != nil {
 		switch mode.prefix {
 		case "service":

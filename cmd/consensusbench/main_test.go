@@ -84,17 +84,26 @@ func TestErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
+		want string // substring of the error, when set
 	}{
 		{name: "no action", args: nil},
 		{name: "unknown experiment", args: []string{"-experiment", "E99"}},
 		{name: "unknown format", args: []string{"-experiment", "E6", "-quick", "-format", "xml"}},
 		{name: "bad flag", args: []string{"-nope"}},
+		{name: "negative trials", args: []string{"-experiment", "E3", "-quick", "-trials", "-5"}, want: "-trials must be non-negative"},
+		{name: "negative trials with bench-json", args: []string{"-experiment", "E3", "-quick", "-trials", "-5", "-bench-json", "b.json"}, want: "-trials must be non-negative"},
+		{name: "negative trials in des mode", args: []string{"-des", "-trials", "-2"}, want: "-trials must be non-negative"},
+		{name: "negative trials in fault mode", args: []string{"-fault", "all", "-trials", "-1"}, want: "-trials must be non-negative"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var b strings.Builder
-			if err := run(tt.args, &b); err == nil {
-				t.Error("expected error")
+			err := run(tt.args, &b)
+			if err == nil {
+				t.Fatal("expected error")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not mention %q", err, tt.want)
 			}
 		})
 	}

@@ -98,8 +98,8 @@ func TestMonteCarloRejectsBadConfig(t *testing.T) {
 // counts are a pure function of the seeds, so any change in how the flat
 // driver consumes a schedule source (slots drawn, no-op slots skipped,
 // budget accounting) or in how the machines step shows up here. Unlike
-// FuzzFlatVsCoroutine, which compares two drivers that share the
-// schedule-consumption code, this catches a change made to both.
+// FuzzFlatVsCoroutine, which compares two engines that run through the
+// same slot loop (sim.FlatRunner), this catches a change to that loop.
 func TestMonteCarloExactCounts(t *testing.T) {
 	sifter := FlatConfig{Conciliator: ConcSifter, AC: ACRegister}
 	priority := FlatConfig{Conciliator: ConcPriorityMax, AC: ACSnapshot}

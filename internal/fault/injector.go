@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
 )
@@ -98,8 +99,9 @@ type procState struct {
 }
 
 // Injector interprets one fault Schedule over one controlled run. The
-// simulator driver consults it at every slot (Advance, TakeRestart,
-// Wasted) and the memory substrate consults it on every read-class
+// simulator driver consults it when a fault is due (Advance, TakeRestart,
+// NextSlot) and on the grants of a process a stutter or stall may starve
+// (Wasted); the memory substrate consults it on every read-class
 // operation through the memory.Faulter capability. It is single-run,
 // single-goroutine state: the controlled engine runs one process at a
 // time, which is the only mode faults support.
@@ -150,8 +152,10 @@ func NewInjector(s *Schedule, n int) (*Injector, error) {
 }
 
 // Advance delivers every process fault whose slot clock has been
-// reached. The driver calls it once per slot, before drawing a pid.
-func (inj *Injector) Advance(slot int64) {
+// reached and returns the events it delivered, which the caller must not
+// modify. The driver calls it at the top of a slot, before drawing a pid.
+func (inj *Injector) Advance(slot int64) []Event {
+	from := inj.slotCur
 	for inj.slotCur < len(inj.slotEvents) && inj.slotEvents[inj.slotCur].Slot <= slot {
 		e := inj.slotEvents[inj.slotCur]
 		inj.slotCur++
@@ -166,6 +170,16 @@ func (inj *Injector) Advance(slot int64) {
 			inj.restarts = append(inj.restarts, e.Pid)
 		}
 	}
+	return inj.slotEvents[from:inj.slotCur]
+}
+
+// NextSlot returns the slot clock of the next undelivered process fault,
+// or math.MaxInt64 when none is left.
+func (inj *Injector) NextSlot() int64 {
+	if inj.slotCur == len(inj.slotEvents) {
+		return math.MaxInt64
+	}
+	return inj.slotEvents[inj.slotCur].Slot
 }
 
 // TakeRestart pops the next pending crash-recovery target, if any. The

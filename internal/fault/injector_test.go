@@ -1,6 +1,9 @@
 package fault
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func mustSchedule(t *testing.T, n int, events []Event) *Schedule {
 	t.Helper()
@@ -75,7 +78,15 @@ func TestInjectorRestartQueue(t *testing.T) {
 	if _, ok := inj.TakeRestart(); ok {
 		t.Fatal("restart before its slot")
 	}
-	inj.Advance(5)
+	if got := inj.NextSlot(); got != 5 {
+		t.Fatalf("NextSlot before delivery = %d, want 5", got)
+	}
+	if got := inj.Advance(5); len(got) != 2 || got[0].Pid != 0 || got[1].Pid != 2 {
+		t.Fatalf("Advance(5) delivered %+v, want the slot-5 restarts of pids 0 and 2", got)
+	}
+	if got := inj.NextSlot(); got != 9 {
+		t.Fatalf("NextSlot after slot 5 = %d, want 9", got)
+	}
 	// Normalized order: same slot sorts by pid.
 	if pid, ok := inj.TakeRestart(); !ok || pid != 0 {
 		t.Fatalf("first restart = %d, %v", pid, ok)
@@ -87,6 +98,9 @@ func TestInjectorRestartQueue(t *testing.T) {
 		t.Fatal("spurious third restart")
 	}
 	inj.Advance(20) // delivery is catch-up, not exact-match
+	if got := inj.NextSlot(); got != math.MaxInt64 {
+		t.Fatalf("NextSlot with nothing left = %d, want math.MaxInt64", got)
+	}
 	if pid, ok := inj.TakeRestart(); !ok || pid != 1 {
 		t.Fatalf("late restart = %d, %v", pid, ok)
 	}

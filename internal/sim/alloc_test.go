@@ -94,8 +94,8 @@ func TestFlatRunnerSteadyStateZeroAllocs(t *testing.T) {
 
 // TestRunControlledSteadyStateAllocs pins the trial-state pooling: after
 // warmup, a whole controlled run costs only the Result bookkeeping (a
-// handful of fixed allocations), independent of step count — Proc,
-// runState, RNG, and coroutine scratch all come from the pool.
+// handful of fixed allocations), independent of step count — Proc, the
+// runner's per-process arrays, RNG, and scratch all come from the pool.
 func TestRunControlledSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

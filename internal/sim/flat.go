@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/fault"
@@ -32,7 +33,8 @@ var ErrFlatFaults = errors.New("sim: flat engine does not support fault schedule
 //     rng at the position in pid's own stream where the coroutine body
 //     would draw it.
 //   - Every process performs at least one operation. (All protocols here
-//     do; the coroutine engine additionally tolerates zero-step bodies.)
+//     do. The runner lets only RunControlled's coroutine adapter finish a
+//     process in Init, for bodies that return without a step.)
 //
 // Machines are single-run; callers reuse them across trials through their
 // own Reset mechanisms.
@@ -92,20 +94,22 @@ type FlatResult struct {
 	Key uint64
 }
 
-// FlatRunner drives FlatMachines under schedule sources with the same
-// slot-level semantics as the coroutine driver (see drive): one operation
-// per charged slot, uncharged no-op slots for finished or crashed
-// processes (skipped in bulk after a no-op when the source is a
-// sched.Skipper), the same slot budget, and the same RNG fork layout. A
-// runner is reusable across runs and, with RunInto, allocation-free in
-// steady state; it is not safe for concurrent use.
+// FlatRunner drives FlatMachines under schedule sources with the paper's
+// slot semantics: one operation per charged slot, uncharged no-op slots
+// for finished or crashed processes (skipped in bulk after a no-op when
+// the source is a sched.Skipper), a slot budget, and one RNG stream per
+// process forked from the algorithm seed in pid order. Its slot loop is
+// the package's only one: RunControlled runs coroutine bodies through it
+// too, and only for RunControlled does the loop interpret a fault
+// schedule. A runner is reusable across runs and, with RunInto,
+// allocation-free in steady state; it is not safe for concurrent use.
 //
 // The type parameter only types the machine argument; it does not
 // devirtualize Step. Go stencils generic code per GC shape, so every
 // pointer machine shares the FlatRunner[go.shape.*uint8] instantiation
 // and Step is called through its dictionary.
 type FlatRunner[M FlatMachine] struct {
-	done    []bool
+	state   []uint8 // per-process stDone and stWaste bits
 	steps   []int64
 	rngs    []xrand.Rand
 	doneCnt int
@@ -115,15 +119,38 @@ type FlatRunner[M FlatMachine] struct {
 	ca       sched.CrashAware
 	batch    int
 	skipPred func(pid int) bool
+
+	// The current run's fault injector (RunControlled only) and the slot
+	// clock of its next process fault.
+	inj     *fault.Injector
+	faultAt int64
+
+	// Step metering (metrics enabled only): steps granted since t0 and not
+	// yet observed. Fields, so the slot loop carries fewer locals.
+	grants int64
+	t0     time.Time
 }
+
+// Per-process state bits of a run. A slot granted to a process with
+// either bit set leaves the step path: stDone makes it a no-op, stWaste
+// asks the fault injector whether a stutter or stall consumes it.
+const (
+	stDone  uint8 = 1 << iota // finished
+	stWaste                   // a delivered stutter or stall may be pending
+)
 
 // NewFlatRunner returns a reusable runner for machines of type M.
 func NewFlatRunner[M FlatMachine]() *FlatRunner[M] {
 	fr := &FlatRunner[M]{}
-	// Built once so the hot loop never allocates a closure. Mirrors
-	// drive's skipPred.
+	// Built once so the hot loop never allocates a closure. It accepts a
+	// slot only when the loop, drawing it, would spend it as a no-op and
+	// go on: the pid is finished or crashed, and the run is not over.
+	// Skipping therefore never changes a Result (slots a skip consumes
+	// past the budget are clamped away). Without crashes a run cannot end
+	// during a skip, since no process steps, so only crash-aware sources
+	// pay the liveDone scan: their crash clock can end the run mid-skip.
 	fr.skipPred = func(pid int) bool {
-		if fr.batch >= skipBatch || !(fr.done[pid] || !fr.alive(pid)) || fr.ca != nil && fr.liveDone() {
+		if fr.batch >= skipBatch || fr.state[pid]&stDone == 0 && fr.alive(pid) || fr.ca != nil && fr.liveDone() {
 			return false
 		}
 		fr.batch++
@@ -134,15 +161,16 @@ func NewFlatRunner[M FlatMachine]() *FlatRunner[M] {
 
 func (fr *FlatRunner[M]) alive(pid int) bool { return fr.ca == nil || fr.ca.Alive(pid) }
 
+// liveDone reports whether every process the schedule has not crashed
+// has finished. Without crashes every process eventually finishes, so
+// the count alone decides; only crash-aware sources pay the O(n) scan.
 func (fr *FlatRunner[M]) liveDone() bool {
-	if fr.doneCnt == len(fr.done) {
-		return true
-	}
-	if fr.ca == nil {
-		return false
-	}
-	for pid, done := range fr.done {
-		if !done && fr.ca.Alive(pid) {
+	return fr.doneCnt == len(fr.state) || fr.ca != nil && fr.survivorsDone()
+}
+
+func (fr *FlatRunner[M]) survivorsDone() bool {
+	for pid, st := range fr.state {
+		if st&stDone == 0 && fr.ca.Alive(pid) {
 			return false
 		}
 	}
@@ -150,8 +178,8 @@ func (fr *FlatRunner[M]) liveDone() bool {
 }
 
 // skipBatch bounds the no-op slots one SkipWhile call may consume, so a
-// skip overshoots the slot budget by at most this much before the driver
-// clamps Result.Slots. Both engines share it.
+// skip overshoots the slot budget by at most this much before the loop
+// clamps Result.Slots.
 const skipBatch = 1024
 
 // Run executes one controlled run of m under src, allocating fresh
@@ -170,58 +198,86 @@ func (fr *FlatRunner[M]) RunInto(src sched.Source, m M, cfg Config, res *Result)
 	if cfg.Faults != nil {
 		return ErrFlatFaults
 	}
+	return fr.run(src, m, cfg, res)
+}
+
+// run is the slot loop. When m is RunControlled's coroutine adapter, a
+// body may finish during Init, and the loop interprets cfg.Faults.
+func (fr *FlatRunner[M]) run(src sched.Source, m M, cfg Config, res *Result) error {
 	n := src.N()
 	maxSlots := cfg.MaxSlots
 	if maxSlots <= 0 {
 		maxSlots = defaultMaxSlots
 	}
+	fr.inj, fr.faultAt = nil, math.MaxInt64
+	if cfg.Faults != nil {
+		inj, err := fault.NewInjector(cfg.Faults, n)
+		if err != nil {
+			return err
+		}
+		fr.inj, fr.faultAt = inj, inj.NextSlot()
+	}
 
-	if cap(fr.done) < n {
-		fr.done = make([]bool, n)
+	if cap(fr.state) < n {
+		fr.state = make([]uint8, n)
 		fr.steps = make([]int64, n)
 		fr.rngs = make([]xrand.Rand, n)
 	}
-	fr.done = fr.done[:n]
-	fr.steps = fr.steps[:n]
-	fr.rngs = fr.rngs[:n]
-	for i := 0; i < n; i++ {
-		fr.done[i] = false
-		fr.steps[i] = 0
-	}
+	fr.state, fr.steps, fr.rngs = fr.state[:n], fr.steps[:n], fr.rngs[:n]
+	clear(fr.state)
+	clear(fr.steps)
 	fr.doneCnt = 0
 
-	// Identical stream layout to RunControlled: one root reseed, then one
-	// named fork per process in pid order (each fork consumes one draw of
-	// the root stream).
+	// One root reseed, then one named fork per process in pid order (each
+	// fork consumes one draw of the root stream).
 	var root xrand.Rand
 	root.Reseed(cfg.AlgSeed)
 	for i := 0; i < n; i++ {
 		root.ForkNamedInto(uint64(i), &fr.rngs[i])
 	}
-	// Priming: all pre-first-step randomness, in pid order, matching the
-	// coroutine priming loop.
+	// Priming: all pre-first-step randomness, in pid order. Code before
+	// the first operation touches nothing shared, so the order is
+	// unobservable. A coroutine body may return without taking a step.
+	co, isCo := any(m).(coMachine)
 	for pid := 0; pid < n; pid++ {
 		m.Init(pid, &fr.rngs[pid])
+		if isCo && co.r.returned {
+			fr.state[pid] = stDone
+			fr.doneCnt++
+		}
 	}
 
 	fr.ca, _ = src.(sched.CrashAware)
 	skipper, _ := src.(sched.Skipper)
+	if fr.inj != nil {
+		// Slot-addressed fault events must observe every slot index, so
+		// bulk no-op skipping is off for faulted runs (the same trade
+		// trace.RecordingSource makes to see every slot).
+		skipper = nil
+	}
+	// The loop looks at the fault clock only once the slot clock reaches
+	// limit, so an unfaulted slot pays no more than the budget compare.
+	limit := min(maxSlots, fr.faultAt)
 
 	metered := mStepNanos != nil
+	fr.grants = 0
 	var (
-		slots  int64
-		err    error
-		grants int64
-		t0     time.Time
+		slots int64
+		err   error
 	)
 
 	for {
-		if fr.liveDone() {
-			break
-		}
-		if slots >= maxSlots {
-			slots = maxSlots
-			err = fmt.Errorf("%w (budget %d)", ErrSlotBudget, maxSlots)
+		if slots >= limit || fr.liveDone() {
+			if slots >= fr.faultAt {
+				// Faults due at the top of this slot are delivered before
+				// the run-over check, since a restart can un-finish it.
+				limit = min(maxSlots, fr.deliver(m, slots))
+				continue
+			}
+			if !fr.liveDone() {
+				slots = maxSlots
+				err = fmt.Errorf("%w (budget %d)", ErrSlotBudget, maxSlots)
+			}
 			break
 		}
 		pid := src.Next()
@@ -232,34 +288,39 @@ func (fr *FlatRunner[M]) RunInto(src sched.Source, m M, cfg Config, res *Result)
 			break
 		}
 		slots++
-		if fr.done[pid] || !fr.alive(pid) {
-			// Uncharged no-op slot, per the model; a source that can
-			// peek hands over the no-op slots that follow in one call.
-			if skipper != nil {
-				fr.batch = 0
-				slots = min(slots+skipper.SkipWhile(fr.skipPred), maxSlots)
+		if st := fr.state[pid]; st != 0 || !fr.alive(pid) {
+			if st != stWaste || !fr.alive(pid) {
+				// Uncharged no-op slot, per the model; a source that can
+				// peek hands over the no-op slots that follow in one call.
+				if skipper != nil {
+					fr.batch = 0
+					slots = min(slots+skipper.SkipWhile(fr.skipPred), maxSlots)
+				}
+				continue
 			}
-			continue
+			if fr.inj.Wasted(pid, slots-1) {
+				// A stutter or stall consumes the slot without running the
+				// process: the schedule advances, no step is charged.
+				continue
+			}
+			fr.state[pid] = 0
 		}
-		if metered && grants == 0 {
-			t0 = time.Now()
+		if metered && fr.grants == 0 {
+			fr.t0 = time.Now()
 		}
 		fr.steps[pid]++
 		if m.Step(pid, &fr.rngs[pid]) {
-			fr.done[pid] = true
+			fr.state[pid] = stDone
 			fr.doneCnt++
 		}
 		if metered {
-			if grants++; grants >= meterBatch {
-				mWindowSize.Observe(grants)
-				mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
-				grants = 0
+			if fr.grants++; fr.grants >= meterBatch {
+				fr.observeSteps()
 			}
 		}
 	}
-	if metered && grants > 0 {
-		mWindowSize.Observe(grants)
-		mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
+	if metered && fr.grants > 0 {
+		fr.observeSteps()
 	}
 
 	if cap(res.Steps) < n {
@@ -268,19 +329,55 @@ func (fr *FlatRunner[M]) RunInto(src sched.Source, m M, cfg Config, res *Result)
 	if cap(res.Finished) < n {
 		res.Finished = make([]bool, n)
 	}
-	res.Steps = res.Steps[:n]
-	res.Finished = res.Finished[:n]
-	res.TotalSteps = 0
-	res.Slots = slots
-	res.Restarts = 0
-	res.Faults = fault.Counts{}
+	*res = Result{Steps: res.Steps[:n], Slots: slots, Finished: res.Finished[:n]}
 	for pid := 0; pid < n; pid++ {
 		res.Steps[pid] = fr.steps[pid]
 		res.TotalSteps += fr.steps[pid]
-		res.Finished[pid] = fr.done[pid]
+		res.Finished[pid] = fr.state[pid]&stDone != 0
 	}
+	if fr.inj != nil {
+		res.Faults = fr.inj.Counts()
+		res.Restarts = res.Faults.Restarts
+	}
+	fr.ca, fr.inj = nil, nil // do not pin this run's source or faults
 	observeRun(*res, true)
 	return err
+}
+
+// observeSteps records the open metering batch: its size and the
+// amortized wall time per granted step.
+func (fr *FlatRunner[M]) observeSteps() {
+	mWindowSize.Observe(fr.grants)
+	mStepNanos.Observe(time.Since(fr.t0).Nanoseconds() / fr.grants)
+	fr.grants = 0
+}
+
+// deliver hands out the process faults due at slot and returns the slot
+// of the next one. Stutters and stalls mark their target for the
+// injector's Wasted check; restarts go to the coroutine adapter.
+func (fr *FlatRunner[M]) deliver(m M, slot int64) int64 {
+	for _, e := range fr.inj.Advance(slot) {
+		if e.Kind != fault.CrashRecover {
+			fr.state[e.Pid] |= stWaste
+		}
+	}
+	for pid, ok := fr.inj.TakeRestart(); ok; pid, ok = fr.inj.TakeRestart() {
+		// Schedule-level crashes are permanent: a pid the adversary
+		// crashed does not recover.
+		if !fr.alive(pid) {
+			continue
+		}
+		if fin := any(m).(coMachine).restart(pid); fin != (fr.state[pid]&stDone != 0) {
+			fr.state[pid] ^= stDone
+			if fin {
+				fr.doneCnt++
+			} else {
+				fr.doneCnt--
+			}
+		}
+	}
+	fr.faultAt = fr.inj.NextSlot()
+	return fr.faultAt
 }
 
 // RunFlat executes one controlled run of m under src with a throwaway

@@ -148,12 +148,14 @@ func TestFlatRunnerReuse(t *testing.T) {
 }
 
 // TestPutStateClearsScratchArenas is the regression test for pooled
-// trial-state hygiene: after a run is returned to the pool, its Procs'
-// scratch arenas must hold no entries, otherwise the pool pins the
+// trial-state hygiene: once a run's state is put back in the pool, its
+// Procs' scratch arenas must hold no entries, otherwise the pool pins the
 // finished run's shared objects (and their buffers) until the next trial
-// of the same or larger size happens to evict them. Runs two
-// differently-sized trials back to back through the pool to cover the
-// resize path, then inspects the pooled state directly.
+// of the same or larger size happens to evict them. For the same reason
+// the pooled state must drop the run's body, fault injector, coroutine
+// handles and crash-aware source. Runs two differently-sized faulted
+// trials on a crash-aware source back to back through the pool to cover
+// the resize path, then inspects the pooled state directly.
 func TestPutStateClearsScratchArenas(t *testing.T) {
 	scanBody := func(n int) Body {
 		return func(p *Proc) {
@@ -163,15 +165,26 @@ func TestPutStateClearsScratchArenas(t *testing.T) {
 		}
 	}
 	for _, n := range []int{16, 4} {
-		if _, err := RunControlled(sched.NewRoundRobin(n), scanBody(n), Config{AlgSeed: 3}); err != nil {
+		sch, err := fault.NewSchedule(n, []fault.Event{{Kind: fault.Stutter, Pid: 1, Slot: 1, Arg: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := sched.NewCrashSet(sched.NewRoundRobin(n), []int{0}, 1<<20, 1)
+		if _, err := RunControlled(src, scanBody(n), Config{AlgSeed: 3, Faults: sch}); err != nil {
 			t.Fatalf("n=%d run failed: %v", n, err)
 		}
-		rs := getState(n)
-		for i := 0; i < len(rs.procs); i++ {
-			if len(rs.procs[i].scratch) != 0 {
-				t.Errorf("n=%d: pooled proc %d retains %d scratch entries, want 0", n, i, len(rs.procs[i].scratch))
+		r := runPool.Get().(*coRun)
+		if r.body != nil || r.fr.inj != nil || r.fr.ca != nil {
+			t.Errorf("n=%d: pooled run state retains body %v, injector %v, source %v", n, r.body != nil, r.fr.inj != nil, r.fr.ca != nil)
+		}
+		for i, p := range r.procs {
+			if len(p.scratch) != 0 {
+				t.Errorf("n=%d: pooled proc %d retains %d scratch entries, want 0", n, i, len(p.scratch))
+			}
+			if p.next != nil || p.stop != nil || p.yield != nil || p.inj != nil {
+				t.Errorf("n=%d: pooled proc %d retains coroutine or injector handles", n, i)
 			}
 		}
-		putState(rs, n)
+		runPool.Put(r)
 	}
 }

@@ -26,15 +26,17 @@
 //
 // # Controlled-mode execution engine
 //
-// Each process body runs inside an iter.Pull coroutine. The driver is the
-// adversary loop: it draws one schedule slot at a time from the source
-// (after an uncharged no-op slot, a source that can look ahead without
-// drawing — a sched.Skipper — hands over the no-op slots that follow in
-// one call) and resumes the scheduled process's coroutine, which
-// executes exactly one shared-memory operation and parks at its next
-// Step. A coroutine switch is a direct register-level transfer that never
-// goes through the goroutine scheduler, so one simulated step costs far
-// less than the park/wake round trip of a channel-based engine.
+// Each process body runs inside an iter.Pull coroutine, wrapped in a
+// FlatMachine adapter so that the flat engine's FlatRunner is the
+// adversary loop for both engines: it draws one schedule slot at a time
+// from the source (after an uncharged no-op slot, a source that can look
+// ahead without drawing — a sched.Skipper — hands over the no-op slots
+// that follow in one call) and resumes the scheduled process's
+// coroutine, which executes exactly one shared-memory operation and
+// parks at its next Step. A coroutine switch is a direct register-level
+// transfer that never goes through the goroutine scheduler, so one
+// simulated step costs far less than the park/wake round trip of a
+// channel-based engine.
 //
 // The coroutine engine also makes the run sequential *by construction*:
 // at any instant exactly one of {driver, some process} is running, and
@@ -43,18 +45,17 @@
 // Proc.Exclusive and the memory package): no two processes of a
 // controlled run can ever touch a shared object concurrently.
 //
-// Run state (Proc values, done flags, scratch buffers) is pooled across
-// runs via sync.Pool, so the -parallel trial runner's steady state does
-// not allocate per trial beyond the Result slices handed to the caller.
+// The per-run state — the runner with its per-process arrays, and the
+// adapter's Proc values and scratch buffers — is pooled across runs via
+// sync.Pool, so the -parallel trial runner's steady state allocates per
+// trial only the coroutines and the Result slices handed to the caller.
 package sim
 
 import (
 	"errors"
-	"fmt"
 	"iter"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/memory"
@@ -71,7 +72,7 @@ var ErrScheduleExhausted = errors.New("sim: schedule exhausted before all proces
 // fired, which almost always means a protocol failed to terminate.
 var ErrSlotBudget = errors.New("sim: slot budget exceeded")
 
-// meterBatch is the number of granted steps the driver amortizes each
+// meterBatch is the number of granted steps the slot loop amortizes each
 // step-latency observation over when metrics are enabled: two clock reads
 // per batch instead of two per step.
 const meterBatch = 256
@@ -80,58 +81,6 @@ const meterBatch = 256
 // before the body returned (crashed, schedule exhausted, or budget
 // fired). It is recovered at the coroutine boundary; body defers run.
 type procAborted struct{}
-
-// runState is the pooled per-run state of one controlled run: the
-// process handles and the done bookkeeping the driver maintains. Exactly
-// one goroutine owns a runState at a time.
-type runState struct {
-	procs   []*Proc
-	done    []bool
-	doneCnt int
-}
-
-var statePool sync.Pool
-
-// getState returns a runState with capacity for n processes, reusing a
-// pooled one when available.
-func getState(n int) *runState {
-	rs, _ := statePool.Get().(*runState)
-	if rs == nil {
-		rs = &runState{}
-	}
-	for len(rs.procs) < n {
-		rs.procs = append(rs.procs, &Proc{})
-	}
-	if cap(rs.done) < n {
-		rs.done = make([]bool, n)
-	}
-	rs.done = rs.done[:n]
-	for i := range rs.done {
-		rs.done[i] = false
-	}
-	rs.doneCnt = 0
-	return rs
-}
-
-// putState returns a runState to the pool. Callers must not retain any
-// *Proc from it. Coroutine handles are dropped so pooled state does not
-// pin finished bodies, and scratch arenas are cleared here rather than at
-// next reuse: a pooled scratch map is keyed by the finished run's shared
-// objects, so keeping its entries would pin that run's object graph (and
-// every buffer hanging off it) for as long as the state sits in the pool.
-// The map storage itself is kept — clearing preserves buckets, so the
-// next run's first scans still find a warm map.
-func putState(rs *runState, n int) {
-	for i := 0; i < n; i++ {
-		p := rs.procs[i]
-		p.next, p.stop, p.yield = nil, nil, nil
-		p.inj = nil
-		if p.scratch != nil {
-			clear(p.scratch)
-		}
-	}
-	statePool.Put(rs)
-}
 
 // Proc is the handle a process body uses to interact with the simulation.
 // It implements memory.Context: every shared-memory operation calls Step,
@@ -150,13 +99,13 @@ type Proc struct {
 	// the current run; it decorrelates the RNG stream of each rebirth.
 	incarnation uint32
 
-	// steps is the controlled-mode step counter. It is written only
-	// inside the process's own coroutine and read by the driver, and
+	// steps points at the controlled-mode step counter, which the slot
+	// loop keeps (it charges the step before resuming the coroutine);
 	// every coroutine switch is a synchronization point, so it needs no
 	// atomicity. Concurrent mode uses conc instead: a pointer into the
 	// runner's cache-line-padded counter slab, so processes hammering
 	// their own counters on different cores never write-share a line.
-	steps int64
+	steps *int64
 	conc  *atomic.Int64
 
 	// Controlled-mode coroutine hooks. yield parks the coroutine inside
@@ -186,7 +135,7 @@ func (p *Proc) Rng() *xrand.Rand { return &p.rng }
 // Steps returns the number of shared-memory steps charged so far.
 func (p *Proc) Steps() int64 {
 	if p.controlled {
-		return p.steps
+		return *p.steps
 	}
 	return p.conc.Load()
 }
@@ -200,7 +149,6 @@ func (p *Proc) Step() {
 			// and the sentinel is recovered at the coroutine boundary).
 			panic(procAborted{})
 		}
-		p.steps++
 		return
 	}
 	p.conc.Add(1)
@@ -302,7 +250,7 @@ func Counters() (steps, slots int64) {
 // Cached metrics instruments; all nil (free no-ops) until a registry is
 // installed. The step-latency histogram records wall nanoseconds per
 // modeled step, amortized over batches of up to meterBatch granted steps:
-// the driver times the batch and divides by its grant count, which costs
+// the slot loop times the batch and divides by its grant count, which costs
 // two clock reads per batch and so stays off the step hot path entirely.
 // The window histogram records the grant count of each timed batch.
 var (
@@ -388,249 +336,104 @@ type Body func(p *Proc)
 // (finite schedules), or the slot budget fires.
 func RunControlled(src sched.Source, body Body, cfg Config) (Result, error) {
 	n := src.N()
-	var inj *fault.Injector
 	if cfg.Faults != nil {
-		var err error
-		inj, err = fault.NewInjector(cfg.Faults, n)
-		if err != nil {
-			return Result{}, err
-		}
 		memory.ArmFaults()
 		defer memory.DisarmFaults()
 	}
-	rs := getState(n)
-	var root xrand.Rand
-	root.Reseed(cfg.AlgSeed)
-	for i := 0; i < n; i++ {
-		p := rs.procs[i]
-		p.id = i
-		root.ForkNamedInto(uint64(i), &p.rng)
-		p.controlled = true
-		p.steps = 0
-		p.inj = inj
-		p.incarnation = 0
-		if p.scratch != nil {
-			clear(p.scratch)
-		}
-		p.next, p.stop = iter.Pull(procSeq(p, body))
+	r := runPool.Get().(*coRun)
+	for len(r.procs) < n {
+		r.procs = append(r.procs, &Proc{})
 	}
-
-	// If a body panics, the panic propagates out of next() into drive and
-	// through here; reclaim the remaining parked coroutines but do not
-	// pool the (possibly inconsistent) state.
-	completed := false
-	defer func() {
-		if !completed {
-			for i := 0; i < n; i++ {
-				rs.procs[i].stop()
-			}
-		}
-	}()
-
-	res, err := drive(src, rs, cfg, body, inj)
+	r.body, r.seed = body, cfg.AlgSeed
 
 	// Reclaim processes still parked at a Step: stop makes their pending
 	// yield return false, unwinding the coroutine through its defers.
-	for i := 0; i < n; i++ {
-		rs.procs[i].stop()
-	}
-	observeRun(res, true)
-	completed = true
-	putState(rs, n)
+	// Then drop every handle on this run, so the pooled state pins
+	// neither its body nor its shared objects: a scratch map is keyed by
+	// them, and clearing it keeps its buckets warm for the next run. If a
+	// body panicked, the panic propagates out of the runner and through
+	// here, and the state is not pooled.
+	pooled := false
+	defer func() {
+		for _, p := range r.procs[:n] {
+			if p.stop != nil {
+				p.stop()
+			}
+			p.next, p.stop, p.yield, p.inj = nil, nil, nil, nil
+			if p.scratch != nil {
+				clear(p.scratch)
+			}
+		}
+		r.body = nil
+		if pooled {
+			runPool.Put(r)
+		}
+	}()
+	var res Result
+	err := r.fr.run(src, coMachine{r}, cfg, &res)
+	pooled = true
 	return res, err
 }
 
-// restartProc delivers a crash-recovery fault to pid: the current
+// coRun is RunControlled's pooled per-run state: the runner that drives
+// the run and the processes its coroutine adapter resumes. Exactly one
+// goroutine owns a coRun at a time.
+type coRun struct {
+	fr       *FlatRunner[coMachine]
+	procs    []*Proc
+	body     Body
+	seed     uint64
+	returned bool // the body the last Init primed returned without a step
+}
+
+var runPool = sync.Pool{New: func() any { return &coRun{fr: NewFlatRunner[coMachine]()} }}
+
+// coMachine adapts coroutine bodies to FlatMachine, so RunControlled runs
+// through FlatRunner's slot loop. It is a one-pointer struct rather than
+// a pointer so that FlatRunner[coMachine] gets its own instantiation
+// instead of the one every pointer machine shares.
+type coMachine struct{ r *coRun }
+
+// Init primes pid's coroutine: the body runs to its first Step, or to
+// its end if it takes none.
+func (c coMachine) Init(pid int, rng *xrand.Rand) {
+	p := c.r.procs[pid]
+	p.id, p.rng, p.controlled, p.inj = pid, *rng, true, c.r.fr.inj
+	p.steps, p.incarnation = &c.r.fr.steps[pid], 0
+	c.r.returned = c.r.start(p)
+}
+
+// Step resumes pid's coroutine for exactly one operation.
+func (c coMachine) Step(pid int, _ *xrand.Rand) bool {
+	_, ok := c.r.procs[pid].next()
+	return !ok
+}
+
+// restart delivers a crash-recovery fault to pid: the current
 // incarnation's coroutine is unwound (amnesia — all local state is
 // lost), and the body restarts from the top with a fresh private RNG
-// stream decorrelated by the incarnation count. Shared writes persist,
-// cumulative step counts persist; a process that had finished becomes
-// unfinished until its new incarnation completes.
-func restartProc(rs *runState, pid int, body Body, algSeed uint64) {
-	p := rs.procs[pid]
+// stream decorrelated by the incarnation count. Shared writes and
+// cumulative step counts persist. It reports whether the reborn body
+// returned without a step.
+func (c coMachine) restart(pid int) bool {
+	p := c.r.procs[pid]
 	p.stop()
 	p.incarnation++
 	var root xrand.Rand
-	root.Reseed(algSeed)
+	root.Reseed(c.r.seed)
 	root.ForkNamedInto(uint64(pid)|uint64(p.incarnation)<<32, &p.rng)
+	return c.r.start(p)
+}
+
+// start runs a fresh coroutine of the body for p up to its first Step
+// and reports whether the body returned before taking one.
+func (r *coRun) start(p *Proc) bool {
 	if p.scratch != nil {
 		clear(p.scratch)
 	}
-	p.next, p.stop = iter.Pull(procSeq(p, body))
-	if _, ok := p.next(); !ok {
-		// The reborn body finished without taking a step.
-		if !rs.done[pid] {
-			rs.done[pid] = true
-			rs.doneCnt++
-		}
-		return
-	}
-	if rs.done[pid] {
-		rs.done[pid] = false
-		rs.doneCnt--
-	}
-}
-
-// drive is the adversary loop. It draws schedule slots one at a time and
-// resumes the scheduled process's coroutine for exactly one operation per
-// charged slot. A slot for a finished or crashed process is an uncharged
-// no-op; after one, a source that implements sched.Skipper consumes the
-// no-op slots that follow in a single call, since it can look at them
-// without drawing.
-func drive(src sched.Source, rs *runState, cfg Config, body Body, inj *fault.Injector) (Result, error) {
-	procs := rs.procs
-	n := src.N()
-	maxSlots := cfg.MaxSlots
-	if maxSlots <= 0 {
-		maxSlots = defaultMaxSlots
-	}
-	var (
-		slots int64
-		err   error
-	)
-
-	// Prime every coroutine: run each body to its first Step (or to
-	// completion, for bodies that never take a step). Code before the
-	// first Step touches nothing shared — every shared-memory operation
-	// starts by stepping — so priming order is unobservable.
-	for pid := 0; pid < n; pid++ {
-		if _, ok := procs[pid].next(); !ok {
-			rs.done[pid] = true
-			rs.doneCnt++
-		}
-	}
-
-	ca, _ := src.(sched.CrashAware)
-	alive := func(pid int) bool { return ca == nil || ca.Alive(pid) }
-	liveDone := func() bool {
-		if rs.doneCnt == n {
-			return true
-		}
-		if ca == nil {
-			// Without crashes every process eventually finishes, so the
-			// count alone decides — no O(n) scan.
-			return false
-		}
-		for pid := 0; pid < n; pid++ {
-			if !rs.done[pid] && ca.Alive(pid) {
-				return false
-			}
-		}
-		return true
-	}
-
-	skipper, _ := src.(sched.Skipper)
-	if inj != nil {
-		// Slot-addressed fault events must observe every slot index, so
-		// bulk no-op skipping is off for faulted runs (the same trade
-		// trace.RecordingSource makes to see every slot).
-		skipper = nil
-	}
-	// skipPred accepts a slot only when this loop, drawing it, would
-	// spend it as a no-op and go on: the pid is finished or crashed, and
-	// the run is not over. Skipping therefore never changes a Result
-	// (slots a skip consumes past the budget are clamped away). Without
-	// crashes a run cannot end during a skip, since no process steps, so
-	// only crash-aware sources pay the liveDone scan: their crash clock
-	// can end the run mid-skip. skipBatch bounds one call.
-	batch := 0
-	skipPred := func(pid int) bool {
-		if batch >= skipBatch || !(rs.done[pid] || !alive(pid)) || ca != nil && liveDone() {
-			return false
-		}
-		batch++
-		return true
-	}
-
-	metered := mStepNanos != nil
-	var (
-		grants int64
-		t0     time.Time
-	)
-
-	for {
-		if inj != nil {
-			// Deliver process faults due at the current slot clock.
-			// Restarts run before the liveDone check because a reborn
-			// process can un-finish the run.
-			inj.Advance(slots)
-			for {
-				pid, ok := inj.TakeRestart()
-				if !ok {
-					break
-				}
-				if alive(pid) {
-					// Schedule-level crashes are permanent: a pid the
-					// adversary crashed does not recover.
-					restartProc(rs, pid, body, cfg.AlgSeed)
-				}
-			}
-		}
-		if liveDone() {
-			break
-		}
-		if slots >= maxSlots {
-			slots = maxSlots
-			err = fmt.Errorf("%w (budget %d)", ErrSlotBudget, maxSlots)
-			break
-		}
-		pid := src.Next()
-		if pid == sched.Exhausted {
-			if !liveDone() {
-				err = ErrScheduleExhausted
-			}
-			break
-		}
-		slots++
-		if rs.done[pid] || !alive(pid) {
-			// Uncharged no-op slot, per the model; a source that can
-			// peek hands over the no-op slots that follow in one call.
-			if skipper != nil {
-				batch = 0
-				slots = min(slots+skipper.SkipWhile(skipPred), maxSlots)
-			}
-			continue
-		}
-		if inj != nil && inj.Wasted(pid, slots-1) {
-			// A stutter or stall consumes the slot without running the
-			// process: the schedule advances, no step is charged.
-			continue
-		}
-		if metered && grants == 0 {
-			t0 = time.Now()
-		}
-		if _, ok := procs[pid].next(); !ok {
-			rs.done[pid] = true
-			rs.doneCnt++
-		}
-		if metered {
-			if grants++; grants >= meterBatch {
-				mWindowSize.Observe(grants)
-				mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
-				grants = 0
-			}
-		}
-	}
-	if metered && grants > 0 {
-		mWindowSize.Observe(grants)
-		mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
-	}
-
-	res := Result{
-		Steps:    make([]int64, n),
-		Slots:    slots,
-		Finished: make([]bool, n),
-	}
-	for pid := 0; pid < n; pid++ {
-		res.Steps[pid] = procs[pid].steps
-		res.TotalSteps += res.Steps[pid]
-		res.Finished[pid] = rs.done[pid]
-	}
-	if inj != nil {
-		res.Faults = inj.Counts()
-		res.Restarts = res.Faults.Restarts
-	}
-	return res, err
+	p.next, p.stop = iter.Pull(procSeq(p, r.body))
+	_, ok := p.next()
+	return !ok
 }
 
 // Collect runs body under the controlled scheduler and gathers one output
