@@ -3,6 +3,7 @@ package consensus
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,8 +31,8 @@ type MCConfig struct {
 	Seed uint64
 	// Workers is the worker-goroutine count (0 = GOMAXPROCS).
 	Workers int
-	// ChunkSize is the number of trials a worker claims at a time
-	// (0 = 256).
+	// ChunkSize is the largest number of trials a worker claims at a
+	// time (0 = 256); claims shrink below it as the sweep drains.
 	ChunkSize int64
 }
 
@@ -77,12 +78,8 @@ type mcWorker struct {
 	runner  *sim.FlatRunner[*FlatConsensus]
 	res     sim.Result
 
-	agreed     int64
-	totalSteps int64
-	totalSlots int64
-	steps      *stats.IntHist
-	maxSteps   *stats.IntHist
-	phases     *stats.IntHist
+	agreed, totalSteps, totalSlots int64
+	steps, maxSteps, phases        *stats.IntHist
 }
 
 func newMCWorker(m *FlatConsensus) *mcWorker {
@@ -130,63 +127,66 @@ func (w *mcWorker) runTrial(cfg *MCConfig, t int64) error {
 	return nil
 }
 
+// claimSize is how many trials a worker claims while remaining trials
+// are unclaimed (guided self-scheduling): claims shrink from chunk as the
+// sweep drains, so the workers run out of trials together.
+func claimSize(remaining, chunk int64, workers int) int64 {
+	return min(chunk, max(1, remaining/(2*int64(workers))))
+}
+
 // RunMonteCarlo runs cfg.Trials independent flat-engine consensus trials
-// across chunked workers with worker-local streaming aggregation: the
-// hot loop reuses one machine, one runner, and one Result per worker, so
-// steady-state trials do not allocate. The aggregate is byte-identical
-// for any Workers/ChunkSize setting.
+// across workers with worker-local streaming aggregation: the hot loop
+// reuses one machine, one runner, and one Result per worker, so
+// steady-state trials do not allocate. Claims shrink from ChunkSize as the
+// sweep drains; the calling goroutine runs worker 0. The aggregate is
+// byte-identical for any Workers/ChunkSize setting.
 func RunMonteCarlo(cfg MCConfig) (*MCResult, error) {
 	if cfg.N < 1 || cfg.Trials < 1 {
 		return nil, fmt.Errorf("consensus: Monte Carlo needs N >= 1 and Trials >= 1, got N=%d Trials=%d", cfg.N, cfg.Trials)
 	}
-	if _, err := NewFlat(cfg.N, cfg.Flat); err != nil {
-		return nil, err
+	if !slices.Contains(sched.Kinds(), cfg.Sched) {
+		return nil, fmt.Errorf("consensus: Monte Carlo needs a schedule family, got %v", cfg.Sched)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if int64(workers) > cfg.Trials {
-		workers = int(cfg.Trials)
-	}
+	workers = int(min(int64(workers), cfg.Trials))
 	chunk := cfg.ChunkSize
 	if chunk <= 0 {
 		chunk = 256
 	}
 
 	start := time.Now()
-	var nextChunk atomic.Int64
-	var firstErr atomic.Value
 	ws := make([]*mcWorker, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		m, err := NewFlat(cfg.N, cfg.Flat)
+	for wi := range ws {
+		m, err := NewFlat(cfg.N, cfg.Flat) // the first call validates cfg.Flat
 		if err != nil {
 			return nil, err
 		}
-		w := newMCWorker(m)
-		ws[wi] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for firstErr.Load() == nil {
-				lo := nextChunk.Add(chunk) - chunk
-				if lo >= cfg.Trials {
+		ws[wi] = newMCWorker(m)
+	}
+	var next atomic.Int64
+	var firstErr atomic.Value
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	work := func(w *mcWorker) {
+		defer wg.Done()
+		for hi := int64(0); hi < cfg.Trials && firstErr.Load() == nil; {
+			n := claimSize(cfg.Trials-next.Load(), chunk, workers)
+			hi = next.Add(n)
+			for t := hi - n; t < min(hi, cfg.Trials); t++ {
+				if err := w.runTrial(&cfg, t); err != nil {
+					firstErr.CompareAndSwap(nil, err)
 					return
 				}
-				hi := lo + chunk
-				if hi > cfg.Trials {
-					hi = cfg.Trials
-				}
-				for t := lo; t < hi; t++ {
-					if err := w.runTrial(&cfg, t); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-				}
 			}
-		}()
+		}
 	}
+	for _, w := range ws[1:] {
+		go work(w)
+	}
+	work(ws[0])
 	wg.Wait()
 	if err, ok := firstErr.Load().(error); ok && err != nil {
 		return nil, err
