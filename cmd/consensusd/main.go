@@ -94,16 +94,19 @@ func run(args []string, out *os.File, ready chan<- string) error {
 	cfg := node.Config()
 	fmt.Fprintf(out, "consensusd: serving on http://%s (shards %d, pipeline %d, batch-max %d, protocol %s)\n",
 		ln.Addr(), cfg.Shards, cfg.Pipeline, cfg.BatchMax, protoName(cfg.Protocol))
+	// Catch the shutdown signals before announcing readiness: whoever
+	// learns the address may signal at once, and a signal that lands
+	// before Notify takes the default action and kills the process
+	// instead of draining it.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(stop)
 
 	select {
 	case sig := <-stop:

@@ -94,6 +94,38 @@ func TestRunLifecycle(t *testing.T) {
 	}
 }
 
+// TestRunSignalAtReady sends SIGTERM the moment run reports ready, with
+// no request in between: the signal must already be caught, so the node
+// drains and run returns nil. Were it uncaught, its default action would
+// kill the test binary.
+func TestRunSignalAtReady(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		ready := make(chan string, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- run([]string{"-addr", "127.0.0.1:0", "-seed", fmt.Sprint(i + 1)}, os.Stdout, ready)
+		}()
+		select {
+		case <-ready:
+		case err := <-done:
+			t.Fatalf("run %d exited before ready: %v", i, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d never became ready", i)
+		}
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run %d: shutdown: %v", i, err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("run %d never drained after SIGTERM", i)
+		}
+	}
+}
+
 func TestRunFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-shards", "-1"},

@@ -96,15 +96,6 @@ func (s *AfekSnapshot[T]) ScanInto(ctx Context, buf []Entry[T]) []Entry[T] {
 	}
 }
 
-// Ops reports the total register operations served by the object.
-func (s *AfekSnapshot[T]) Ops() int64 {
-	var total int64
-	for _, c := range s.cells {
-		total += c.Ops()
-	}
-	return total
-}
-
 func (s *AfekSnapshot[T]) collect(ctx Context) []afekCell[T] {
 	out := make([]afekCell[T], len(s.cells))
 	for i, c := range s.cells {

@@ -8,7 +8,10 @@
 // Every operation on a shared object charges exactly one step to the
 // calling process through the Context interface, matching the paper's cost
 // model in which both register operations and snapshot update/scan
-// operations cost one step (Section 1.1). Objects are internally
+// operations cost one step (Section 1.1). That step, kept by the caller's
+// Context, and the per-class metrics counters (free until a registry is
+// installed) are the only accounting an operation does: objects keep no
+// operation count of their own. Objects are internally
 // linearizable under every execution mode, via one of two
 // representations latched per object on first use (see repMode): plain
 // field access under Exclusive contexts (the controlled engine and the
@@ -117,15 +120,6 @@ func (r *repMode) of(ctx Context) int32 {
 	return r.m.Load()
 }
 
-// opCounter tracks how many operations an object has served. Atomic so it
-// is safe in concurrent mode; reads are for metrics only.
-type opCounter struct {
-	n atomic.Int64
-}
-
-func (c *opCounter) inc()        { c.n.Add(1) }
-func (c *opCounter) load() int64 { return c.n.Load() }
-
 // Per-object-class operation counters, aggregated across every instance.
 // All nil (free no-ops) until a metrics registry is installed; see the
 // metrics package for the enable protocol and ordering requirements.
@@ -144,11 +138,11 @@ func (c *opCounter) load() int64 { return c.n.Load() }
 //  3. The fault hook (FaultOnWrite / stale-read substitution), after the
 //     effect: the injector records the post-state an overlapping
 //     observer could legitimately see.
-//  4. Accounting: ops.inc() and the per-class counter, last, so counter
-//     deltas always describe completed effects. Counters are monotone
-//     diagnostics, not linearization witnesses — in concurrent mode an
-//     operation's effect and its counter increment are not one atomic
-//     unit, and no reader may assume they are.
+//  4. Accounting: the per-class counter, last, so counter deltas always
+//     describe completed effects. Counters are monotone diagnostics, not
+//     linearization witnesses — in concurrent mode an operation's effect
+//     and its counter increment are not one atomic unit, and no reader
+//     may assume they are.
 //
 // TestRepresentationEquivalence pins the accounting half of this
 // contract in both representations.

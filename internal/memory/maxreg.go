@@ -33,7 +33,6 @@ type MaxRegister[T any] struct {
 	key     uint64
 	payload T
 	set     bool
-	ops     opCounter
 }
 
 var _ Maxer[int] = (*MaxRegister[int])(nil)
@@ -90,7 +89,6 @@ func (m *MaxRegister[T]) WriteMax(ctx Context, key uint64, payload T) {
 			f.FaultOnWrite(m, after)
 		}
 	}
-	m.ops.inc()
 	mMaxWrite.Inc()
 }
 
@@ -100,7 +98,6 @@ func (m *MaxRegister[T]) ReadMax(ctx Context) (uint64, T, bool) {
 	if faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
 			if stale, hit := f.FaultOnRead(m); hit {
-				m.ops.inc()
 				mMaxRead.Inc()
 				if stale == nil {
 					var zero T
@@ -123,13 +120,9 @@ func (m *MaxRegister[T]) ReadMax(ctx Context) (uint64, T, bool) {
 	} else {
 		k, p, ok = m.key, m.payload, m.set
 	}
-	m.ops.inc()
 	mMaxRead.Inc()
 	return k, p, ok
 }
-
-// Ops reports how many operations this max register has served.
-func (m *MaxRegister[T]) Ops() int64 { return m.ops.load() }
 
 // TreeMaxRegister is the Aspnes–Attiya–Censor-Hillel max register built
 // recursively from ordinary registers: a k-bit max register is a switch

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/oblivious-consensus/conciliator/internal/metrics"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
@@ -28,12 +29,22 @@ func TestMaxRegisterKeepsMax(t *testing.T) {
 	}
 }
 
+// TestMaxRegisterOps: each operation charges one step and moves its own
+// class counter once (unit-cost model).
 func TestMaxRegisterOps(t *testing.T) {
+	metrics.SetDefault(metrics.New())
+	defer metrics.SetDefault(nil)
+
+	ctx := &countingCtx{}
 	m := NewMaxRegister[int]()
-	m.WriteMax(Free, 1, 1)
-	m.ReadMax(Free)
-	if got := m.Ops(); got != 2 {
-		t.Fatalf("Ops = %d, want 2", got)
+	reads, writes := mMaxRead.Value(), mMaxWrite.Value()
+	m.WriteMax(ctx, 1, 1)
+	m.ReadMax(ctx)
+	if ctx.steps != 2 {
+		t.Fatalf("charged %d steps, want 2", ctx.steps)
+	}
+	if dw, dr := mMaxWrite.Value()-writes, mMaxRead.Value()-reads; dw != 1 || dr != 1 {
+		t.Fatalf("write, read deltas = %d, %d, want 1, 1", dw, dr)
 	}
 }
 

@@ -21,7 +21,6 @@ type Register[T any] struct {
 	lf  atomic.Pointer[T]
 	val T
 	set bool
-	ops opCounter
 }
 
 // NewRegister returns an empty register.
@@ -42,7 +41,6 @@ func (r *Register[T]) Write(ctx Context, v T) {
 			f.FaultOnWrite(r, v)
 		}
 	}
-	r.ops.inc()
 	mRegWrite.Inc()
 }
 
@@ -53,7 +51,6 @@ func (r *Register[T]) Read(ctx Context) (T, bool) {
 	if faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
 			if stale, hit := f.FaultOnRead(r); hit {
-				r.ops.inc()
 				mRegRead.Inc()
 				if stale == nil {
 					var zero T
@@ -74,7 +71,6 @@ func (r *Register[T]) Read(ctx Context) (T, bool) {
 	} else {
 		v, ok = r.val, r.set
 	}
-	r.ops.inc()
 	mRegRead.Inc()
 	return v, ok
 }
@@ -101,7 +97,6 @@ func (r *Register[T]) CompareEmptyAndWrite(ctx Context, v T) (T, bool) {
 			f.FaultOnWrite(r, v)
 		}
 	}
-	r.ops.inc()
 	if installed {
 		mRegWrite.Inc()
 	} else {
@@ -138,11 +133,8 @@ func (r *Register[T]) lfInstallEmpty(v T) (T, bool) {
 	return *r.lf.Load(), false
 }
 
-// Ops reports how many operations this register has served.
-func (r *Register[T]) Ops() int64 { return r.ops.load() }
-
 // Reset returns the register to its never-written state: both
-// representations and the operation count are cleared. The
+// representations are cleared. The
 // representation latch is kept — whichever representation it names now
 // reads as empty, and every operation still follows it — which spares
 // the reused register the latching CAS on its first operation. Reset is
@@ -154,7 +146,6 @@ func (r *Register[T]) Reset() {
 	var zero T
 	r.lf = atomic.Pointer[T]{}
 	r.val, r.set = zero, false
-	r.ops = opCounter{}
 }
 
 // RegisterArray is a convenience bundle of k independent registers, used
@@ -185,13 +176,4 @@ func (a *RegisterArray[T]) Reset() {
 	for _, r := range a.regs {
 		r.Reset()
 	}
-}
-
-// Ops sums operation counts across the array.
-func (a *RegisterArray[T]) Ops() int64 {
-	var total int64
-	for _, r := range a.regs {
-		total += r.Ops()
-	}
-	return total
 }

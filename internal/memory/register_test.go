@@ -31,16 +31,29 @@ func TestRegisterWriteRead(t *testing.T) {
 	}
 }
 
+// TestRegisterOpsCount: each operation charges one step and moves its
+// own class counter once.
 func TestRegisterOpsCount(t *testing.T) {
+	metrics.SetDefault(metrics.New())
+	defer metrics.SetDefault(nil)
+
+	ctx := &countingCtx{}
 	r := NewRegister[int]()
+	reads, writes := mRegRead.Value(), mRegWrite.Value()
 	for i := 0; i < 5; i++ {
-		r.Write(Free, i)
+		r.Write(ctx, i)
 	}
 	for i := 0; i < 3; i++ {
-		r.Read(Free)
+		r.Read(ctx)
 	}
-	if got := r.Ops(); got != 8 {
-		t.Fatalf("Ops = %d, want 8", got)
+	if ctx.steps != 8 {
+		t.Fatalf("charged %d steps, want 8", ctx.steps)
+	}
+	if d := mRegWrite.Value() - writes; d != 5 {
+		t.Fatalf("write delta = %d, want 5", d)
+	}
+	if d := mRegRead.Value() - reads; d != 3 {
+		t.Fatalf("read delta = %d, want 3", d)
 	}
 }
 
@@ -111,16 +124,17 @@ func TestRegisterArray(t *testing.T) {
 	if a.Len() != 4 {
 		t.Fatalf("Len = %d", a.Len())
 	}
+	ctx := &countingCtx{}
 	for i := 0; i < 4; i++ {
-		a.At(i).Write(Free, i*i)
+		a.At(i).Write(ctx, i*i)
 	}
 	for i := 0; i < 4; i++ {
-		if v, ok := a.At(i).Read(Free); !ok || v != i*i {
+		if v, ok := a.At(i).Read(ctx); !ok || v != i*i {
 			t.Fatalf("At(%d) = (%d, %v)", i, v, ok)
 		}
 	}
-	if got := a.Ops(); got != 8 {
-		t.Fatalf("array Ops = %d, want 8", got)
+	if ctx.steps != 8 {
+		t.Fatalf("array operations charged %d steps, want 8", ctx.steps)
 	}
 }
 
@@ -150,17 +164,18 @@ func TestCompareEmptyAndWriteCounters(t *testing.T) {
 	defer metrics.SetDefault(nil)
 
 	for _, tc := range []struct {
-		name string
-		ctx  Context
+		name      string
+		exclusive bool
 	}{
-		{"lock-free", Free},
-		{"exclusive", FreeExclusive},
+		{"lock-free", false},
+		{"exclusive", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRegister[int]()
+			ctx := &countingCtx{exclusive: tc.exclusive}
 
 			reads, writes := mRegRead.Value(), mRegWrite.Value()
-			if v, ok := r.CompareEmptyAndWrite(tc.ctx, 7); !ok || v != 7 {
+			if v, ok := r.CompareEmptyAndWrite(ctx, 7); !ok || v != 7 {
 				t.Fatalf("install path = (%d, %v), want (7, true)", v, ok)
 			}
 			if d := mRegWrite.Value() - writes; d != 1 {
@@ -171,7 +186,7 @@ func TestCompareEmptyAndWriteCounters(t *testing.T) {
 			}
 
 			reads, writes = mRegRead.Value(), mRegWrite.Value()
-			if v, ok := r.CompareEmptyAndWrite(tc.ctx, 9); ok || v != 7 {
+			if v, ok := r.CompareEmptyAndWrite(ctx, 9); ok || v != 7 {
 				t.Fatalf("no-install path = (%d, %v), want (7, false)", v, ok)
 			}
 			if d := mRegWrite.Value() - writes; d != 0 {
@@ -181,15 +196,15 @@ func TestCompareEmptyAndWriteCounters(t *testing.T) {
 				t.Fatalf("no-install path read delta = %d, want 1", d)
 			}
 
-			if got := r.Ops(); got != 2 {
-				t.Fatalf("Ops = %d, want 2", got)
+			if ctx.steps != 2 {
+				t.Fatalf("charged %d steps, want 2", ctx.steps)
 			}
 		})
 	}
 }
 
 // TestRegisterReset: in every representation, a reset register reads as
-// never written and has served no operations, and it keeps working —
+// never written, and it keeps working —
 // under its original representation — afterwards.
 func TestRegisterReset(t *testing.T) {
 	for _, tc := range []struct {
@@ -206,9 +221,6 @@ func TestRegisterReset(t *testing.T) {
 				arr.At(i).Write(tc.ctx, "old")
 			}
 			arr.Reset()
-			if ops := arr.Ops(); ops != 0 {
-				t.Fatalf("reset array reports %d ops", ops)
-			}
 			for i := 0; i < arr.Len(); i++ {
 				if v, ok := arr.At(i).Read(tc.ctx); ok {
 					t.Fatalf("register %d reads %q after Reset, want empty", i, v)

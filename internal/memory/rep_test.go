@@ -9,8 +9,8 @@ import (
 )
 
 // repCase is one object class's sequential operation script. run
-// returns the script's observable trace: every return value and the
-// object's Ops() count, rendered in order. want holds the exact counter
+// returns the script's observable trace: every return value, rendered in
+// order. want holds the exact counter
 // deltas the script must produce in both representations, except
 // memory.register.casretry, which is pinned per representation; any
 // counter outside the class's own prefixes must not move.
@@ -42,7 +42,6 @@ var repCases = []repCase{
 			empty := NewRegister[int]()
 			v, ok = empty.CompareEmptyAndWrite(ctx, 4) // empty: installs 4
 			obs("empty.CEW=%d,%v", v, ok)
-			obs("reg.Ops=%d empty.Ops=%d", reg.Ops(), empty.Ops())
 		},
 	},
 	{
@@ -65,7 +64,6 @@ var repCases = []repCase{
 			maxr.WriteMax(ctx, 9, "nine")
 			k, p, ok = maxr.ReadMax(ctx)
 			obs("max.ReadMax=%d,%q,%v", k, p, ok)
-			obs("max.Ops=%d", maxr.Ops())
 		},
 	},
 	{
@@ -85,7 +83,6 @@ var repCases = []repCase{
 			buf := make([]Entry[int], 3)
 			buf[0] = Entry[int]{Value: 99, OK: true} // stale contents must be overwritten
 			obs("snap.ScanInto=%v", snap.ScanInto(ctx, buf))
-			obs("snap.Ops=%d", snap.Ops())
 		},
 	},
 	{
@@ -123,7 +120,6 @@ var repCases = []repCase{
 			afek.Update(ctx, 2, 8)
 			afek.Update(ctx, 0, 9)
 			obs("afek.Scan=%v", afek.Scan(ctx))
-			obs("afek.Ops=%d", afek.Ops())
 		},
 	},
 }
@@ -131,7 +127,7 @@ var repCases = []repCase{
 // TestRepresentationEquivalence runs each object class's sequential
 // script through the direct representation (an Exclusive context) and
 // the lock-free one (a non-exclusive context) and requires identical
-// return values, Ops() counts, charged steps and counter deltas. The one
+// return values, charged steps and counter deltas. The one
 // permitted difference is memory.register.casretry: the lock-free arm of
 // a failed empty-install loses its CAS and counts it. The deltas also pin
 // the accounting half of the operation order: each operation class moves

@@ -28,7 +28,6 @@ type Snapshot[T any] struct {
 	rep  repMode
 	lf   atomic.Pointer[[]Entry[T]]
 	vals []Entry[T]
-	ops  opCounter
 }
 
 // NewSnapshot returns an n-component snapshot object with all components
@@ -64,7 +63,6 @@ func (s *Snapshot[T]) Update(ctx Context, i int, v T) {
 			f.FaultOnWrite(ComponentKey{Obj: s, I: i}, v)
 		}
 	}
-	s.ops.inc()
 	mSnapUpdate.Inc()
 }
 
@@ -107,7 +105,6 @@ func (s *Snapshot[T]) ScanInto(ctx Context, buf []Entry[T]) []Entry[T] {
 			}
 		}
 	}
-	s.ops.inc()
 	mSnapScan.Inc()
 	return buf
 }
@@ -132,9 +129,6 @@ func (s *Snapshot[T]) ScanScratch(ctx Context) []Entry[T] {
 	*p = s.ScanInto(ctx, *p)
 	return *p
 }
-
-// Ops reports how many operations this snapshot object has served.
-func (s *Snapshot[T]) Ops() int64 { return s.ops.load() }
 
 // ViewSubset reports whether view a is a subset of view b in the sense of
 // the Lemma 1 proof: every component set in a is set in b. For views of

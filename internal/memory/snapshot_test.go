@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"github.com/oblivious-consensus/conciliator/internal/metrics"
 )
 
 func TestSnapshotEmptyScan(t *testing.T) {
@@ -40,13 +42,23 @@ func TestSnapshotScanIsCopy(t *testing.T) {
 	}
 }
 
+// TestSnapshotOps: each update and scan charges one step and moves its
+// own class counter once (unit-cost model).
 func TestSnapshotOps(t *testing.T) {
+	metrics.SetDefault(metrics.New())
+	defer metrics.SetDefault(nil)
+
+	ctx := &countingCtx{}
 	s := NewSnapshot[int](2)
-	s.Update(Free, 0, 1)
-	s.Update(Free, 1, 2)
-	s.Scan(Free)
-	if got := s.Ops(); got != 3 {
-		t.Fatalf("Ops = %d, want 3 (unit-cost model)", got)
+	updates, scans := mSnapUpdate.Value(), mSnapScan.Value()
+	s.Update(ctx, 0, 1)
+	s.Update(ctx, 1, 2)
+	s.Scan(ctx)
+	if ctx.steps != 3 {
+		t.Fatalf("charged %d steps, want 3 (unit-cost model)", ctx.steps)
+	}
+	if du, ds := mSnapUpdate.Value()-updates, mSnapScan.Value()-scans; du != 2 || ds != 1 {
+		t.Fatalf("update, scan deltas = %d, %d, want 2, 1", du, ds)
 	}
 }
 

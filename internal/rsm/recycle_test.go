@@ -244,3 +244,37 @@ func BenchmarkLogProposeCompact(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestSoloSlotModeledCost pins one service slot's modeled cost: a lone
+// proposer deciding a batch on a register-model instance charges exactly
+// 141 steps, at pipeline widths 1 and 2 and on recycled instances alike.
+// The count is a property of the protocol stack alone (the solo
+// conciliator run plus the hash adopt-commit's flag operations), so any
+// drift means a step charge moved, not that the substrate got faster or
+// slower.
+func TestSoloSlotModeledCost(t *testing.T) {
+	const want = 141
+	for _, w := range []int{1, 2} {
+		log := NewLog[string](w, consensus.NewRegister[string])
+		var steps [3]int64
+		_, err := sim.RunConcurrent(1, func(p *sim.Proc) {
+			for slot := range steps {
+				batch := fmt.Sprintf("rsm-batch/v1\n1 7 %d \"k%03d\" \"v1\"\n", slot+1, slot)
+				before := p.Steps()
+				if got := log.Propose(p, slot, batch); got != batch {
+					t.Errorf("W=%d slot %d: solo proposer decided %q, want its own batch", w, slot, got)
+				}
+				steps[slot] = p.Steps() - before
+				log.Compact(slot + 1)
+			}
+		}, sim.Config{AlgSeed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot, got := range steps {
+			if got != want {
+				t.Errorf("W=%d slot %d: charged %d steps, want %d", w, slot, got, want)
+			}
+		}
+	}
+}

@@ -44,19 +44,33 @@ type BatchOp struct {
 }
 
 // EncodeBatch renders ops as the canonical batch string: a header line
-// followed by one line per op. Keys and values are strconv.Quote'd, so
-// arbitrary bytes (including newlines and spaces) round-trip.
+// followed by one line per op, "kind client seq key value". Keys and
+// values are strconv.Quote'd, so arbitrary bytes (including newlines and
+// spaces) round-trip. Every field is appended into one buffer sized for
+// the batch up front.
 func EncodeBatch(ops []BatchOp) string {
-	var b strings.Builder
-	b.Grow(len(batchMagic) + 1 + len(ops)*32)
-	b.WriteString(batchMagic)
-	b.WriteByte('\n')
+	// Three integers of at most 20 digits, two quote pairs, five
+	// separators: 69 bytes per line besides the unescaped key and value.
+	size := len(batchMagic) + 1
 	for _, bo := range ops {
-		fmt.Fprintf(&b, "%d %d %d %s %s\n",
-			int(bo.Op.Kind), bo.Tag.Client, bo.Tag.Seq,
-			strconv.Quote(bo.Op.Key), strconv.Quote(bo.Op.Value))
+		size += 69 + len(bo.Op.Key) + len(bo.Op.Value)
 	}
-	return b.String()
+	b := make([]byte, 0, size)
+	b = append(b, batchMagic...)
+	b = append(b, '\n')
+	for _, bo := range ops {
+		b = strconv.AppendInt(b, int64(bo.Op.Kind), 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(bo.Tag.Client), 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, bo.Tag.Seq, 10)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, bo.Op.Key)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, bo.Op.Value)
+		b = append(b, '\n')
+	}
+	return string(b)
 }
 
 // DecodeBatch parses an encoded batch back into its tagged ops.

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
@@ -30,8 +29,12 @@ const cacheLine = 64
 
 // padSteps is one process's concurrent step counter, padded out to a
 // full cache line so neighboring processes' counters never false-share.
+// Only the goroutine running the process touches n during a trial: Run
+// zeroes it before handing the process to a worker over the work channel
+// and reads it after wg.Wait, and both are happens-before edges, so n
+// needs no atomicity.
 type padSteps struct {
-	n atomic.Int64
+	n int64
 	_ [cacheLine - 8]byte
 }
 
@@ -132,7 +135,7 @@ func (r *ConcurrentRunner) Run(body Body, cfg Config) (Result, error) {
 		if p.scratch != nil {
 			clear(p.scratch)
 		}
-		r.steps[i].n.Store(0)
+		r.steps[i].n = 0
 		r.finished[i] = false
 	}
 	r.body = body
@@ -149,7 +152,7 @@ func (r *ConcurrentRunner) Run(body Body, cfg Config) (Result, error) {
 		Finished: make([]bool, r.n),
 	}
 	for i := 0; i < r.n; i++ {
-		res.Steps[i] = r.steps[i].n.Load()
+		res.Steps[i] = r.steps[i].n
 		res.TotalSteps += res.Steps[i]
 		res.Finished[i] = r.finished[i]
 	}

@@ -102,29 +102,52 @@ func TestConcurrentRunnerRecoversAfterPanicTrial(t *testing.T) {
 }
 
 func TestConcurrentRunnerWorkerPoolSmallerThanN(t *testing.T) {
-	// 16 wait-free processes over 4 workers: everything still runs to
-	// completion with exact step accounting.
-	const n, workers = 16, 4
+	// 16 wait-free processes over 4 workers, several trials on one
+	// runner: everything still runs to completion with exact step
+	// accounting. Each process charges a different number of steps, so a
+	// counter handed to the wrong process, carried over from the last
+	// trial, or lost to a worker switching processes shows up. The step
+	// counters are plain fields, so under the race detector this also
+	// checks that only each process's own goroutine touches its counter
+	// during a trial.
+	const n, workers, trials = 16, 4, 3
 	r := NewConcurrentRunner(n, workers)
 	defer r.Close()
 	if r.Workers() != workers {
 		t.Fatalf("Workers() = %d, want %d", r.Workers(), workers)
 	}
-	reg := memory.NewRegister[int]()
-	res, err := r.Run(func(p *Proc) {
-		for i := 0; i < 50; i++ {
-			reg.Write(p, p.ID())
+	for trial := 0; trial < trials; trial++ {
+		want := func(pid int) int64 { return int64(10*(trial+1) + pid) }
+		reg := memory.NewRegister[int]()
+		seen := make([]int64, n)
+		res, err := r.Run(func(p *Proc) {
+			for i := int64(0); i < want(p.ID()); i++ {
+				if i%2 == 0 {
+					reg.Write(p, p.ID())
+				} else {
+					reg.Read(p)
+				}
+			}
+			seen[p.ID()] = p.Steps()
+		}, Config{AlgSeed: uint64(trial) + 9})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}, Config{AlgSeed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalSteps != n*50 {
-		t.Fatalf("TotalSteps = %d, want %d", res.TotalSteps, n*50)
-	}
-	for pid, f := range res.Finished {
-		if !f {
-			t.Errorf("process %d unfinished", pid)
+		var total int64
+		for pid := 0; pid < n; pid++ {
+			total += want(pid)
+			if res.Steps[pid] != want(pid) {
+				t.Errorf("trial %d: process %d Result.Steps = %d, want %d", trial, pid, res.Steps[pid], want(pid))
+			}
+			if seen[pid] != want(pid) {
+				t.Errorf("trial %d: process %d read Steps() = %d at exit, want %d", trial, pid, seen[pid], want(pid))
+			}
+			if !res.Finished[pid] {
+				t.Errorf("trial %d: process %d unfinished", trial, pid)
+			}
+		}
+		if res.TotalSteps != total {
+			t.Fatalf("trial %d: TotalSteps = %d, want %d", trial, res.TotalSteps, total)
 		}
 	}
 }

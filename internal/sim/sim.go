@@ -105,8 +105,10 @@ type Proc struct {
 	// atomicity. Concurrent mode uses conc instead: a pointer into the
 	// runner's cache-line-padded counter slab, so processes hammering
 	// their own counters on different cores never write-share a line.
+	// Only the goroutine running the process writes *conc (see
+	// padSteps), so it too is a plain counter.
 	steps *int64
-	conc  *atomic.Int64
+	conc  *int64
 
 	// Controlled-mode coroutine hooks. yield parks the coroutine inside
 	// Step; next and stop are the driver's handles on it.
@@ -132,12 +134,16 @@ func (p *Proc) ID() int { return p.id }
 // is oblivious to it.
 func (p *Proc) Rng() *xrand.Rand { return &p.rng }
 
-// Steps returns the number of shared-memory steps charged so far.
+// Steps returns the number of shared-memory steps charged so far. In
+// concurrent mode the counter is a plain field written by the process's
+// own goroutine, so during a run only that goroutine — the process body
+// itself — may call Steps; other goroutines read the final counts from
+// the run's Result.
 func (p *Proc) Steps() int64 {
 	if p.controlled {
 		return *p.steps
 	}
-	return p.conc.Load()
+	return *p.conc
 }
 
 // Step implements memory.Context.
@@ -151,7 +157,7 @@ func (p *Proc) Step() {
 		}
 		return
 	}
-	p.conc.Add(1)
+	*p.conc++
 }
 
 // Exclusive implements memory.Context. It reports whether shared objects

@@ -453,7 +453,8 @@ func TestResultSlotsCounted(t *testing.T) {
 }
 
 func TestStepsVisibleDuringConcurrentRun(t *testing.T) {
-	// Steps uses an atomic counter so metrics can be read mid-run.
+	// A process reads its own step counter mid-run: conciliator and
+	// adopt-commit metrics do exactly this around each call.
 	observed := make([]int64, 2)
 	res, err := RunConcurrent(2, func(p *Proc) {
 		for i := 0; i < 100; i++ {

@@ -77,32 +77,48 @@ func (r *Rand) SeedNamed(label uint64) uint64 {
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
+//
+// The state is loaded into locals and stored back as one array, which
+// keeps the function under the compiler's inlining budget: every draw
+// in the simulator (schedule slots, persona coins, latency samples) is
+// then straight-line code in its caller. CI checks that it stays
+// inlinable.
 func (r *Rand) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
 
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = bits.RotateLeft64(r.s[3], 45)
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	r.s = [4]uint64{s0, s1, s2 ^ t, bits.RotateLeft64(s3, 45)}
 
 	return result
 }
 
 // Uint64n returns a uniform value in [0, n). n must be positive.
 func (r *Rand) Uint64n(n uint64) uint64 {
+	// Lemire's multiply-shift rejection method: unbiased and branch-light.
+	// The first draw is accepted unless lo < n, which happens with
+	// probability n/2^64; that case, and n == 0 (where lo < n never
+	// holds), leave the inlined fast path.
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n || n == 0 {
+		return r.uint64nSlow(n, hi, lo)
+	}
+	return hi
+}
+
+// uint64nSlow is Uint64n's rejection loop for a first draw (hi, lo) with
+// lo < n, and its n == 0 panic.
+func (r *Rand) uint64nSlow(n, hi, lo uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with n == 0")
 	}
-	// Lemire's multiply-shift rejection method: unbiased and branch-light.
-	hi, lo := bits.Mul64(r.Uint64(), n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), n)
 	}
 	return hi
 }

@@ -287,3 +287,63 @@ func BenchmarkUint64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestKnownAnswers pins the exact stream: the first outputs of every
+// drawing method for three seeds, in a fixed call order, recorded from
+// the reference implementation. Every experiment replays from its seeds,
+// so a rewrite of any draw path must reproduce these bit for bit. The
+// Uint64n(2^63+1) draws reject about half their raw draws, so they cover
+// the rejection loop; rejectDraws pins how many raw draws they consumed.
+func TestKnownAnswers(t *testing.T) {
+	type answers struct {
+		seed          uint64
+		uint64        [4]uint64
+		uint64n10     [4]uint64
+		uint64nReject [4]uint64
+		rejectDraws   int
+		intn1000      [4]int
+		float64       [2]float64
+		bools         [4]bool
+		bernoulli     [4]bool
+		after         uint64
+	}
+	cases := []answers{
+		{seed: 0x1, uint64: [4]uint64{0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7}, uint64n10: [4]uint64{0x6, 0x1, 0x0, 0x3}, uint64nReject: [4]uint64{0x469e6dc61d52d8e8, 0x7a861ff8f3ebf453, 0xa4c616091043e43, 0x3ee4e1e366989c17}, rejectDraws: 10, intn1000: [4]int{45, 63, 463, 496}, float64: [2]float64{0.6107921480828804, 0.3497664216273568}, bools: [4]bool{false, false, true, false}, bernoulli: [4]bool{false, false, true, false}, after: 0x6d8eb8acb8d215d1},
+		{seed: 0x2a, uint64: [4]uint64{0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1, 0xecb8ad4703b360a1}, uint64n10: [4]uint64{0x9, 0x7, 0x7, 0x8}, uint64nReject: [4]uint64{0x6174b739374bb23f, 0x2534edcc39d7c4b2, 0x6687f6d49803635b, 0x705aad345cb33bfd}, rejectDraws: 8, intn1000: [4]int{616, 851, 707, 707}, float64: [2]float64{0.0928600625172592, 0.17902281011233556}, bools: [4]bool{true, true, false, false}, bernoulli: [4]bool{true, false, false, true}, after: 0x6a0da881492d3bfd},
+		{seed: 0xdeadbeefcafef00d, uint64: [4]uint64{0x9e32cfb5bb93eebb, 0x16006bd9d4ac0014, 0x8ada5d6d34b6538e, 0x7c327ca32346a238}, uint64n10: [4]uint64{0x7, 0x8, 0x7, 0x7}, uint64nReject: [4]uint64{0x630218045310553c, 0x6a643cd17145d43a, 0x6b74f7b2e61a8d56, 0x363ac94c80003892}, rejectDraws: 9, intn1000: [4]int{503, 332, 255, 444}, float64: [2]float64{0.7815502347809378, 0.39962233351362775}, bools: [4]bool{true, true, false, true}, bernoulli: [4]bool{false, false, true, false}, after: 0x3a5df396edc947cd},
+	}
+	for _, want := range cases {
+		r := New(want.seed)
+		got := answers{seed: want.seed}
+		for i := range got.uint64 {
+			got.uint64[i] = r.Uint64()
+		}
+		for i := range got.uint64n10 {
+			got.uint64n10[i] = r.Uint64n(10)
+		}
+		raw := *r
+		for i := range got.uint64nReject {
+			got.uint64nReject[i] = r.Uint64n(1<<63 + 1)
+		}
+		for raw != *r {
+			raw.Uint64()
+			got.rejectDraws++
+		}
+		for i := range got.intn1000 {
+			got.intn1000[i] = r.Intn(1000)
+		}
+		for i := range got.float64 {
+			got.float64[i] = r.Float64()
+		}
+		for i := range got.bools {
+			got.bools[i] = r.Bool()
+		}
+		for i := range got.bernoulli {
+			got.bernoulli[i] = r.Bernoulli(0.5)
+		}
+		got.after = r.Uint64()
+		if got != want {
+			t.Errorf("seed %#x:\n got %+v\nwant %+v", want.seed, got, want)
+		}
+	}
+}
