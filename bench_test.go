@@ -221,10 +221,9 @@ func BenchmarkFlatHotPath(b *testing.B) {
 // concurrent substrate: n processes on real goroutines hammer a shared
 // register, max register, and snapshot, and the benchmark reports
 // modeled steps per second. It is the regression surface for the
-// lock-free object representations, with BENCH_concurrent_steps.json as
-// the committed record. One runner is reused across all b.N trials, so
-// goroutine spawn cost is excluded just as the experiment sweeps exclude
-// it.
+// lock-free object representations; the nightly workflow runs it. One
+// runner is reused across all b.N trials, so goroutine spawn cost is
+// excluded just as the experiment sweeps exclude it.
 func BenchmarkConcurrentSteps(b *testing.B) {
 	const opsPerProc = 512
 	for _, n := range []int{2, 8, 64} {

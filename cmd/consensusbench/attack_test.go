@@ -26,9 +26,9 @@ func TestAttackFlagValidation(t *testing.T) {
 		{"fault-trials conflict", []string{"-attack", "all", "-fault-trials", "3"}, "cannot be combined"},
 		{"fault-replay conflict", []string{"-attack", "all", "-fault-replay", "r.json"}, "cannot be combined"},
 		{"bench-json conflict", []string{"-attack", "all", "-bench-json", "b.json"}, "cannot be combined"},
-		{"bench-baseline conflict", []string{"-attack", "all", "-bench-baseline", "b.json"}, "cannot be combined"},
-		{"bench-concurrent-json conflict", []string{"-attack", "all", "-bench-concurrent-json", "b.json"}, "cannot be combined"},
-		{"bench-concurrent-baseline conflict", []string{"-attack", "all", "-bench-concurrent-baseline", "b.json"}, "cannot be combined"},
+		{"metrics-json conflict", []string{"-attack", "all", "-metrics-json", "m.json"}, "cannot be combined"},
+		{"metrics conflict", []string{"-attack", "all", "-metrics"}, "cannot be combined"},
+		{"timings conflict", []string{"-attack", "all", "-timings"}, "cannot be combined"},
 		{"experiment conflict", []string{"-attack", "all", "-experiment", "E19"}, "cannot be combined"},
 		{"all conflict", []string{"-attack", "all", "-all"}, "cannot be combined"},
 		{"list conflict", []string{"-attack", "all", "-list"}, "cannot be combined"},

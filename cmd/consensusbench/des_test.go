@@ -19,9 +19,9 @@ func TestDESFlagValidation(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"bench-json conflict", []string{"-des", "-bench-json", "b.json"}, "cannot be combined"},
-		{"bench-baseline conflict", []string{"-des", "-bench-baseline", "b.json"}, "cannot be combined"},
-		{"bench-concurrent-json conflict", []string{"-des", "-bench-concurrent-json", "b.json"}, "cannot be combined"},
-		{"bench-concurrent-baseline conflict", []string{"-des", "-bench-concurrent-baseline", "b.json"}, "cannot be combined"},
+		{"metrics-json conflict", []string{"-des", "-metrics-json", "m.json"}, "cannot be combined"},
+		{"metrics conflict", []string{"-des", "-metrics"}, "cannot be combined"},
+		{"timings conflict", []string{"-des", "-timings"}, "cannot be combined"},
 		{"experiment conflict", []string{"-des", "-experiment", "E18"}, "cannot be combined"},
 		{"all conflict", []string{"-des", "-all"}, "cannot be combined"},
 		{"list conflict", []string{"-des", "-list"}, "cannot be combined"},

@@ -24,8 +24,8 @@ func TestFaultFlagValidation(t *testing.T) {
 		{"negative n", []string{"-fault", "all", "-fault-n", "-4"}, "fault-n"},
 		{"negative shrink", []string{"-fault", "all", "-fault-shrink", "-9"}, "fault-shrink"},
 		{"unknown sched kind", []string{"-fault", "all", "-fault-sched", "warp"}, "unknown schedule kind"},
-		{"baseline conflict", []string{"-fault", "all", "-bench-baseline", "b.json"}, "bench-baseline"},
-		{"bench-json conflict", []string{"-fault", "all", "-bench-json", "b.json"}, "bench-baseline"},
+		{"metrics-json conflict", []string{"-fault", "all", "-metrics-json", "m.json"}, "-metrics-json cannot be combined with -fault"},
+		{"bench-json conflict", []string{"-fault", "all", "-bench-json", "b.json"}, "not the experiment suite's -bench-json/-metrics-json records"},
 		{"experiment conflict", []string{"-fault", "all", "-experiment", "E3"}, "cannot be combined"},
 		{"all conflict", []string{"-fault", "all", "-all"}, "cannot be combined"},
 		{"replay plus sweep", []string{"-fault-replay", "r.json", "-fault", "all"}, "cannot be combined"},

@@ -82,22 +82,19 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("consensusbench", flag.ContinueOnError)
 	var (
-		list              = fs.Bool("list", false, "list experiments and exit")
-		expID             = fs.String("experiment", "", "experiment id(s) to run, comma-separated (E1..E21)")
-		all               = fs.Bool("all", false, "run every experiment")
-		trials            = fs.Int("trials", 0, "trials per configuration (0 = per-experiment default)")
-		seed              = fs.Uint64("seed", 0, "master seed (0 = default)")
-		quick             = fs.Bool("quick", false, "small sweeps for a fast smoke run")
-		format            = fs.String("format", "text", "output format: text, markdown, or tsv")
-		timings           = fs.Bool("timings", false, "print wall-clock time per experiment")
-		parallel          = fs.Int("parallel", 0, "trial workers per experiment (0 = NumCPU); results are identical for any value")
-		benchOut          = fs.String("bench-json", "", "write a JSON perf record (steps/sec, slots/sec, wall time per experiment) to this path")
-		benchBaseline     = fs.String("bench-baseline", "", "compare this run's controlled-steps entries against a committed bench record; exit nonzero on a >10% steps/s regression")
-		benchConcOut      = fs.String("bench-concurrent-json", "", "run the concurrent-substrate sweep (lock-free objects, real goroutines) and write its JSON record to this path")
-		benchConcBaseline = fs.String("bench-concurrent-baseline", "", "compare the concurrent sweep's entries against a committed record; exit nonzero on a >10% steps/s regression")
-		metricsOut        = fs.String("metrics-json", "", "write a JSON metrics record (per-object op counts, phase step attribution, histograms) to this path")
-		metricsTable      = fs.Bool("metrics", false, "print the metrics table after the run")
-		debugAddr         = fs.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060) while experiments run")
+		list         = fs.Bool("list", false, "list experiments and exit")
+		expID        = fs.String("experiment", "", "experiment id(s) to run, comma-separated (E1..E21)")
+		all          = fs.Bool("all", false, "run every experiment")
+		trials       = fs.Int("trials", 0, "trials per configuration (0 = per-experiment default)")
+		seed         = fs.Uint64("seed", 0, "master seed (0 = default)")
+		quick        = fs.Bool("quick", false, "small sweeps for a fast smoke run")
+		format       = fs.String("format", "text", "output format: text, markdown, or tsv")
+		timings      = fs.Bool("timings", false, "print wall-clock time per experiment")
+		parallel     = fs.Int("parallel", 0, "trial workers per experiment (0 = NumCPU); results are identical for any value")
+		benchOut     = fs.String("bench-json", "", "write a JSON perf record (steps/sec, slots/sec, wall time per experiment) to this path")
+		metricsOut   = fs.String("metrics-json", "", "write a JSON metrics record (per-object op counts, phase step attribution, histograms) to this path")
+		metricsTable = fs.Bool("metrics", false, "print the metrics table after the run")
+		debugAddr    = fs.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060) while experiments run")
 	)
 	var ff faultFlags
 	fs.StringVar(&ff.spec, "fault", "", "run the fault-injection sweep over these fault kinds (comma-separated: all, stutter, stall, crash-recovery, atomic, regular, safe)")
@@ -137,7 +134,6 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&sf.protocol, "service-protocol", "", "consensus construction per slot: register, snapshot, or linear (default register)")
 	fs.StringVar(&sf.addr, "service-addr", "", "drive a running consensusd at this address over HTTP instead of an in-process node")
 	fs.StringVar(&sf.jsonOut, "service-json", "", "write an rsm-service/v1 JSON load record to this path")
-	fs.StringVar(&sf.baseline, "service-baseline", "", "compare write throughput against a committed rsm-service/v1 record; exit nonzero on a >10% regression (skipped across host shapes)")
 	var df desFlags
 	fs.BoolVar(&df.run, "des", false, "run the discrete-event message-passing sweep (steps vs n at n up to 100k)")
 	fs.StringVar(&df.jsonOut, "des-json", "", "write the DES sweep's JSON record to this path")
@@ -230,11 +226,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("no experiment ids in %q", *expID)
 		}
 	default:
-		// The concurrent sweep can run standalone: it measures the
-		// substrate, not any experiment.
-		if *benchConcOut == "" && *benchConcBaseline == "" {
-			return fmt.Errorf("nothing to do: pass -experiment <id>, -all, -list, or -bench-concurrent-json")
-		}
+		return fmt.Errorf("nothing to do: pass -experiment <id>, -all, or -list")
 	}
 
 	// Any observability output needs a live registry. A fresh one per run
@@ -297,42 +289,18 @@ func run(args []string, out io.Writer) error {
 		}
 		rec.Experiments = append(rec.Experiments, benchEntryOf(e.ID, wall.Seconds(), steps1-steps0, slots1-slots0))
 	}
-	if *benchOut != "" || *benchBaseline != "" {
+	if *benchOut != "" {
 		// The controlled-steps microbenchmarks measure raw simulator
-		// throughput independent of any protocol, which is what the
-		// baseline gate compares: experiment entries are dominated by
-		// protocol statistics, these by the engine. The flat-steps entries
-		// run the same workloads on the flat state-machine engine; the
-		// ratio between the two prefixes in one record is the interpreter
-		// speedup on identical modeled work.
+		// throughput independent of any protocol: experiment entries are
+		// dominated by protocol statistics, these by the engine. The
+		// flat-steps entries run the same workloads on the flat
+		// state-machine engine; the ratio between the two prefixes in one
+		// record is the interpreter speedup on identical modeled work.
 		rec.Experiments = append(rec.Experiments, controlledStepsEntries()...)
 		rec.Experiments = append(rec.Experiments, flatStepsEntries()...)
-	}
-	if *benchOut != "" {
 		rec.TotalWallSeconds = time.Since(suiteStart).Seconds()
 		if err := writeJSON(*benchOut, "bench", rec); err != nil {
 			return err
-		}
-	}
-	if *benchBaseline != "" {
-		if err := compareBaseline(out, &rec, rec.Experiments, *benchBaseline, "controlled-steps/"); err != nil {
-			return err
-		}
-		if err := compareBaseline(out, &rec, rec.Experiments, *benchBaseline, "flat-steps/"); err != nil {
-			return err
-		}
-	}
-	if *benchConcOut != "" || *benchConcBaseline != "" {
-		crec := buildConcurrentRecord(out)
-		if *benchConcOut != "" {
-			if err := writeJSON(*benchConcOut, "concurrent bench", crec); err != nil {
-				return err
-			}
-		}
-		if *benchConcBaseline != "" {
-			if err := compareBaseline(out, nil, crec.Experiments, *benchConcBaseline, "concurrent-steps/"); err != nil {
-				return err
-			}
 		}
 	}
 	if wantMetrics {
@@ -373,8 +341,8 @@ func writeJSON(path, what string, v any) error {
 }
 
 // hostShape is the measuring host, carried by every record that holds
-// wall-clock figures so a baseline gate can tell comparable records
-// apart.
+// wall-clock figures. Those figures are informational: they are read in
+// the context of the host that measured them, and no gate compares them.
 type hostShape struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -386,28 +354,10 @@ func thisHost() hostShape {
 	return hostShape{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 }
 
-// sameHost reports whether a baseline recorded on host base may gate
-// this run's wall-clock figures, and says so loudly when it may not:
-// throughput is a property of the measuring host, and a record taken on
-// a 1-CPU runner says nothing about a 16-core laptop. A zero field means
-// an older record that never captured the value, which can't be
-// checked. gate prefixes the message; figures names what is not
-// comparable ("steps/s are").
-func sameHost(out io.Writer, gate, path string, base hostShape, figures string) bool {
-	here := thisHost()
-	if (base.NumCPU != 0 && base.NumCPU != here.NumCPU) ||
-		(base.GOMAXPROCS != 0 && base.GOMAXPROCS != here.GOMAXPROCS) {
-		fmt.Fprintf(out, "%s: skipping %s: baseline host (num_cpu=%d, gomaxprocs=%d) does not match this host (num_cpu=%d, gomaxprocs=%d); %s not comparable across hosts\n",
-			gate, path, base.NumCPU, base.GOMAXPROCS, here.NumCPU, here.GOMAXPROCS, figures)
-		return false
-	}
-	return true
-}
-
 // controlledStepsRuns is the fixed per-workload run count of the
-// controlled-steps microbenchmarks: deterministic work (the steps/s
-// denominator varies only with machine speed) keeps baseline comparisons
-// meaningful across runs.
+// controlled-steps microbenchmarks: the modeled work is deterministic,
+// so an entry's steps and slots are exact and steps/s varies only with
+// machine speed.
 const controlledStepsRuns = 64
 
 // stepsWorkloads are the controlled-steps microbenchmark workloads, the
@@ -485,102 +435,4 @@ func controlledStepsEntries() []benchEntry {
 		entries = append(entries, benchEntryOf("controlled-steps/"+tc.name, time.Since(start).Seconds(), totalSteps, totalSlots))
 	}
 	return entries
-}
-
-// readBenchRecord loads a conciliator-bench/v1 record.
-func readBenchRecord(path string) (benchRecord, error) {
-	var rec benchRecord
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rec, fmt.Errorf("reading bench baseline: %w", err)
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return rec, fmt.Errorf("parsing bench baseline %s: %w", path, err)
-	}
-	return rec, nil
-}
-
-// checkWorkCounts compares the modeled work of a run with the record
-// base (read from path). When run's seed, quick flag and trial count
-// match the record's, every entry whose id the record also has — each
-// experiment and each controlled-steps and flat-steps workload — must
-// have exactly the record's steps and slots: they are a pure function of
-// the code and those settings, so the check applies on any host. A nil
-// run (work counts not reproducible) checks nothing.
-func checkWorkCounts(run *benchRecord, entries []benchEntry, base benchRecord, path string) error {
-	if run == nil || run.Seed != base.Seed || run.Quick != base.Quick || run.Trials != base.Trials {
-		return nil
-	}
-	baseline := make(map[string]benchEntry, len(base.Experiments))
-	for _, e := range base.Experiments {
-		baseline[e.ID] = e
-	}
-	var drift []string
-	for _, e := range entries {
-		if b, ok := baseline[e.ID]; ok && (e.Steps != b.Steps || e.Slots != b.Slots) {
-			drift = append(drift, fmt.Sprintf("%s (steps %d vs %d, slots %d vs %d)", e.ID, e.Steps, b.Steps, e.Slots, b.Slots))
-		}
-	}
-	if len(drift) > 0 {
-		return fmt.Errorf("bench-baseline: work counts differ from %s at the same seed and quick: %s",
-			path, strings.Join(drift, ", "))
-	}
-	return nil
-}
-
-// regressionTolerance is how far below baseline a controlled-steps
-// workload's steps/s may fall before compareBaseline fails the run.
-const regressionTolerance = 0.9
-
-// compareBaseline checks this run's entries under the given id prefix
-// ("controlled-steps/" or "concurrent-steps/") against the committed
-// record at path, printing one line per workload and returning an error
-// if any workload regressed by more than 10% steps/s. Workloads absent
-// from the baseline are reported and skipped, so new workloads can be
-// introduced before the baseline is refreshed.
-//
-// run is the header of this run's record, or nil when its work counts
-// are not reproducible; see checkWorkCounts, which runs first.
-func compareBaseline(out io.Writer, run *benchRecord, entries []benchEntry, path, prefix string) error {
-	base, err := readBenchRecord(path)
-	if err != nil {
-		return err
-	}
-	if err := checkWorkCounts(run, entries, base, path); err != nil {
-		return err
-	}
-	baseline := make(map[string]benchEntry, len(base.Experiments))
-	for _, e := range base.Experiments {
-		baseline[e.ID] = e
-	}
-	if !sameHost(out, "bench-baseline", path, base.hostShape, "steps/s are") {
-		return nil
-	}
-	var failures []string
-	compared := 0
-	for _, e := range entries {
-		if !strings.HasPrefix(e.ID, prefix) {
-			continue
-		}
-		b, ok := baseline[e.ID]
-		if !ok || b.StepsPerSec <= 0 {
-			fmt.Fprintf(out, "bench-baseline: %-32s no baseline entry, skipped\n", e.ID)
-			continue
-		}
-		compared++
-		ratio := e.StepsPerSec / b.StepsPerSec
-		fmt.Fprintf(out, "bench-baseline: %-32s %11.0f steps/s vs %11.0f baseline (%+.1f%%)\n",
-			e.ID, e.StepsPerSec, b.StepsPerSec, (ratio-1)*100)
-		if ratio < regressionTolerance {
-			failures = append(failures, fmt.Sprintf("%s (%.1f%% of baseline)", e.ID, ratio*100))
-		}
-	}
-	if compared == 0 {
-		return fmt.Errorf("bench-baseline: %s has no %s entries to compare against", path, strings.TrimSuffix(prefix, "/"))
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench-baseline: steps/s regressed more than %d%%: %s",
-			int((1-regressionTolerance)*100), strings.Join(failures, ", "))
-	}
-	return nil
 }

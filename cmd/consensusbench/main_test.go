@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -94,6 +93,12 @@ func TestErrors(t *testing.T) {
 		{name: "negative trials with bench-json", args: []string{"-experiment", "E3", "-quick", "-trials", "-5", "-bench-json", "b.json"}, want: "-trials must be non-negative"},
 		{name: "negative trials in des mode", args: []string{"-des", "-trials", "-2"}, want: "-trials must be non-negative"},
 		{name: "negative trials in fault mode", args: []string{"-fault", "all", "-trials", "-1"}, want: "-trials must be non-negative"},
+		// The wall-clock baseline gates and the concurrent sweep are gone;
+		// their flags must fail as unknown, not be ignored.
+		{name: "deleted bench-baseline", args: []string{"-experiment", "E3", "-quick", "-bench-baseline", "b.json"}, want: "flag provided but not defined: -bench-baseline"},
+		{name: "deleted bench-concurrent-json", args: []string{"-bench-concurrent-json", "c.json"}, want: "flag provided but not defined: -bench-concurrent-json"},
+		{name: "deleted bench-concurrent-baseline", args: []string{"-bench-concurrent-baseline", "c.json"}, want: "flag provided but not defined: -bench-concurrent-baseline"},
+		{name: "deleted service-baseline", args: []string{"-service-load", "-quick", "-service-baseline", "s.json"}, want: "flag provided but not defined: -service-baseline"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -278,219 +283,6 @@ func TestDebugAddrFlag(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "debug server on http://") {
 		t.Errorf("bound debug address not reported:\n%s", b.String())
-	}
-}
-
-func TestBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var b strings.Builder
-	if err := run([]string{"-experiment", "E3,E6", "-quick", "-bench-json", path}, &b); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if rec.Schema != "conciliator-bench/v1" {
-		t.Errorf("schema = %q", rec.Schema)
-	}
-	if rec.Seed == 0 || rec.Parallelism == 0 {
-		t.Errorf("defaults not recorded: seed=%d parallelism=%d", rec.Seed, rec.Parallelism)
-	}
-	// Two experiment entries plus the controlled-steps and flat-steps
-	// microbenchmark entries the baseline gate compares against.
-	var expEntries, ctrlEntries, flatEntries int
-	for _, e := range rec.Experiments {
-		switch {
-		case strings.HasPrefix(e.ID, "controlled-steps/"):
-			ctrlEntries++
-		case strings.HasPrefix(e.ID, "flat-steps/"):
-			flatEntries++
-		default:
-			expEntries++
-		}
-		if e.ID == "" || e.Steps <= 0 || e.Slots <= 0 {
-			t.Errorf("degenerate entry: %+v", e)
-		}
-		if e.WallSeconds > 0 && e.StepsPerSec <= 0 {
-			t.Errorf("steps/sec not computed: %+v", e)
-		}
-	}
-	if expEntries != 2 {
-		t.Fatalf("got %d experiment entries, want 2", expEntries)
-	}
-	if ctrlEntries != 4 {
-		t.Fatalf("got %d controlled-steps entries, want 4", ctrlEntries)
-	}
-	if flatEntries != 4 {
-		t.Fatalf("got %d flat-steps entries, want 4", flatEntries)
-	}
-}
-
-func TestBenchBaselineGate(t *testing.T) {
-	// Produce a record with this very binary, then doctor its numbers in
-	// both directions. Comparing a fresh measurement against an unmodified
-	// record of the same machine would race against timing noise (the
-	// race detector alone can swing throughput well past the tolerance),
-	// so the pass case deflates the baseline and the fail case inflates
-	// it far beyond what any machine can recover.
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var b strings.Builder
-	if err := run([]string{"-experiment", "E3", "-quick", "-bench-json", path}, &b); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	doctor := func(name string, factor float64) string {
-		scaled := rec
-		scaled.Experiments = make([]benchEntry, len(rec.Experiments))
-		copy(scaled.Experiments, rec.Experiments)
-		for i := range scaled.Experiments {
-			scaled.Experiments[i].StepsPerSec *= factor
-		}
-		out, err := json.Marshal(scaled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(p, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	b.Reset()
-	if err := run([]string{"-experiment", "E3", "-quick", "-bench-baseline", doctor("deflated.json", 1e-3)}, &b); err != nil {
-		t.Fatalf("gate failed against a deflated baseline: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), "bench-baseline: controlled-steps/round-robin/n=8") {
-		t.Errorf("comparison lines not printed:\n%s", b.String())
-	}
-
-	b.Reset()
-	err = run([]string{"-experiment", "E3", "-quick", "-bench-baseline", doctor("inflated.json", 1e3)}, &b)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("gate did not fail against inflated baseline: %v", err)
-	}
-}
-
-func TestBenchBaselineWithoutControlledEntries(t *testing.T) {
-	// A baseline without controlled-steps entries (e.g. a pre-upgrade
-	// record) is an error, not a silent pass.
-	stale := filepath.Join(t.TempDir(), "stale.json")
-	if err := os.WriteFile(stale, []byte(`{"schema":"conciliator-bench/v1","experiments":[{"id":"E1","steps_per_sec":1}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	err := run([]string{"-experiment", "E3", "-quick", "-bench-baseline", stale}, &b)
-	if err == nil || !strings.Contains(err.Error(), "no controlled-steps entries") {
-		t.Fatalf("expected no-entries error, got: %v", err)
-	}
-}
-
-func TestBenchConcurrentJSON(t *testing.T) {
-	// The concurrent sweep runs standalone: no -experiment/-all needed.
-	path := filepath.Join(t.TempDir(), "conc.json")
-	var b strings.Builder
-	if err := run([]string{"-bench-concurrent-json", path}, &b); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec concurrentRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if rec.Schema != "conciliator-concurrent-bench/v1" {
-		t.Errorf("schema = %q", rec.Schema)
-	}
-	if rec.NumCPU <= 0 || rec.GOMAXPROCS <= 0 || rec.OpsPerProc != concurrentOpsPerProc {
-		t.Errorf("environment not recorded: %+v", rec)
-	}
-	if len(rec.Experiments) != len(concurrentSizes) {
-		t.Fatalf("got %d entries, want %d", len(rec.Experiments), len(concurrentSizes))
-	}
-	wantSteps := int64(concurrentStepsRuns * concurrentOpsPerProc * 4)
-	for i, e := range rec.Experiments {
-		n := concurrentSizes[i]
-		if want := fmt.Sprintf("concurrent-steps/n=%d", n); e.ID != want {
-			t.Fatalf("entry %d id = %q, want %q", i, e.ID, want)
-		}
-		if e.Steps != wantSteps*int64(n) {
-			t.Errorf("%s: %d steps, want %d", e.ID, e.Steps, wantSteps*int64(n))
-		}
-		if e.WallSeconds > 0 && e.StepsPerSec <= 0 {
-			t.Errorf("%s: steps/sec not computed", e.ID)
-		}
-	}
-	if !strings.Contains(b.String(), "concurrent-steps/n=8") {
-		t.Errorf("sweep lines not printed:\n%s", b.String())
-	}
-}
-
-func TestBenchConcurrentBaselineGate(t *testing.T) {
-	// Same doctored-baseline shape as TestBenchBaselineGate: deflated
-	// passes, inflated fails, so the assertions are immune to timing
-	// noise on the measuring machine.
-	path := filepath.Join(t.TempDir(), "conc.json")
-	var b strings.Builder
-	if err := run([]string{"-bench-concurrent-json", path}, &b); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec concurrentRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	doctor := func(name string, factor float64) string {
-		scaled := rec
-		scaled.Experiments = make([]benchEntry, len(rec.Experiments))
-		copy(scaled.Experiments, rec.Experiments)
-		for i := range scaled.Experiments {
-			scaled.Experiments[i].StepsPerSec *= factor
-		}
-		out, err := json.Marshal(scaled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(p, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	b.Reset()
-	if err := run([]string{"-bench-concurrent-baseline", doctor("deflated.json", 1e-3)}, &b); err != nil {
-		t.Fatalf("gate failed against a deflated baseline: %v\n%s", err, b.String())
-	}
-	b.Reset()
-	err = run([]string{"-bench-concurrent-baseline", doctor("inflated.json", 1e3)}, &b)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("gate did not fail against inflated baseline: %v", err)
-	}
-}
-
-func TestBenchConcurrentConflictsWithFaults(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-fault", "all", "-bench-concurrent-json", "x.json"}, &b)
-	if err == nil || !strings.Contains(err.Error(), "bench-concurrent-json") {
-		t.Fatalf("fault+concurrent-bench accepted: %v", err)
 	}
 }
 

@@ -110,33 +110,3 @@ func TestMCModeDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("statistics drifted across -parallel:\n1: %+v\n4: %+v", a, b)
 	}
 }
-
-// TestFlatStepsEntriesShape pins the flat-engine microbenchmark entries:
-// same workload names as the coroutine suite under the flat-steps/
-// prefix, with modeled-step totals that match the deterministic
-// workloads.
-func TestFlatStepsEntriesShape(t *testing.T) {
-	entries := flatStepsEntries()
-	if len(entries) != 4 {
-		t.Fatalf("got %d entries, want 4", len(entries))
-	}
-	wantSteps := map[string]int64{
-		"flat-steps/round-robin/n=8":  8 * 2048 * flatStepsRuns,
-		"flat-steps/round-robin/n=64": 64 * 256 * flatStepsRuns,
-		"flat-steps/random/n=64":      64 * 256 * flatStepsRuns,
-		"flat-steps/skewed-tail/n=64": (4096 + 63) * flatStepsRuns,
-	}
-	for _, e := range entries {
-		want, ok := wantSteps[e.ID]
-		if !ok {
-			t.Errorf("unexpected entry %q", e.ID)
-			continue
-		}
-		if e.Steps != want {
-			t.Errorf("%s: steps = %d, want %d", e.ID, e.Steps, want)
-		}
-		if e.StepsPerSec <= 0 {
-			t.Errorf("%s: no steps/s", e.ID)
-		}
-	}
-}

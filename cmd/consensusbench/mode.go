@@ -86,7 +86,7 @@ func pickMode(set []string) (*runMode, error) {
 		}
 		msg := fmt.Sprintf("-%s cannot be combined with -%s: the -%s* mode reads only its own flags and %s", name, trigger, m.prefix, dashed(m.reads))
 		if !slices.Contains(sharedFlags, name) {
-			msg += fmt.Sprintf("; it writes -%s-json, not the experiment suite's -bench-json/-bench-baseline/-metrics-json records", m.prefix)
+			msg += fmt.Sprintf("; it writes -%s-json, not the experiment suite's -bench-json/-metrics-json records", m.prefix)
 			if m.experiment != "" {
 				msg += fmt.Sprintf(" (the suite runs the curated sweep as %s)", m.experiment)
 			}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -36,13 +35,11 @@ type serviceFlags struct {
 	protocol string
 	addr     string // drive a remote node over HTTP instead of in-process
 	jsonOut  string
-	baseline string
 }
 
 // serviceRecord is the machine-readable load record written by
-// -service-json: one entry per shard count swept, same host-shape fields
-// as the bench records so the baseline gate can apply its cross-host
-// skip rule.
+// -service-json: one entry per shard count swept, with the host shape
+// its wall-clock figures were measured on.
 type serviceRecord struct {
 	Schema          string  `json:"schema"` // "rsm-service/v1"
 	Seed            uint64  `json:"seed"`
@@ -233,9 +230,6 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 			return err
 		}
 	}
-	if sf.baseline != "" {
-		return compareServiceBaseline(out, &rec, sf.baseline)
-	}
 	return nil
 }
 
@@ -307,60 +301,6 @@ func serviceTable(rec *serviceRecord) *experiment.Table {
 			e.WriteP50us, e.WriteP99us, e.ReadP99us, fmt.Sprintf("%.1f", e.BatchMean), e.Errors)
 	}
 	return tbl
-}
-
-// serviceTolerance mirrors the bench gate: a configuration may fall to
-// 90% of its baseline write throughput before the comparison fails.
-const serviceTolerance = 0.9
-
-// compareServiceBaseline gates this run's write throughput against a
-// committed rsm-service/v1 record, with the same cross-host skip rule as
-// the bench baselines: throughput measured on a different host shape is
-// not comparable, so a NumCPU/GOMAXPROCS mismatch skips loudly instead
-// of failing meaninglessly.
-func compareServiceBaseline(out io.Writer, rec *serviceRecord, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading service baseline: %w", err)
-	}
-	var base serviceRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing service baseline %s: %w", path, err)
-	}
-	if err := base.Validate(); err != nil {
-		return fmt.Errorf("service baseline %s: %w", path, err)
-	}
-	if !sameHost(out, "service-baseline", path, base.hostShape, "throughput is") {
-		return nil
-	}
-	baseline := make(map[string]serviceEntry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseline[e.ID] = e
-	}
-	var failures []string
-	compared := 0
-	for _, e := range rec.Entries {
-		b, ok := baseline[e.ID]
-		if !ok || b.WriteThroughput <= 0 {
-			fmt.Fprintf(out, "service-baseline: %-22s no baseline entry, skipped\n", e.ID)
-			continue
-		}
-		compared++
-		ratio := e.WriteThroughput / b.WriteThroughput
-		fmt.Fprintf(out, "service-baseline: %-22s %9.0f writes/s vs %9.0f baseline (%+.1f%%)\n",
-			e.ID, e.WriteThroughput, b.WriteThroughput, (ratio-1)*100)
-		if ratio < serviceTolerance {
-			failures = append(failures, fmt.Sprintf("%s (%.1f%% of baseline)", e.ID, ratio*100))
-		}
-	}
-	if compared == 0 {
-		return fmt.Errorf("service-baseline: %s shares no entry ids with this run", path)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("service-baseline: write throughput regressed more than %d%%: %s",
-			int((1-serviceTolerance)*100), strings.Join(failures, ", "))
-	}
-	return nil
 }
 
 // httpBackend drives a remote consensusd node through its client API.

@@ -44,8 +44,8 @@ type ComponentKey struct {
 // process. The memory hot paths check it with a single atomic load and
 // take the fault branches only when it is nonzero, so fault support is
 // free for every run while no faulted run exists — in particular the
-// exclusive-mode fast path stays allocation-free and inside the
-// -bench-baseline budget.
+// exclusive-mode fast path stays allocation-free and pays no more than
+// that one load per operation.
 var faultArm atomic.Int64
 
 // ArmFaults marks a faulted run active; pair with DisarmFaults.
