@@ -9,6 +9,7 @@ import (
 
 	"github.com/oblivious-consensus/conciliator/internal/des"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
+	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/stats"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
@@ -26,7 +27,6 @@ type desFlags struct {
 	crash      string
 	restart    string
 	repros     string
-	replay     string
 }
 
 // desDefaultNs is the committed E18 sweep: the regime where log log n
@@ -378,12 +378,12 @@ func shrinkAndSaveRepro(cfg des.Config, dir string, idx int) (string, error) {
 		res, rerr := des.Run(c)
 		return rerr == nil && len(res.Violations) > 0
 	}
-	shrunk := des.ShrinkChaos(events, 256, reproduces)
+	shrunk := fault.Shrink(events, 256, false, reproduces)
 	final := cfg
 	final.Chaos = des.ChaosConfig{Events: shrunk, ProcRestart: cfg.Chaos.ProcRestart, ServerRestart: cfg.Chaos.ServerRestart}
 	res, rerr := des.Run(final)
 	if rerr != nil || len(res.Violations) == 0 {
-		// The shrunk schedule must still violate — ShrinkChaos guarantees
+		// The shrunk schedule must still violate — fault.Shrink guarantees
 		// this when the input violates, so reaching here is a bug.
 		return "", fmt.Errorf("shrunk schedule no longer reproduces the violation (err=%v)", rerr)
 	}
@@ -393,23 +393,4 @@ func shrinkAndSaveRepro(cfg des.Config, dir string, idx int) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// runDESFaultReplay loads a committed des-fault-repro/v1 artifact and
-// replays it, verifying the recorded violations reproduce byte-for-byte.
-func runDESFaultReplay(out io.Writer, path string) error {
-	repro, err := des.LoadFaultRepro(path)
-	if err != nil {
-		return err
-	}
-	res, err := repro.Replay()
-	if err != nil {
-		return fmt.Errorf("replaying %s: %w", path, err)
-	}
-	fmt.Fprintf(out, "replayed %s: schema %s, n=%d protocol=%s seed=%d\n", path, repro.Schema, repro.N, repro.Protocol, repro.Seed)
-	fmt.Fprintf(out, "  %d chaos events reproduced %d violation(s) byte-identically:\n", len(repro.Chaos), len(res.Violations))
-	for _, v := range res.Violations {
-		fmt.Fprintf(out, "  - %s: %s\n", v.Monitor, v.Detail)
-	}
-	return nil
 }

@@ -58,9 +58,9 @@ func TestDESFlagValidation(t *testing.T) {
 		{"empty crash spec", []string{"-des", "-des-crash", " , "}, "empty crash spec"},
 		{"bad restart variant", []string{"-des", "-des-crash", "proc:0.2", "-des-restart", "reincarnate"}, "unknown variant"},
 		{"loss NaN", []string{"-des", "-des-loss", "NaN"}, "out of range"},
-		{"replay with sweep flag", []string{"-des", "-des-fault-replay", "r.json"}, "cannot be combined"},
-		{"replay with crash flag", []string{"-des-fault-replay", "r.json", "-des-crash", "proc:0.2"}, "cannot be combined"},
-		{"replay missing file", []string{"-des-fault-replay", "no-such-repro.json"}, "no-such-repro"},
+		{"replay with sweep flag", []string{"-des", "-fault-replay", "r.json"}, "cannot be combined"},
+		{"replay with crash flag", []string{"-fault-replay", "r.json", "-des-crash", "proc:0.2"}, "cannot be combined"},
+		{"replay missing file", []string{"-fault-replay", "no-such-repro.json"}, "no-such-repro"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -173,7 +173,7 @@ func TestDESChaosSweepSmoke(t *testing.T) {
 
 // TestDESFaultReproSaveAndReplay drives the whole artifact loop through
 // the CLI: a weakened amnesiac-server sweep positioned in the violating
-// regime saves a shrunk des-fault-repro/v1 artifact, and -des-fault-replay
+// regime saves a shrunk des-fault-repro/v1 artifact, and -fault-replay
 // reproduces its recorded violations byte-for-byte.
 func TestDESFaultReproSaveAndReplay(t *testing.T) {
 	dir := t.TempDir()
@@ -195,7 +195,7 @@ func TestDESFaultReproSaveAndReplay(t *testing.T) {
 		t.Fatalf("no fault repro saved (err=%v); sweep output:\n%s", err, b.String())
 	}
 	var r strings.Builder
-	if err := run([]string{"-des-fault-replay", matches[0]}, &r); err != nil {
+	if err := run([]string{"-fault-replay", matches[0]}, &r); err != nil {
 		t.Fatalf("replay of %s failed: %v\n%s", matches[0], err, r.String())
 	}
 	if !strings.Contains(r.String(), "byte-identically") {
@@ -213,7 +213,7 @@ func TestDESFaultReproSaveAndReplay(t *testing.T) {
 	if err := os.WriteFile(badPath, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-des-fault-replay", badPath}, io.Discard); err == nil {
+	if err := run([]string{"-fault-replay", badPath}, io.Discard); err == nil {
 		t.Error("tampered artifact replayed cleanly")
 	}
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/des"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
@@ -201,7 +203,7 @@ func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) erro
 			if r.SavedPath != "" {
 				where = r.SavedPath
 			}
-			fmt.Fprintf(out, "fault:   repro: %d events -> %s\n", r.Fault.Len(), where)
+			fmt.Fprintf(out, "fault:   repro: %d events -> %s\n", r.Run.Fault.Len(), where)
 		}
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
@@ -219,30 +221,55 @@ func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) erro
 	return nil
 }
 
-// runFaultReplay re-executes a saved repro artifact and confirms the
-// violation reproduces.
+// runFaultReplay re-executes a saved repro artifact on the engine its
+// schema tag names and confirms the replay reproduces the recorded
+// violations exactly.
 func runFaultReplay(out io.Writer, path string) error {
-	r, err := fault.LoadRepro(path)
+	data, err := os.ReadFile(path)
+	schema := ""
+	if err == nil {
+		schema, err = fault.ReproSchema(data)
+	}
 	if err != nil {
 		return fmt.Errorf("loading repro: %w", err)
 	}
-	fmt.Fprintf(out, "replaying %s: workload=%s n=%d sched=%s/%d alg-seed=%d fault-events=%d\n",
-		path, r.Workload, r.N, r.Sched, r.SchedSeed, r.AlgSeed, r.Fault.Len())
-	fmt.Fprintf(out, "recorded violations:\n")
-	for _, v := range r.Violations {
-		fmt.Fprintf(out, "  %-18s %s\n", v.Monitor, v.Detail)
+	var (
+		recorded, got []fault.Violation
+		stats         string
+		replayErr     error
+	)
+	if schema == fault.SchemaDESRepro {
+		r, err := fault.DecodeRepro[des.ReproRun](data)
+		if err != nil {
+			return fmt.Errorf("loading repro: %w", err)
+		}
+		fmt.Fprintf(out, "replaying %s: %s protocol=%s n=%d seed=%d chaos-events=%d\n",
+			path, schema, r.Run.Protocol, r.N, r.Run.Seed, len(r.Run.Chaos))
+		res, err := des.Replay(r)
+		recorded, got, replayErr = r.Violations, res.Violations, err
+		stats = fmt.Sprintf("%d crashes, %d wipes", res.Crashes, res.Wipes)
+	} else {
+		r, err := fault.DecodeRepro[fault.SlotRun](data)
+		if err != nil {
+			return fmt.Errorf("loading repro: %w", err)
+		}
+		fmt.Fprintf(out, "replaying %s: %s workload=%s n=%d sched=%s/%d alg-seed=%d fault-events=%d\n",
+			path, schema, r.Run.Workload, r.N, r.Run.Sched, r.Run.SchedSeed, r.Run.AlgSeed, r.Run.Fault.Len())
+		res, err := experiment.ReplayRepro(r)
+		recorded, got, replayErr = r.Violations, res.Violations, err
+		stats = fmt.Sprintf("%d restarts, %d faults injected", res.Res.Restarts, res.Res.Faults.Total())
 	}
-	res, err := experiment.ReplayRepro(r)
-	if err != nil {
-		return err
+	list := func(title string, vs []fault.Violation) {
+		fmt.Fprintf(out, "%s violations:\n", title)
+		for _, v := range vs {
+			fmt.Fprintf(out, "  %-18s %s\n", v.Monitor, v.Detail)
+		}
 	}
-	if len(res.Violations) == 0 {
-		return fmt.Errorf("replay of %s produced no violations: artifact is stale or the bug is fixed", path)
+	list("recorded", recorded)
+	if replayErr != nil {
+		list("replay", got)
+		return fmt.Errorf("replaying %s: %w", path, replayErr)
 	}
-	fmt.Fprintf(out, "replay violations:\n")
-	for _, v := range res.Violations {
-		fmt.Fprintf(out, "  %-18s %s\n", v.Monitor, v.Detail)
-	}
-	fmt.Fprintf(out, "reproduced (%d restarts, faults injected: %d)\n", res.Res.Restarts, res.Res.Faults.Total())
+	fmt.Fprintf(out, "reproduced %d violations byte-identically (%s)\n", len(got), stats)
 	return nil
 }

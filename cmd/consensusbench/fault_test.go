@@ -2,10 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/oblivious-consensus/conciliator/internal/des"
+	"github.com/oblivious-consensus/conciliator/internal/fault"
 )
 
 // TestFaultFlagValidation: every bad -fault* combination must fail fast
@@ -127,6 +132,56 @@ func TestFaultSweepReplayRoundTrip(t *testing.T) {
 	if !strings.Contains(b.String(), "reproduced") {
 		t.Errorf("replay did not confirm reproduction:\n%s", b.String())
 	}
+
+	// The replay rule is exact: an artifact that records one violation
+	// more than its replay produces is rejected, although the replay
+	// still violates.
+	data, err := os.ReadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := fault.DecodeRepro[fault.SlotRun](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Violations = append(r.Violations, fault.Violation{Monitor: "agreement", Detail: "never fired"})
+	extra := filepath.Join(t.TempDir(), "extra.json")
+	if err := r.Save(extra); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-fault-replay", extra}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("artifact with an extra recorded violation not rejected: %v", err)
+	}
+}
+
+// TestFaultReplayCommittedDESArtifact: the committed DES artifact
+// decodes through the shared envelope, re-encodes to its exact bytes,
+// and replays through -fault-replay with its recorded violations.
+func TestFaultReplayCommittedDESArtifact(t *testing.T) {
+	const path = "../../DES_FAULT_REPRO_server_amnesia.json"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := fault.DecodeRepro[des.ReproRun](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Fatalf("re-encoded artifact differs from the committed bytes:\n%s", again)
+	}
+	var b strings.Builder
+	if err := run([]string{"-fault-replay", path}, &b); err != nil {
+		t.Fatalf("replay failed: %v\n%s", err, b.String())
+	}
+	if want := fmt.Sprintf("reproduced %d violations byte-identically", len(r.Violations)); !strings.Contains(b.String(), want) {
+		t.Errorf("replay output lacks %q:\n%s", want, b.String())
+	}
 }
 
 func TestFaultReplayStaleArtifact(t *testing.T) {
@@ -148,7 +203,7 @@ func TestFaultReplayStaleArtifact(t *testing.T) {
 	}
 	var b strings.Builder
 	err := run([]string{"-fault-replay", path}, &b)
-	if err == nil || !strings.Contains(err.Error(), "no violations") {
+	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("stale artifact not rejected: %v", err)
 	}
 }

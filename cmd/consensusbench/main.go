@@ -105,7 +105,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&ff.jsonOut, "fault-json", "", "write a JSON fault-sweep report to this path")
 	fs.StringVar(&ff.repros, "fault-repros", "", "save shrunk counterexample artifacts under this directory")
 	fs.IntVar(&ff.shrink, "fault-shrink", 0, "shrink budget (replays per counterexample; 0 = default)")
-	fs.StringVar(&ff.replay, "fault-replay", "", "replay a saved counterexample artifact and confirm it still violates")
+	fs.StringVar(&ff.replay, "fault-replay", "", "replay a saved counterexample artifact (conciliator-fault-repro/v1 or des-fault-repro/v1) and confirm its recorded violations reproduce exactly")
 	var af attackFlags
 	fs.StringVar(&af.spec, "attack", "", "run the oblivious adversary search over these protocols (comma-separated: all, sifter, priority)")
 	fs.StringVar(&af.jsonOut, "attack-json", "", "write an attack-record/v1 artifact per searched protocol (multi-protocol runs insert _<protocol> before the extension)")
@@ -146,7 +146,6 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&df.crash, "des-crash", "", "DES crash schedule proc:<rate>,server:<windows> (e.g. proc:0.2,server:1)")
 	fs.StringVar(&df.restart, "des-restart", "", "DES restart variant: durable, amnesiac, or amnesiac-server (default durable)")
 	fs.StringVar(&df.repros, "des-fault-repros", "", "write shrunk des-fault-repro/v1 artifacts for violating chaos runs into this directory")
-	fs.StringVar(&df.replay, "des-fault-replay", "", "replay a des-fault-repro/v1 artifact and verify its violations reproduce")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -181,9 +180,6 @@ func run(args []string, out io.Writer) error {
 			}
 			return runAttackSearch(out, &af, *seed, *quick, *parallel, *format)
 		case "des":
-			if df.replay != "" {
-				return runDESFaultReplay(out, df.replay)
-			}
 			if df.trials == 0 {
 				df.trials = *trials
 			}

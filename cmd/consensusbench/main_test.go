@@ -297,7 +297,7 @@ func TestUnreadFlagsRejected(t *testing.T) {
 		{"-attack", "all", "-timings"},
 		{"-des", "-quick"},
 		{"-fault", "all", "-format", "markdown"},
-		{"-des-fault-replay", "DES_FAULT_REPRO_server_amnesia.json", "-seed", "3"},
+		{"-fault-replay", "DES_FAULT_REPRO_server_amnesia.json", "-seed", "3"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var b strings.Builder

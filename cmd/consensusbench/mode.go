@@ -29,7 +29,7 @@ var runModes = []*runMode{
 	{prefix: "mc", reads: []string{"seed", "quick", "parallel", "format"}, experiment: "E20"},
 	{prefix: "attack", reads: []string{"seed", "quick", "parallel", "format"},
 		replay: "attack-replay", replayReads: []string{"parallel"}, experiment: "E19"},
-	{prefix: "des", reads: []string{"seed", "format", "trials"}, replay: "des-fault-replay", experiment: "E18"},
+	{prefix: "des", reads: []string{"seed", "format", "trials"}, experiment: "E18"},
 	{prefix: "fault", reads: []string{"seed", "quick", "parallel", "trials"}, replay: "fault-replay", experiment: "E17"},
 }
 

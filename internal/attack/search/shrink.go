@@ -82,9 +82,9 @@ func shrinkGenome(ev *evaluator, g *Genome, target float64, seeds []seedPair, bu
 	}
 
 	if cur.Fault != nil && evals < budget {
-		// fault.Shrink caps its own repro invocations at the remaining
+		// Schedule.Shrink caps its own repro invocations at the remaining
 		// budget; each invocation costs one evaluation here.
-		shrunk := fault.Shrink(cur.Fault, budget-evals, func(s *fault.Schedule) bool {
+		shrunk := cur.Fault.Shrink(budget-evals, func(s *fault.Schedule) bool {
 			cand := cur.Clone()
 			cand.Fault = s
 			if cand.Validate() != nil {

@@ -57,6 +57,16 @@ func (k RestartKind) String() string {
 	return fmt.Sprintf("RestartKind(%d)", int(k))
 }
 
+// MarshalText encodes the kind as its name, so artifacts stay readable
+// and stable across enum reordering.
+func (k RestartKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a kind name.
+func (k *RestartKind) UnmarshalText(b []byte) (err error) {
+	*k, err = ParseRestartKind(string(b))
+	return err
+}
+
 // ParseRestartKind parses "durable" or "amnesiac".
 func ParseRestartKind(s string) (RestartKind, error) {
 	switch s {
@@ -75,11 +85,11 @@ func ParseRestartKind(s string) (RestartKind, error) {
 type ChaosEvent struct {
 	// Target is a process id in [0, n), or ServerNode (-1) for the
 	// memory server.
-	Target int32
-	At     time.Duration
-	Down   time.Duration
+	Target int32         `json:"target"`
+	At     time.Duration `json:"at_ns"`
+	Down   time.Duration `json:"down_ns"`
 	// Restart selects durable or amnesiac recovery for this crash.
-	Restart RestartKind
+	Restart RestartKind `json:"restart"`
 }
 
 func (e ChaosEvent) String() string {
@@ -88,6 +98,16 @@ func (e ChaosEvent) String() string {
 		who = "server"
 	}
 	return fmt.Sprintf("%s down [%v, %v) restart %s", who, e.At, e.At+e.Down, e.Restart)
+}
+
+// Halved implements fault.Halver: the downtime halves toward a 1us
+// floor. The crash time stays put.
+func (e ChaosEvent) Halved() (ChaosEvent, bool) {
+	if e.Down <= time.Microsecond {
+		return e, false
+	}
+	e.Down = max(e.Down/2, time.Microsecond)
+	return e, true
 }
 
 // ChaosConfig describes the crash schedule of a run: either an explicit
@@ -304,21 +324,21 @@ func ParseChaosSpec(s string) (ChaosConfig, error) {
 type RetryPolicy struct {
 	// RTO is the initial retransmission timeout (0 = 8x the mean
 	// one-way latency, floored at 1us).
-	RTO time.Duration
+	RTO time.Duration `json:"rto_ns,omitempty"`
 	// Backoff multiplies the timeout after each retransmission
 	// (0 = 2).
-	Backoff float64
+	Backoff float64 `json:"backoff,omitempty"`
 	// Cap bounds the backed-off timeout (0 = 64x the initial RTO).
-	Cap time.Duration
+	Cap time.Duration `json:"cap_ns,omitempty"`
 	// Jitter in [0, 1) inflates every armed timeout by an independent
 	// uniform fraction drawn from the retry stream — a named xrand fork
 	// disjoint from the network and protocol streams (0 = none).
-	Jitter float64
+	Jitter float64 `json:"jitter,omitempty"`
 	// MaxRetries caps retransmissions per operation; on exhaustion the
 	// process gives up — it stops participating and its outcome is
 	// surfaced per-process instead of hanging the event loop
 	// (0 = retry forever).
-	MaxRetries int
+	MaxRetries int `json:"max_retries,omitempty"`
 }
 
 func (r RetryPolicy) validate() error {
@@ -338,76 +358,4 @@ func (r RetryPolicy) validate() error {
 		return fmt.Errorf("des: retry limit must be non-negative, got %d", r.MaxRetries)
 	}
 	return nil
-}
-
-// ShrinkChaos reduces a failing crash schedule in the ddmin style of
-// fault.Shrink: repro must return true when the failure reproduces under
-// the candidate schedule. Chunk deletion first (halves down to single
-// events, repeated to a fixed point), then downtime minimization by
-// halving toward a 1us floor. Crash times are left untouched — moving a
-// crash in virtual time changes which execution it perturbs, which is
-// not a reduction. budget caps repro invocations; the search is
-// deterministic, so a shrunk artifact replays exactly like the schedule
-// it came from.
-func ShrinkChaos(events []ChaosEvent, budget int, repro func([]ChaosEvent) bool) []ChaosEvent {
-	if len(events) == 0 {
-		return events
-	}
-	cur := normalizeChaos(events)
-	calls := 0
-	try := func(cand []ChaosEvent) bool {
-		if calls >= budget {
-			return false
-		}
-		calls++
-		return repro(cand)
-	}
-
-	// Phase 1: chunk deletion.
-	for chunk := (len(cur) + 1) / 2; chunk >= 1; {
-		reduced := false
-		for start := 0; start < len(cur); {
-			end := start + chunk
-			if end > len(cur) {
-				end = len(cur)
-			}
-			cand := make([]ChaosEvent, 0, len(cur)-(end-start))
-			cand = append(cand, cur[:start]...)
-			cand = append(cand, cur[end:]...)
-			if len(cand) > 0 && try(cand) {
-				cur = cand
-				reduced = true
-				// Keep start in place: the next chunk slid into it.
-			} else {
-				start = end
-			}
-		}
-		if calls >= budget {
-			return cur
-		}
-		if chunk == 1 {
-			if !reduced {
-				break
-			}
-			continue
-		}
-		chunk /= 2
-	}
-
-	// Phase 2: downtime minimization.
-	for i := range cur {
-		for cur[i].Down > time.Microsecond && calls < budget {
-			cand := append([]ChaosEvent(nil), cur...)
-			next := cand[i].Down / 2
-			if next < time.Microsecond {
-				next = time.Microsecond
-			}
-			cand[i].Down = next
-			if !try(cand) {
-				break
-			}
-			cur = cand
-		}
-	}
-	return cur
 }

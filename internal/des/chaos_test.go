@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/oblivious-consensus/conciliator/internal/fault"
 )
 
 func TestChaosReplayDeterminism(t *testing.T) {
@@ -281,7 +283,7 @@ func TestShrinkChaosFindsMinimalSchedule(t *testing.T) {
 	}
 	events = append(events, ChaosEvent{Target: ServerNode, At: 5 * time.Millisecond, Down: 8 * time.Millisecond, Restart: RestartAmnesiac})
 	calls := 0
-	shrunk := ShrinkChaos(events, 512, func(cand []ChaosEvent) bool {
+	shrunk := fault.Shrink(normalizeChaos(events), 512, false, func(cand []ChaosEvent) bool {
 		calls++
 		for _, e := range cand {
 			if e.Target == ServerNode {
@@ -299,8 +301,8 @@ func TestShrinkChaosFindsMinimalSchedule(t *testing.T) {
 	if calls > 512 {
 		t.Fatalf("shrinker exceeded its budget: %d calls", calls)
 	}
-	// The shrinker must never call repro with an empty candidate.
-	ShrinkChaos(events[:1], 64, func(cand []ChaosEvent) bool {
+	// The DES shrink must never call repro with an empty candidate.
+	fault.Shrink(events[:1], 64, false, func(cand []ChaosEvent) bool {
 		if len(cand) == 0 {
 			t.Fatalf("repro called with empty schedule")
 		}
@@ -346,7 +348,7 @@ func TestFaultReproRoundTripAndReplay(t *testing.T) {
 	cfg, events, res := findWeakenedFailure(t)
 
 	// Shrink against the real engine: the failure is "any violation".
-	shrunk := ShrinkChaos(events, 64, func(cand []ChaosEvent) bool {
+	shrunk := fault.Shrink(events, 64, false, func(cand []ChaosEvent) bool {
 		c := cfg
 		c.Chaos = ChaosConfig{Events: cand}
 		r, _ := Run(c)
@@ -364,11 +366,11 @@ func TestFaultReproRoundTripAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	back, err := DecodeFaultRepro(data)
+	back, err := fault.DecodeRepro[ReproRun](data)
 	if err != nil {
-		t.Fatalf("DecodeFaultRepro: %v", err)
+		t.Fatalf("DecodeRepro: %v", err)
 	}
-	if _, err := back.Replay(); err != nil {
+	if _, err := Replay(back); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 
@@ -382,22 +384,25 @@ func TestFaultReproRoundTripAndReplay(t *testing.T) {
 	}
 
 	// A tampered artifact must fail replay, not silently pass.
-	back.Seed++
-	if _, err := back.Replay(); err == nil {
+	back.Run.Seed++
+	if _, err := Replay(back); err == nil {
 		t.Fatalf("tampered artifact replayed clean")
 	}
-	back.Seed--
+	back.Run.Seed--
 
 	// Save/Load round trip through the filesystem.
 	path := t.TempDir() + "/repro.json"
 	if err := repro.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := LoadFaultRepro(path)
-	if err != nil {
-		t.Fatalf("LoadFaultRepro: %v", err)
+	if repro.SavedPath != path {
+		t.Fatalf("Save recorded path %q, want %q", repro.SavedPath, path)
 	}
-	if _, err := loaded.Replay(); err != nil {
+	loaded, err := fault.LoadRepro[ReproRun](path)
+	if err != nil {
+		t.Fatalf("LoadRepro: %v", err)
+	}
+	if _, err := Replay(loaded); err != nil {
 		t.Fatalf("replay of loaded artifact: %v", err)
 	}
 	if !reflect.DeepEqual(loaded.Violations, repro.Violations) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"github.com/oblivious-consensus/conciliator/internal/adoptcommit"
 	"github.com/oblivious-consensus/conciliator/internal/conciliator"
@@ -161,10 +162,10 @@ func (c FaultCell) Atomic() bool { return c.Semantics == fault.SemAtomic }
 type FaultCellResult struct {
 	Cell      FaultCell
 	Trials    int
-	Violated  int            // trials with at least one violation
-	ByMonitor map[string]int // violation count per monitor name
-	Faults    fault.Counts   // faults delivered across all trials
-	Repros    []*fault.Repro // shrunk artifacts, at most maxReprosPerCell
+	Violated  int                           // trials with at least one violation
+	ByMonitor map[string]int                // violation count per monitor name
+	Faults    fault.Counts                  // faults delivered across all trials
+	Repros    []*fault.Repro[fault.SlotRun] // shrunk artifacts, at most maxReprosPerCell
 }
 
 // maxReprosPerCell bounds shrinking work and artifact spam per cell: the
@@ -298,7 +299,6 @@ func runFaultCell(cfg FaultSweepConfig, cell FaultCell, master uint64) FaultCell
 					if err := r.Save(path); err != nil {
 						panic(fmt.Sprintf("experiment: saving repro: %v", err))
 					}
-					r.SavedPath = path
 				}
 			}
 		}
@@ -308,13 +308,13 @@ func runFaultCell(cfg FaultSweepConfig, cell FaultCell, master uint64) FaultCell
 
 // shrinkTrial bisects a violating trial's fault schedule to a minimal
 // one that still produces some violation, and packages the result.
-func shrinkTrial(spec FaultTrialSpec, violations []fault.Violation, budget int) *fault.Repro {
+func shrinkTrial(spec FaultTrialSpec, violations []fault.Violation, budget int) *fault.Repro[fault.SlotRun] {
 	reproduces := func(cand *fault.Schedule) bool {
 		s := spec
 		s.Fault = cand
 		return len(RunFaultTrial(s).Violations) > 0
 	}
-	shrunk := fault.Shrink(spec.Fault, budget, reproduces)
+	shrunk := spec.Fault.Shrink(budget, reproduces)
 	// Re-run under the shrunk schedule so the artifact records the
 	// violations it actually reproduces.
 	final := spec
@@ -326,47 +326,44 @@ func shrinkTrial(spec FaultTrialSpec, violations []fault.Violation, budget int) 
 		final.Fault = spec.Fault
 		vs = violations
 	}
-	return &fault.Repro{
-		Schema:     fault.SchemaRepro,
-		N:          spec.N,
-		Sched:      spec.SchedKind.String(),
-		SchedSeed:  spec.SchedSeed,
-		AlgSeed:    spec.AlgSeed,
-		MaxSlots:   spec.MaxSlots,
-		Workload:   spec.Workload,
-		Fault:      final.Fault,
+	return &fault.Repro[fault.SlotRun]{
+		N: spec.N,
+		Run: fault.SlotRun{
+			Sched:     spec.SchedKind.String(),
+			SchedSeed: spec.SchedSeed,
+			AlgSeed:   spec.AlgSeed,
+			MaxSlots:  spec.MaxSlots,
+			Workload:  spec.Workload,
+			Fault:     final.Fault,
+		},
 		Violations: vs,
 	}
 }
 
-// ReplayRepro re-executes a repro artifact's trial and reports whether
-// a violation reproduced.
-func ReplayRepro(r *fault.Repro) (FaultTrialResult, error) {
+// ReplayRepro re-executes a slot-clock repro artifact's trial and
+// applies the envelope's replay rule (fault.Repro.Confirm): the recorded
+// violations must reproduce exactly.
+func ReplayRepro(r *fault.Repro[fault.SlotRun]) (FaultTrialResult, error) {
 	if err := r.Validate(); err != nil {
 		return FaultTrialResult{}, err
 	}
-	kind, ok := sched.KindByName(r.Sched)
+	kind, ok := sched.KindByName(r.Run.Sched)
 	if !ok {
-		return FaultTrialResult{}, fmt.Errorf("experiment: repro names unknown schedule kind %q", r.Sched)
+		return FaultTrialResult{}, fmt.Errorf("experiment: repro names unknown schedule kind %q", r.Run.Sched)
 	}
-	known := false
-	for _, w := range FaultWorkloads() {
-		if w == r.Workload {
-			known = true
-		}
+	if !slices.Contains(FaultWorkloads(), r.Run.Workload) {
+		return FaultTrialResult{}, fmt.Errorf("experiment: repro names unknown workload %q", r.Run.Workload)
 	}
-	if !known {
-		return FaultTrialResult{}, fmt.Errorf("experiment: repro names unknown workload %q", r.Workload)
-	}
-	return RunFaultTrial(FaultTrialSpec{
+	res := RunFaultTrial(FaultTrialSpec{
 		N:         r.N,
 		SchedKind: kind,
-		SchedSeed: r.SchedSeed,
-		AlgSeed:   r.AlgSeed,
-		MaxSlots:  r.MaxSlots,
-		Workload:  r.Workload,
-		Fault:     r.Fault,
-	}), nil
+		SchedSeed: r.Run.SchedSeed,
+		AlgSeed:   r.Run.AlgSeed,
+		MaxSlots:  r.Run.MaxSlots,
+		Workload:  r.Run.Workload,
+		Fault:     r.Run.Fault,
+	})
+	return res, r.Confirm(res.Violations)
 }
 
 // e17FaultSweep renders a reduced fault matrix as an experiment table:

@@ -80,7 +80,7 @@ func TestFaultSweepShrinksAndReplays(t *testing.T) {
 		Shrink:    2048,
 		ReproDir:  dir,
 	})
-	var repros []*fault.Repro
+	var repros []*fault.Repro[fault.SlotRun]
 	violated := 0
 	for _, cr := range results {
 		violated += cr.Violated
@@ -93,13 +93,13 @@ func TestFaultSweepShrinksAndReplays(t *testing.T) {
 		t.Fatal("violations found but no repros shrunk")
 	}
 	for _, r := range repros {
-		if r.Fault.Len() > 64 {
-			t.Errorf("shrunk schedule still has %d events", r.Fault.Len())
+		if r.Run.Fault.Len() > 64 {
+			t.Errorf("shrunk schedule still has %d events", r.Run.Fault.Len())
 		}
 		if r.SavedPath == "" {
 			t.Fatal("repro not saved")
 		}
-		loaded, err := fault.LoadRepro(r.SavedPath)
+		loaded, err := fault.LoadRepro[fault.SlotRun](r.SavedPath)
 		if err != nil {
 			t.Fatalf("loading %s: %v", r.SavedPath, err)
 		}
@@ -110,6 +110,17 @@ func TestFaultSweepShrinksAndReplays(t *testing.T) {
 		if !reflect.DeepEqual(res.Violations, loaded.Violations) {
 			t.Errorf("replay of %s diverged from recorded violations:\n%v\nvs\n%v",
 				r.SavedPath, res.Violations, loaded.Violations)
+		}
+		// The replay rule is exact: recording fewer violations than the
+		// replay produces is a divergence, not a pass.
+		fewer := *loaded
+		fewer.Violations = loaded.Violations[:len(loaded.Violations)-1]
+		if len(fewer.Violations) == 0 {
+			fewer.Violations = []fault.Violation{{Monitor: "panic", Detail: "never fired"}}
+		}
+		if _, err := ReplayRepro(&fewer); err == nil {
+			t.Errorf("replay of %s accepted with recorded violations %v, replayed %v",
+				r.SavedPath, fewer.Violations, res.Violations)
 		}
 	}
 }
@@ -143,17 +154,18 @@ func TestReplayReproRejectsUnknownNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := fault.Repro{
-		Schema: fault.SchemaRepro, N: 2, Sched: "round-robin", Workload: WorkloadMaxReg,
-		Fault: schedule, Violations: []fault.Violation{{Monitor: "panic", Detail: "x"}},
+	base := fault.Repro[fault.SlotRun]{
+		N:          2,
+		Run:        fault.SlotRun{Sched: "round-robin", Workload: WorkloadMaxReg, Fault: schedule},
+		Violations: []fault.Violation{{Monitor: "panic", Detail: "x"}},
 	}
 	bad := base
-	bad.Sched = "warp-speed"
+	bad.Run.Sched = "warp-speed"
 	if _, err := ReplayRepro(&bad); err == nil {
 		t.Error("unknown sched kind accepted")
 	}
 	bad = base
-	bad.Workload = "mystery"
+	bad.Run.Workload = "mystery"
 	if _, err := ReplayRepro(&bad); err == nil {
 		t.Error("unknown workload accepted")
 	}

@@ -30,10 +30,11 @@
 // run is a pure function of (algorithm seed, schedule source, fault
 // schedule).
 //
-// Injection is zero-cost when disabled: the memory substrate consults
-// its fault hooks only while at least one faulted run is active (a
-// single atomic load per operation otherwise), and the simulator driver
-// takes its fault branches only when a run carries a schedule.
+// Injection is confined to controlled runs: the memory substrate
+// consults its fault hooks only in the direct representation that
+// controlled runs latch (the lock-free representation carries no fault
+// code), and the simulator driver takes its fault branches only when a
+// run carries a schedule.
 package fault
 
 import (

@@ -209,24 +209,29 @@ func TestMonitoredMaxerCleanInner(t *testing.T) {
 
 func TestReproValidateAndRoundTrip(t *testing.T) {
 	s := mustSchedule(t, 3, []Event{{Kind: StaleRead, Pid: 0, Op: 1, Arg: 1}})
-	r := &Repro{
-		N:          3,
-		Sched:      "round-robin",
-		SchedSeed:  7,
-		AlgSeed:    8,
-		Workload:   "maxreg-probe",
-		Fault:      s,
+	r := &Repro[SlotRun]{
+		N: 3,
+		Run: SlotRun{
+			Sched:     "round-robin",
+			SchedSeed: 7,
+			AlgSeed:   8,
+			Workload:  "maxreg-probe",
+			Fault:     s,
+		},
 		Violations: []Violation{{Monitor: "maxreg-monotonic", Detail: "test"}},
 	}
 	data, err := r.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DecodeRepro(data)
+	if schema, err := ReproSchema(data); err != nil || schema != SchemaRepro {
+		t.Errorf("ReproSchema = %q, %v; want %q", schema, err, SchemaRepro)
+	}
+	r2, err := DecodeRepro[SlotRun](data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Schema != SchemaRepro || r2.N != 3 || r2.Fault.Len() != 1 || len(r2.Violations) != 1 {
+	if r2.N != 3 || r2.Run.Fault.Len() != 1 || len(r2.Violations) != 1 {
 		t.Errorf("round trip lost fields: %+v", r2)
 	}
 
@@ -237,11 +242,30 @@ func TestReproValidateAndRoundTrip(t *testing.T) {
 	}
 	bad = *r
 	bad.N = 5 // schedule targets 3
-	bad.Schema = SchemaRepro
 	if err := bad.Validate(); err == nil {
 		t.Error("repro with process-count mismatch accepted")
 	}
-	if _, err := DecodeRepro([]byte(`{"schema":"nope"}`)); err == nil {
+	if _, err := DecodeRepro[SlotRun]([]byte(`{"schema":"nope"}`)); err == nil {
 		t.Error("wrong schema accepted")
+	}
+	des := strings.Replace(string(data), SchemaRepro, SchemaDESRepro, 1)
+	if _, err := DecodeRepro[SlotRun]([]byte(des)); err == nil || !strings.Contains(err.Error(), SchemaDESRepro) {
+		t.Errorf("other engine's artifact decoded as slot-clock: %v", err)
+	}
+}
+
+// TestReproConfirmIsExact: the replay rule accepts only the recorded
+// violations, in order — not merely some violation.
+func TestReproConfirmIsExact(t *testing.T) {
+	a := Violation{Monitor: "agreement", Detail: "x"}
+	b := Violation{Monitor: "ac-coherence", Detail: "y"}
+	r := &Repro[SlotRun]{Violations: []Violation{a, b}}
+	if err := r.Confirm([]Violation{a, b}); err != nil {
+		t.Errorf("exact replay rejected: %v", err)
+	}
+	for _, got := range [][]Violation{nil, {a}, {b, a}, {a, b, b}, {a, {Monitor: "ac-coherence", Detail: "z"}}} {
+		if err := r.Confirm(got); err == nil {
+			t.Errorf("replay %v accepted against recorded %v", got, r.Violations)
+		}
 	}
 }

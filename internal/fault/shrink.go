@@ -1,56 +1,52 @@
 package fault
 
-// Shrink reduces a failing fault schedule to a smaller one that still
-// fails, in the delta-debugging style: repro must return true when the
-// violation reproduces under the candidate schedule. The search first
+// Halver is the per-kind magnitude hook of Shrink: Halved returns the
+// event with its magnitude halved toward its floor, and false when the
+// event already sits at its floor.
+type Halver[E any] interface {
+	Halved() (E, bool)
+}
+
+// Shrink reduces a failing event schedule to a smaller one that still
+// fails, in the delta-debugging style: fails must return true when the
+// failure reproduces under the candidate schedule. The search first
 // deletes event chunks (halves, then quarters, down to single events,
-// repeating at granularity one until a fixed point), then minimizes the
-// surviving events' magnitudes (stutter/stall lengths and staleness
-// depths) by halving toward their floors. Event clocks (Slot, Op) are
+// repeating at granularity one until a fixed point), then halves the
+// surviving events' magnitudes toward their floors. Event clocks are
 // left untouched: moving a fault in time changes which execution it
 // perturbs, which is not a reduction.
 //
-// budget caps the number of repro invocations; when it runs out the
-// best schedule found so far is returned. Shrink never returns nil for
-// a non-nil input and the result always still satisfies repro (the
-// input itself is assumed to).
+// The empty schedule is a candidate only when tryEmpty is set. fails may
+// reorder a candidate in place into its caller's canonical order; the
+// search continues from the order fails leaves. budget caps the number
+// of fails invocations; when it runs out the best schedule found so far
+// is returned. The result always still fails (the input itself is
+// assumed to).
 //
-// The search is deterministic: same input schedule, same repro
+// The search is deterministic: same input schedule, same fails
 // behavior, same result — so a shrunk artifact is as replayable as the
 // schedule it came from.
-func Shrink(s *Schedule, budget int, repro func(*Schedule) bool) *Schedule {
-	if s == nil || s.Len() == 0 {
-		return s
-	}
-	n := s.n
-	cur := s.Events()
-	best := s
+func Shrink[E Halver[E]](events []E, budget int, tryEmpty bool, fails func([]E) bool) []E {
+	cur := events
 	calls := 0
-	try := func(events []Event) *Schedule {
-		if calls >= budget {
-			return nil
+	try := func(cand []E) bool {
+		if calls >= budget || (len(cand) == 0 && !tryEmpty) {
+			return false
 		}
 		calls++
-		cand, err := NewSchedule(n, events)
-		if err != nil || !repro(cand) {
-			return nil
-		}
-		return cand
+		return fails(cand)
 	}
 
 	// Phase 1: chunk deletion.
 	for chunk := (len(cur) + 1) / 2; chunk >= 1; {
 		reduced := false
 		for start := 0; start < len(cur); {
-			end := start + chunk
-			if end > len(cur) {
-				end = len(cur)
-			}
-			cand := make([]Event, 0, len(cur)-(end-start))
+			end := min(start+chunk, len(cur))
+			cand := make([]E, 0, len(cur)-(end-start))
 			cand = append(cand, cur[:start]...)
 			cand = append(cand, cur[end:]...)
-			if sc := try(cand); sc != nil {
-				cur, best = sc.Events(), sc
+			if try(cand) {
+				cur = cand
 				reduced = true
 				// Keep start in place: the next chunk slid into it.
 			} else {
@@ -58,7 +54,7 @@ func Shrink(s *Schedule, budget int, repro func(*Schedule) bool) *Schedule {
 			}
 		}
 		if calls >= budget {
-			return best
+			return cur
 		}
 		if chunk == 1 {
 			if !reduced {
@@ -70,32 +66,56 @@ func Shrink(s *Schedule, budget int, repro func(*Schedule) bool) *Schedule {
 		chunk /= 2
 	}
 
-	// Phase 2: magnitude minimization. Stutter/stall lengths and
-	// stale-scan depths floor at 1; stale-read depths floor at 0 (the
-	// null read).
-	for i := 0; i < len(cur); i++ {
-		floor := int64(1)
-		if cur[i].Kind == StaleRead {
-			floor = 0
-		}
-		for cur[i].Arg > floor {
-			cand := append([]Event(nil), cur...)
-			next := cand[i].Arg / 2
-			if next < floor {
-				next = floor
-			}
-			cand[i].Arg = next
-			sc := try(cand)
-			if sc == nil {
+	// Phase 2: magnitude minimization.
+	for i := range cur {
+		for calls < budget {
+			next, ok := cur[i].Halved()
+			if !ok {
 				break
 			}
-			// NewSchedule re-sorts, but only Arg changed and Arg is the
-			// final sort key, so index i still addresses the same event.
-			cur, best = sc.Events(), sc
-		}
-		if calls >= budget {
-			break
+			cand := append([]E(nil), cur...)
+			cand[i] = next
+			if !try(cand) {
+				break
+			}
+			cur = cand
 		}
 	}
+	return cur
+}
+
+// Halved implements Halver: stutter/stall lengths and stale-scan depths
+// floor at 1; stale-read depths floor at 0 (the null read).
+func (e Event) Halved() (Event, bool) {
+	floor := int64(1)
+	if e.Kind == StaleRead {
+		floor = 0
+	}
+	if e.Arg <= floor {
+		return e, false
+	}
+	e.Arg = max(e.Arg/2, floor)
+	return e, true
+}
+
+// Shrink is the package-level Shrink over the schedule's events, with
+// the empty schedule as a candidate. repro sees each candidate as a
+// normalized Schedule; the result is s itself when nothing smaller
+// reproduces.
+func (s *Schedule) Shrink(budget int, repro func(*Schedule) bool) *Schedule {
+	if s == nil {
+		return nil
+	}
+	best := s
+	Shrink(s.Events(), budget, true, func(events []Event) bool {
+		cand, err := NewSchedule(s.n, events)
+		if err != nil || !repro(cand) {
+			return false
+		}
+		// NewSchedule re-sorts; continue from the canonical order.
+		copy(events, cand.events)
+		best = cand
+		return true
+	})
 	return best
 }

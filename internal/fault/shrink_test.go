@@ -25,7 +25,7 @@ func TestShrinkToSingleCulprit(t *testing.T) {
 		}
 		return false
 	}
-	got := Shrink(s, 10_000, repro)
+	got := s.Shrink(10_000, repro)
 	if got.Len() != 1 {
 		t.Fatalf("shrunk to %d events, want 1: %+v", got.Len(), got.Events())
 	}
@@ -57,8 +57,8 @@ func TestShrinkDeterministic(t *testing.T) {
 		}
 		return n >= 2
 	}
-	a := Shrink(s, 10_000, repro)
-	b := Shrink(s, 10_000, repro)
+	a := s.Shrink(10_000, repro)
+	b := s.Shrink(10_000, repro)
 	da, _ := a.Encode()
 	db, _ := b.Encode()
 	if string(da) != string(db) {
@@ -80,11 +80,11 @@ func TestShrinkBudgetExhaustion(t *testing.T) {
 	s := mustSchedule(t, 1, events)
 	always := func(*Schedule) bool { return true }
 	// Zero budget: nothing tried, input returned as-is.
-	if got := Shrink(s, 0, always); got.Len() != s.Len() {
+	if got := s.Shrink(0, always); got.Len() != s.Len() {
 		t.Errorf("zero-budget shrink changed the schedule: %d events", got.Len())
 	}
 	// A tiny budget still returns something that reproduces.
-	got := Shrink(s, 3, always)
+	got := s.Shrink(3, always)
 	if got == nil || !always(got) {
 		t.Fatal("budgeted shrink lost the repro")
 	}
@@ -94,11 +94,11 @@ func TestShrinkBudgetExhaustion(t *testing.T) {
 }
 
 func TestShrinkNilAndEmpty(t *testing.T) {
-	if got := Shrink(nil, 100, func(*Schedule) bool { return true }); got != nil {
+	if got := (*Schedule)(nil).Shrink(100, func(*Schedule) bool { return true }); got != nil {
 		t.Error("nil input should pass through")
 	}
 	empty := mustSchedule(t, 2, nil)
-	if got := Shrink(empty, 100, func(*Schedule) bool { return true }); got.Len() != 0 {
+	if got := empty.Shrink(100, func(*Schedule) bool { return true }); got.Len() != 0 {
 		t.Error("empty input should pass through")
 	}
 }

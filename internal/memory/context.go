@@ -137,7 +137,9 @@ func (r *repMode) of(ctx Context) int32 {
 //     loop.
 //  3. The fault hook (FaultOnWrite / stale-read substitution), after the
 //     effect: the injector records the post-state an overlapping
-//     observer could legitimately see.
+//     observer could legitimately see. Faults apply only to the direct
+//     representation: a faulted run is always controlled, so its objects
+//     latch direct, and the lock-free branches have no fault hook.
 //  4. Accounting: the per-class counter, last, so counter deltas always
 //     describe completed effects. Counters are monotone diagnostics, not
 //     linearization witnesses — in concurrent mode an operation's effect

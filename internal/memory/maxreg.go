@@ -53,8 +53,6 @@ type maxState[T any] struct {
 // WriteMax implements Maxer.
 func (m *MaxRegister[T]) WriteMax(ctx Context, key uint64, payload T) {
 	ctx.Step()
-	armed := faultsArmed()
-	var after maxState[T]
 	if m.rep.of(ctx) == repLockFree {
 		st := &maxState[T]{key: key, payload: payload}
 		for {
@@ -63,15 +61,9 @@ func (m *MaxRegister[T]) WriteMax(ctx Context, key uint64, payload T) {
 				// The current maximum already dominates (ties keep the
 				// incumbent payload, matching the direct path's key >
 				// m.key test); this write linearizes here as a no-op.
-				if armed {
-					after = *cur
-				}
 				break
 			}
 			if m.lf.CompareAndSwap(cur, st) {
-				if armed {
-					after = *st
-				}
 				break
 			}
 			mMaxCAS.Inc()
@@ -80,13 +72,8 @@ func (m *MaxRegister[T]) WriteMax(ctx Context, key uint64, payload T) {
 		if !m.set || key > m.key {
 			m.key, m.payload, m.set = key, payload, true
 		}
-		if armed {
-			after = maxState[T]{key: m.key, payload: m.payload}
-		}
-	}
-	if armed {
 		if f := asFaulter(ctx); f != nil {
-			f.FaultOnWrite(m, after)
+			f.FaultOnWrite(m, maxState[T]{key: m.key, payload: m.payload})
 		}
 	}
 	mMaxWrite.Inc()
@@ -95,19 +82,6 @@ func (m *MaxRegister[T]) WriteMax(ctx Context, key uint64, payload T) {
 // ReadMax implements Maxer.
 func (m *MaxRegister[T]) ReadMax(ctx Context) (uint64, T, bool) {
 	ctx.Step()
-	if faultsArmed() {
-		if f := asFaulter(ctx); f != nil {
-			if stale, hit := f.FaultOnRead(m); hit {
-				mMaxRead.Inc()
-				if stale == nil {
-					var zero T
-					return 0, zero, false
-				}
-				st := stale.(maxState[T])
-				return st.key, st.payload, true
-			}
-		}
-	}
 	var (
 		k  uint64
 		p  T
@@ -119,6 +93,14 @@ func (m *MaxRegister[T]) ReadMax(ctx Context) (uint64, T, bool) {
 		}
 	} else {
 		k, p, ok = m.key, m.payload, m.set
+		if f := asFaulter(ctx); f != nil {
+			if stale, hit := f.FaultOnRead(m); hit {
+				// A nil stale value reads as never written.
+				var st maxState[T]
+				st, ok = stale.(maxState[T])
+				k, p = st.key, st.payload
+			}
+		}
 	}
 	mMaxRead.Inc()
 	return k, p, ok

@@ -35,8 +35,6 @@ func (r *Register[T]) Write(ctx Context, v T) {
 		r.lfStore(v)
 	} else {
 		r.val, r.set = v, true
-	}
-	if faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
 			f.FaultOnWrite(r, v)
 		}
@@ -48,18 +46,6 @@ func (r *Register[T]) Write(ctx Context, v T) {
 // ever been written, charging one step.
 func (r *Register[T]) Read(ctx Context) (T, bool) {
 	ctx.Step()
-	if faultsArmed() {
-		if f := asFaulter(ctx); f != nil {
-			if stale, hit := f.FaultOnRead(r); hit {
-				mRegRead.Inc()
-				if stale == nil {
-					var zero T
-					return zero, false
-				}
-				return stale.(T), true
-			}
-		}
-	}
 	var (
 		v  T
 		ok bool
@@ -70,6 +56,12 @@ func (r *Register[T]) Read(ctx Context) (T, bool) {
 		}
 	} else {
 		v, ok = r.val, r.set
+		if f := asFaulter(ctx); f != nil {
+			if stale, hit := f.FaultOnRead(r); hit {
+				// A nil stale value reads as never written.
+				v, ok = stale.(T)
+			}
+		}
 	}
 	mRegRead.Inc()
 	return v, ok
@@ -91,8 +83,6 @@ func (r *Register[T]) CompareEmptyAndWrite(ctx Context, v T) (T, bool) {
 	} else if val = r.val; !r.set {
 		r.val, r.set = v, true
 		val, installed = v, true
-	}
-	if installed && faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
 			f.FaultOnWrite(r, v)
 		}

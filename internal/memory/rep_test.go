@@ -257,3 +257,44 @@ func TestRepresentationLatchIsSticky(t *testing.T) {
 		})
 	}
 }
+
+// faultCountingCtx is a countingCtx carrying an always-active Faulter
+// whose hooks only count their calls and never weaken an operation.
+type faultCountingCtx struct {
+	countingCtx
+	hooks int
+}
+
+func (c *faultCountingCtx) FaultActive() bool      { return true }
+func (c *faultCountingCtx) FaultOnWrite(any, any)  { c.hooks++ }
+func (c *faultCountingCtx) FaultScanDepth(any) int { c.hooks++; return 0 }
+func (c *faultCountingCtx) FaultOnRead(any) (any, bool) {
+	c.hooks++
+	return nil, false
+}
+func (c *faultCountingCtx) FaultStaleAt(any, int) (any, bool) {
+	c.hooks++
+	return nil, false
+}
+
+// TestFaultHooksOnlyInDirectRepresentation: only the direct
+// representation asks its context for a Faulter. The same scripts run
+// under an active Faulter call its hooks on direct-latched objects and
+// never on lock-free ones, so a faulted run cannot reach the lock-free
+// objects the service and the concurrent engine use.
+func TestFaultHooksOnlyInDirectRepresentation(t *testing.T) {
+	for _, tc := range repCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, exclusive := range []bool{true, false} {
+				ctx := &faultCountingCtx{countingCtx: countingCtx{exclusive: exclusive}}
+				tc.run(ctx, func(string, ...any) {})
+				if exclusive && ctx.hooks == 0 {
+					t.Error("direct representation never consulted the Faulter")
+				}
+				if !exclusive && ctx.hooks != 0 {
+					t.Errorf("lock-free representation made %d Faulter calls, want 0", ctx.hooks)
+				}
+			}
+		})
+	}
+}

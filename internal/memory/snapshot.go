@@ -57,8 +57,6 @@ func (s *Snapshot[T]) Update(ctx Context, i int, v T) {
 		}
 	} else {
 		s.vals[i] = Entry[T]{Value: v, OK: true}
-	}
-	if faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
 			f.FaultOnWrite(ComponentKey{Obj: s, I: i}, v)
 		}
@@ -89,8 +87,6 @@ func (s *Snapshot[T]) ScanInto(ctx Context, buf []Entry[T]) []Entry[T] {
 		}
 	} else {
 		copy(buf, s.vals)
-	}
-	if faultsArmed() {
 		if f := asFaulter(ctx); f != nil {
 			if d := f.FaultScanDepth(s); d > 0 {
 				// Bounded-staleness scan: every component observes the

@@ -175,11 +175,10 @@ func (p *Proc) ScratchMap() map[any]any {
 	return p.scratch
 }
 
-// memory.Faulter delegation: the memory substrate consults these on
-// every operation while faults are armed process-wide; Proc adds its pid
+// memory.Faulter delegation: the memory substrate's direct
+// representation consults these on every operation; Proc adds its pid
 // and forwards to the run's injector. FaultActive is the per-run gate —
-// false for every unfaulted run, so a faulted run elsewhere in the
-// process does not perturb this one.
+// false for every unfaulted run.
 
 // FaultActive implements memory.Faulter.
 func (p *Proc) FaultActive() bool { return p.inj != nil }
@@ -342,10 +341,6 @@ type Body func(p *Proc)
 // (finite schedules), or the slot budget fires.
 func RunControlled(src sched.Source, body Body, cfg Config) (Result, error) {
 	n := src.N()
-	if cfg.Faults != nil {
-		memory.ArmFaults()
-		defer memory.DisarmFaults()
-	}
 	r := runPool.Get().(*coRun)
 	for len(r.procs) < n {
 		r.procs = append(r.procs, &Proc{})
