@@ -1,13 +1,40 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden -des outputs under testdata")
+
+// checkGolden compares got with the golden file testdata/name, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from golden file %s.\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
 
 // TestDESFlagValidation: every contradictory or malformed -des*
 // combination must fail fast with a descriptive error — a full DES sweep
@@ -194,6 +221,19 @@ func TestDESFaultReproSaveAndReplay(t *testing.T) {
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no fault repro saved (err=%v); sweep output:\n%s", err, b.String())
 	}
+	// The artifacts are pinned byte for byte: which trials violate, how
+	// they shrink and what they record must not depend on how the
+	// sweep's trials are scheduled.
+	var names []string
+	for _, m := range matches {
+		data, err := os.ReadFile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, filepath.Base(m))
+		checkGolden(t, filepath.Join("golden_des_repros", filepath.Base(m)), data)
+	}
+	checkGolden(t, filepath.Join("golden_des_repros", "index.txt"), []byte(strings.Join(names, "\n")+"\n"))
 	var r strings.Builder
 	if err := run([]string{"-fault-replay", matches[0]}, &r); err != nil {
 		t.Fatalf("replay of %s failed: %v\n%s", matches[0], err, r.String())
@@ -219,17 +259,26 @@ func TestDESFaultReproSaveAndReplay(t *testing.T) {
 }
 
 // TestDESSweepReplaysByteIdentically is the CLI-level determinism
-// contract: the same seed and flags must render the same bytes.
+// contract: the same seed and flags must render the same bytes, with or
+// without -des-json, and both the table and the record are pinned by
+// golden files.
 func TestDESSweepReplaysByteIdentically(t *testing.T) {
 	args := []string{"-des", "-des-n", "96", "-des-trials", "2", "-des-loss", "0.1", "-seed", "7"}
+	recPath := filepath.Join(t.TempDir(), "des.json")
 	var a, b strings.Builder
 	if err := run(args, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(args, &b); err != nil {
+	if err := run(append(args, "-des-json", recPath), &b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
 		t.Fatalf("same seed and flags rendered different tables:\n%s\nvs\n%s", a.String(), b.String())
 	}
+	checkGolden(t, "golden_des_sweep.txt", []byte(a.String()))
+	rec, err := os.ReadFile(recPath)
+	if err != nil {
+		t.Fatalf("record not written: %v", err)
+	}
+	checkGolden(t, "golden_des_sweep.json", rec)
 }
