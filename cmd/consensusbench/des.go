@@ -252,10 +252,7 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 	}
 	tbl := experiment.Table{ID: "DES", Title: title, Columns: columns}
 
-	var (
-		atomicViolations int
-		reprosSaved      int
-	)
+	var atomicViolations int
 	// Per-trial seeds come from a named fork of the master seed, so the
 	// sweep composition (which cells run, in what order) cannot change
 	// any cell's results.
@@ -272,12 +269,14 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 				row        = desRow{N: n, Protocol: protocol, AllDecided: true}
 				cellRepros int
 			)
-			for _, s := range cellSeeds {
-				cfg := des.Config{N: n, Protocol: protocol, Net: sw.net, Chaos: sw.chaos, Seed: s}
-				res, rerr := des.Run(cfg)
-				if rerr != nil {
+			// The cell's trials run in parallel; everything below reads
+			// their results in seed order, so rows, records and artifacts
+			// do not depend on the worker count.
+			cellCfg := des.Config{N: n, Protocol: protocol, Net: sw.net, Chaos: sw.chaos}
+			for t, res := range experiment.RunDESTrials(experiment.Params{}, cellCfg, cellSeeds) {
+				if res.Err != nil {
 					if !sw.weakened {
-						return fmt.Errorf("des n=%d %s: %w", n, protocol, rerr)
+						return fmt.Errorf("des n=%d %s: %w", n, protocol, res.Err)
 					}
 					// Weakened regime: the run itself may wedge (e.g. a
 					// process blocked on state the server forgot). That is
@@ -313,13 +312,14 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 						atomicViolations += len(res.Violations)
 					}
 					if df.repros != "" && cellRepros < desMaxReprosPerCell {
+						cfg := cellCfg
+						cfg.Seed = cellSeeds[t]
 						path, serr := shrinkAndSaveRepro(cfg, df.repros, cellRepros)
 						if serr != nil {
-							return fmt.Errorf("des n=%d %s seed %d: shrinking repro: %w", n, protocol, s, serr)
+							return fmt.Errorf("des n=%d %s seed %d: shrinking repro: %w", n, protocol, cfg.Seed, serr)
 						}
 						fmt.Fprintf(out, "saved fault repro: %s\n", path)
 						cellRepros++
-						reprosSaved++
 					}
 				}
 			}

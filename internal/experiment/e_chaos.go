@@ -8,42 +8,6 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/stats"
 )
 
-// chaosTrialSet is one E21 cell: the per-trial results plus how many
-// trials ended in a run error (nontermination under weakened semantics
-// is a finding to report, not a programming bug to panic on).
-type chaosTrialSet struct {
-	desTrialSet
-	runErrs int
-}
-
-// runChaosCell is runDESCell with weakened-semantics tolerance: when
-// `weakened` is set, run errors are counted instead of panicking —
-// wiping the memory server's registers voids the termination analysis
-// along with the safety proofs, so both kinds of failure are data.
-func runChaosCell(p Params, cfg des.Config, trials int, seedOff uint64, weakened bool) chaosTrialSet {
-	if !weakened {
-		return chaosTrialSet{desTrialSet: runDESCell(p, cfg, trials, seedOff)}
-	}
-	set := chaosTrialSet{desTrialSet: desTrialSet{results: make([]des.Result, trials)}}
-	errs := make([]bool, trials)
-	p.forEachTrial(p.Seed+seedOff, trials, func(t int, s trialSeeds) {
-		c := cfg
-		c.Seed = s.alg
-		res, err := des.Run(c)
-		set.results[t] = res
-		errs[t] = err != nil
-	})
-	for t, r := range set.results {
-		if errs[t] {
-			set.runErrs++
-		}
-		for _, s := range r.Steps {
-			set.steps = append(set.steps, float64(s))
-		}
-	}
-	return set
-}
-
 // e21Chaos is the crash-recovery chaos matrix: the E18 message-passing
 // DES swept across {crash rate x restart variant x loss x partition}
 // for every protocol. Under atomic shared-memory semantics (the server
@@ -150,10 +114,17 @@ func e21Chaos() Experiment {
 							Chaos:    sc.chaos,
 							Retry:    sc.retry,
 						}
-						set := runChaosCell(p, cfg, trials, 2100+cell, sc.weakened)
+						// The weakened scenario wipes the memory server's
+						// registers, which voids the termination analysis
+						// along with the safety proofs: its run errors are
+						// findings, not bugs.
+						set := runDESCell(p, cfg, trials, 2100+cell)
+						if !sc.weakened {
+							set.mustSucceed()
+						}
 						var crashes, restarts, resyncs, wipes int64
 						gaveUp := 0
-						for _, r := range set.results {
+						for _, r := range set.trials {
 							crashes += r.Crashes
 							restarts += r.Restarts
 							resyncs += r.Resyncs
@@ -170,7 +141,7 @@ func e21Chaos() Experiment {
 							stats.Summarize(set.steps).String(),
 							crashes, restarts, resyncs, wipes, gaveUp,
 							fmt.Sprintf("%v", set.allDecided()),
-							set.runErrs, set.violations())
+							set.runErrs(), set.violations())
 					}
 				}
 			}

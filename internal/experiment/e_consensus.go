@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/oblivious-consensus/conciliator/internal/consensus"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
@@ -86,48 +85,40 @@ func e8Consensus() Experiment {
 				totalCells := []any{n}
 				skewCells := []any{n}
 				for pi, proto := range protocols {
-					var (
-						mu         sync.Mutex
-						sumSteps   float64
-						sumPhases  float64
-						sumTotal   float64
-						sumSkewMax float64
-					)
-					p.forEachTrial(p.Seed+9+uint64(pi), trials, func(t int, s trialSeeds) {
-						c := proto.mk(n)
+					// Per trial: mean steps per process, mean phases, and
+					// the slowest process's steps under the uniform and
+					// the favored-process schedule.
+					perTrial := runTrials(p, seedsFor(p.Seed+9+uint64(pi), trials), func(t int, s trialSeeds) [4]float64 {
 						inputs := distinctInputs(n)
-						outs, fin, res := mustRun(n, s, func(pr *sim.Proc) int {
-							return c.Propose(pr, inputs[pr.ID()])
-						})
-						if !agree(outs, fin) {
-							panic(fmt.Sprintf("consensus %s violated agreement (n=%d trial=%d)", proto.name, n, t))
+						run := func(src sched.Source, under string) (*consensus.Protocol[int], sim.Result) {
+							c := proto.mk(n) // fresh object: single-use
+							outs, fin, res := mustRun(src, s.alg, func(pr *sim.Proc) int {
+								return c.Propose(pr, inputs[pr.ID()])
+							})
+							if !agree(outs, fin) {
+								panic(fmt.Sprintf("consensus %s violated agreement%s (n=%d trial=%d)", proto.name, under, n, t))
+							}
+							return c, res
 						}
-
-						// Same protocol under the favored-process oblivious
-						// schedule (fresh object: single-use).
-						cSkew := proto.mk(n)
-						srcSkew := sched.NewFavored(n)
-						outsS, finS, resS, err := sim.Collect(srcSkew, sim.Config{AlgSeed: s.alg}, func(pr *sim.Proc) int {
-							return cSkew.Propose(pr, inputs[pr.ID()])
-						})
-						if err != nil {
-							panic(err)
+						c, res := run(s.random(n), "")
+						_, resS := run(sched.NewFavored(n), " under skew")
+						return [4]float64{
+							float64(res.TotalSteps) / float64(n),
+							c.MeanPhases(),
+							float64(res.MaxSteps()),
+							float64(resS.MaxSteps()),
 						}
-						if !agree(outsS, finS) {
-							panic(fmt.Sprintf("consensus %s violated agreement under skew (n=%d trial=%d)", proto.name, n, t))
-						}
-
-						mu.Lock()
-						sumSteps += float64(res.TotalSteps) / float64(n)
-						sumPhases += c.MeanPhases()
-						sumTotal += float64(res.MaxSteps())
-						sumSkewMax += float64(resS.MaxSteps())
-						mu.Unlock()
 					})
-					stepCells = append(stepCells, sumSteps/float64(trials))
-					phaseCells = append(phaseCells, sumPhases/float64(trials))
-					totalCells = append(totalCells, sumTotal/float64(trials))
-					skewCells = append(skewCells, sumSkewMax/float64(trials))
+					var sums [4]float64
+					for _, tr := range perTrial {
+						for i, v := range tr {
+							sums[i] += v
+						}
+					}
+					stepCells = append(stepCells, sums[0]/float64(trials))
+					phaseCells = append(phaseCells, sums[1]/float64(trials))
+					totalCells = append(totalCells, sums[2]/float64(trials))
+					skewCells = append(skewCells, sums[3]/float64(trials))
 				}
 				steps.AddRow(stepCells...)
 				phases.AddRow(phaseCells...)

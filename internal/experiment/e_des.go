@@ -8,57 +8,88 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/stats"
 )
 
-// desTrialSet is one (n, protocol) cell of the E18 sweep: per-trial
-// results in trial order plus the pooled per-process step sample.
-type desTrialSet struct {
-	results []des.Result
-	steps   []float64
+// DESTrial is one DES run of a sweep cell: its result and its run error.
+type DESTrial struct {
+	des.Result
+	Err error
 }
 
-// runDESCell runs `trials` independent DES trials of one configuration,
-// in trial-seed order, parallelized like every other experiment (each
-// trial is itself single-threaded; workers just spread trials over
-// cores).
-func runDESCell(p Params, cfg des.Config, trials int, seedOff uint64) desTrialSet {
-	set := desTrialSet{results: make([]des.Result, trials)}
-	p.forEachTrial(p.Seed+seedOff, trials, func(t int, s trialSeeds) {
+// RunDESTrials runs cfg once per seed, with cfg.Seed = seeds[t], on the
+// package's trial runner and returns every run's result and error in
+// seed order. Each run is itself single-threaded; workers just spread
+// runs over cores.
+func RunDESTrials(p Params, cfg des.Config, seeds []uint64) []DESTrial {
+	return runTrials(p, seeds, func(_ int, seed uint64) DESTrial {
 		c := cfg
-		c.Seed = s.alg
+		c.Seed = seed
 		res, err := des.Run(c)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: DES run failed: %v", err))
-		}
-		set.results[t] = res
+		return DESTrial{Result: res, Err: err}
 	})
-	for _, r := range set.results {
-		for _, s := range r.Steps {
+}
+
+// desTrialSet is one DES cell of E18 or E21: per-trial results in trial
+// order plus the pooled per-process step sample.
+type desTrialSet struct {
+	trials []DESTrial
+	steps  []float64
+}
+
+// runDESCell runs `trials` DES trials of cfg, one per algorithm seed of
+// the master p.Seed+seedOff.
+func runDESCell(p Params, cfg des.Config, trials int, seedOff uint64) desTrialSet {
+	seeds := make([]uint64, trials)
+	for t, s := range seedsFor(p.Seed+seedOff, trials) {
+		seeds[t] = s.alg
+	}
+	set := desTrialSet{trials: RunDESTrials(p, cfg, seeds)}
+	for _, tr := range set.trials {
+		for _, s := range tr.Steps {
 			set.steps = append(set.steps, float64(s))
 		}
 	}
 	return set
 }
 
+// mustSucceed panics on the cell's first run error: under atomic
+// semantics a run error is a programming bug, not data.
+func (s desTrialSet) mustSucceed() {
+	for _, tr := range s.trials {
+		if tr.Err != nil {
+			panic(fmt.Sprintf("experiment: DES run failed: %v", tr.Err))
+		}
+	}
+}
+
+// runErrs counts the trials that ended in a run error.
+func (s desTrialSet) runErrs() int {
+	n := 0
+	for _, tr := range s.trials {
+		if tr.Err != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func (s desTrialSet) maxPhases() int {
 	m := 0
-	for _, r := range s.results {
-		if r.Phases > m {
-			m = r.Phases
-		}
+	for _, tr := range s.trials {
+		m = max(m, tr.Phases)
 	}
 	return m
 }
 
 func (s desTrialSet) violations() int {
 	v := 0
-	for _, r := range s.results {
-		v += len(r.Violations)
+	for _, tr := range s.trials {
+		v += len(tr.Violations)
 	}
 	return v
 }
 
 func (s desTrialSet) allDecided() bool {
-	for _, r := range s.results {
-		if !r.AllDecided {
+	for _, tr := range s.trials {
+		if !tr.AllDecided {
 			return false
 		}
 	}
@@ -116,7 +147,8 @@ func e18DES() Experiment {
 				for _, protocol := range protocols {
 					cell++
 					set := runDESCell(p, des.Config{N: n, Protocol: protocol}, trials, 1800+cell)
-					r0 := set.results[0]
+					set.mustSucceed()
+					r0 := set.trials[0]
 					opsPerRound := 1
 					if protocol == des.ProtoPriorityMax {
 						opsPerRound = 2
@@ -157,9 +189,10 @@ func e18DES() Experiment {
 			}
 			for i, sc := range scenarios {
 				set := runDESCell(p, des.Config{N: advN, Protocol: des.ProtoSifter, Net: sc.net}, trials, 1850+uint64(i))
+				set.mustSucceed()
 				var vtimes []float64
 				var retrans, dropped, blocked int64
-				for _, r := range set.results {
+				for _, r := range set.trials {
 					vtimes = append(vtimes, float64(r.VirtualTime)/float64(time.Millisecond))
 					retrans += r.Retransmits
 					dropped += r.MsgsDropped

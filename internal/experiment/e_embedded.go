@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"sync"
-
 	"github.com/oblivious-consensus/conciliator/internal/conciliator"
 	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/stats"
@@ -44,52 +42,60 @@ func e7Embedded() Experiment {
 				Columns: []string{"n", "completed sifter", "read proposal", "wrote proposal"},
 			}
 
+			// embeddedTrial is one trial's Algorithm 3 and plain-sifter
+			// accounting.
+			type embeddedTrial struct {
+				agreed                   bool
+				totalEmb, totalSift      int64
+				maxIndividual            int64
+				exitSift, exitRd, exitWr int64
+			}
 			for _, n := range nsweep {
-				var (
-					mu             sync.Mutex
-					agreed         int
-					totalEmb       float64
-					totalSift      float64
-					maxIndividual  int64
-					sumSift        int64
-					sumRead        int64
-					sumWrite       int64
-					stepBoundValue int
-				)
-				p.forEachTrial(p.Seed+8, trials, func(t int, s trialSeeds) {
+				stepBound := conciliator.NewEmbedded[int](n, conciliator.EmbeddedConfig{}).StepBound()
+				perTrial := runTrials(p, seedsFor(p.Seed+8, trials), func(_ int, s trialSeeds) embeddedTrial {
 					inputs := distinctInputs(n)
 
 					emb := conciliator.NewEmbedded[int](n, conciliator.EmbeddedConfig{})
-					outs, fin, resEmb := mustRun(n, s, func(pr *sim.Proc) int {
+					outs, fin, resEmb := mustRun(s.random(n), s.alg, func(pr *sim.Proc) int {
 						return emb.Conciliate(pr, inputs[pr.ID()])
 					})
 
 					sift := conciliator.NewSifter[int](n, conciliator.SifterConfig{Epsilon: 0.25})
-					_, _, resSift := mustRun(n, s, func(pr *sim.Proc) int {
+					_, _, resSift := mustRun(s.random(n), s.alg, func(pr *sim.Proc) int {
 						return sift.Conciliate(pr, inputs[pr.ID()])
 					})
 
-					es, er, ew := emb.ExitCounts()
-					mu.Lock()
-					if agree(outs, fin) {
+					tr := embeddedTrial{
+						agreed:        agree(outs, fin),
+						totalEmb:      resEmb.TotalSteps,
+						totalSift:     resSift.TotalSteps,
+						maxIndividual: resEmb.MaxSteps(),
+					}
+					tr.exitSift, tr.exitRd, tr.exitWr = emb.ExitCounts()
+					return tr
+				})
+				var (
+					agreed                     int
+					totalEmb, totalSift        float64
+					maxIndividual              int64
+					sumSift, sumRead, sumWrite int64
+				)
+				for _, tr := range perTrial {
+					if tr.agreed {
 						agreed++
 					}
-					totalEmb += float64(resEmb.TotalSteps)
-					totalSift += float64(resSift.TotalSteps)
-					if m := resEmb.MaxSteps(); m > maxIndividual {
-						maxIndividual = m
-					}
-					sumSift += es
-					sumRead += er
-					sumWrite += ew
-					stepBoundValue = emb.StepBound()
-					mu.Unlock()
-				})
+					totalEmb += float64(tr.totalEmb)
+					totalSift += float64(tr.totalSift)
+					maxIndividual = max(maxIndividual, tr.maxIndividual)
+					sumSift += tr.exitSift
+					sumRead += tr.exitRd
+					sumWrite += tr.exitWr
+				}
 				rate, ci := stats.Proportion(agreed, trials)
 				den := float64(trials) * float64(n)
 				main.AddRow(n, pct(rate, ci), 1.0/8,
 					totalEmb/den, totalSift/den,
-					float64(maxIndividual), stepBoundValue)
+					float64(maxIndividual), stepBound)
 				exits.AddRow(n, float64(sumSift)/den, float64(sumRead)/den, float64(sumWrite)/den)
 			}
 			return []Table{main, exits}

@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/oblivious-consensus/conciliator/internal/attack"
 	"github.com/oblivious-consensus/conciliator/internal/conciliator"
+	"github.com/oblivious-consensus/conciliator/internal/sched"
 	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/stats"
 )
@@ -46,13 +46,9 @@ func e13Multiplicity() Experiment {
 				},
 			}
 			for _, m := range ms {
-				m := m
-				var (
-					mu   sync.Mutex
-					sum1 float64
-					sum2 float64
-				)
-				p.forEachTrial(p.Seed+16+uint64(m), trials, func(t int, s trialSeeds) {
+				// Per trial: distinct values held after rounds 1 and 2,
+				// less one.
+				perTrial := runTrials(p, seedsFor(p.Seed+16+uint64(m), trials), func(_ int, s trialSeeds) [2]int {
 					c := conciliator.NewSifter[int](n, conciliator.SifterConfig{
 						Rounds:         2,
 						TrackSurvivors: true,
@@ -65,7 +61,7 @@ func e13Multiplicity() Experiment {
 					for r := range holders {
 						holders[r] = make([]int, n)
 					}
-					mustRun(n, s, func(pr *sim.Proc) int {
+					mustRun(s.random(n), s.alg, func(pr *sim.Proc) int {
 						run := c.Begin(pr, inputs[pr.ID()])
 						r := 0
 						for !run.Done() {
@@ -77,20 +73,23 @@ func e13Multiplicity() Experiment {
 						}
 						return run.Persona().Value()
 					})
-					distinctAt := func(r int) int {
+					var excess [2]int
+					for r, held := range holders {
 						set := make(map[int]struct{})
-						for _, v := range holders[r] {
+						for _, v := range held {
 							set[v] = struct{}{}
 						}
-						return len(set)
+						excess[r] = len(set) - 1
 					}
-					mu.Lock()
-					sum1 += float64(distinctAt(0) - 1)
-					sum2 += float64(distinctAt(1) - 1)
-					mu.Unlock()
+					return excess
 				})
+				var sum1, sum2 int
+				for _, x := range perTrial {
+					sum1 += x[0]
+					sum2 += x[1]
+				}
 				bound := 2 * math.Sqrt(float64(m-1))
-				tbl.AddRow(m, sum1/float64(trials), sum2/float64(trials), bound)
+				tbl.AddRow(m, float64(sum1)/float64(trials), float64(sum2)/float64(trials), bound)
 			}
 			return []Table{tbl}
 		},
@@ -128,58 +127,49 @@ func e14Adversary() Experiment {
 						"which is exactly why Theorem 2's bound stands.",
 				},
 			}
-			kinds := []string{"oblivious random", "coin-aware readers-first (attack)", "coin-aware writers-first"}
-			for ki, kind := range kinds {
-				ki := ki
-				var (
-					mu          sync.Mutex
-					agreedCount int
-					distinctSum float64
-				)
-				p.forEachTrial(p.Seed+17+uint64(ki), trials, func(t int, s trialSeeds) {
-					c := conciliator.NewSifter[int](n, conciliator.SifterConfig{})
+			// row adds one adversary's agreement rate and mean distinct
+			// outputs to t; src picks the trial's schedule.
+			row := func(t *Table, kind string, master uint64, mk func() conciliator.Interface[int], src func(s trialSeeds) sched.Source) {
+				type outcome struct {
+					agreed   bool
+					distinct int
+				}
+				perTrial := runTrials(p, seedsFor(master, trials), func(_ int, s trialSeeds) outcome {
+					c := mk()
 					inputs := distinctInputs(n)
-					body := func(pr *sim.Proc) int {
+					outs, fin, _ := mustRun(src(s), s.alg, func(pr *sim.Proc) int {
 						return c.Conciliate(pr, inputs[pr.ID()])
-					}
-					var (
-						outs []int
-						fin  []bool
-					)
-					switch ki {
-					case 0:
-						outs, fin, _ = mustRun(n, s, body)
-					case 1:
-						src := attack.SifterBitLeakSchedule(n, s.alg, 0.5)
-						var err error
-						outs, fin, _, err = sim.Collect(src, sim.Config{AlgSeed: s.alg}, body)
-						if err != nil {
-							panic(err)
-						}
-					default:
-						src := attack.WritersFirstSchedule(n, s.alg, 0.5)
-						var err error
-						outs, fin, _, err = sim.Collect(src, sim.Config{AlgSeed: s.alg}, body)
-						if err != nil {
-							panic(err)
-						}
-					}
+					})
 					set := make(map[int]struct{})
 					for i, o := range outs {
 						if fin[i] {
 							set[o] = struct{}{}
 						}
 					}
-					mu.Lock()
-					if agree(outs, fin) {
-						agreedCount++
-					}
-					distinctSum += float64(len(set))
-					mu.Unlock()
+					return outcome{agreed: agree(outs, fin), distinct: len(set)}
 				})
-				rate, ci := stats.Proportion(agreedCount, trials)
-				tbl.AddRow(kind, pct(rate, ci), distinctSum/float64(trials))
+				agreed, distinct := 0, 0
+				for _, o := range perTrial {
+					if o.agreed {
+						agreed++
+					}
+					distinct += o.distinct
+				}
+				rate, ci := stats.Proportion(agreed, trials)
+				t.AddRow(kind, pct(rate, ci), float64(distinct)/float64(trials))
 			}
+			random := func(s trialSeeds) sched.Source { return s.random(n) }
+
+			sifter := func() conciliator.Interface[int] {
+				return conciliator.NewSifter[int](n, conciliator.SifterConfig{})
+			}
+			row(&tbl, "oblivious random", p.Seed+17, sifter, random)
+			row(&tbl, "coin-aware readers-first (attack)", p.Seed+18, sifter, func(s trialSeeds) sched.Source {
+				return attack.SifterBitLeakSchedule(n, s.alg, 0.5)
+			})
+			row(&tbl, "coin-aware writers-first", p.Seed+19, sifter, func(s trialSeeds) sched.Source {
+				return attack.WritersFirstSchedule(n, s.alg, 0.5)
+			})
 
 			tbl1 := Table{
 				ID:      "E14b",
@@ -193,49 +183,13 @@ func e14Adversary() Experiment {
 						"attack, through a different mechanism.",
 				},
 			}
-			for ki, kind := range []string{"oblivious random", "coin-aware priority-leak (attack)"} {
-				ki := ki
-				var (
-					mu          sync.Mutex
-					agreedCount int
-					distinctSum float64
-				)
-				p.forEachTrial(p.Seed+23+uint64(ki), trials, func(t int, s trialSeeds) {
-					c := conciliator.NewPriority[int](n, conciliator.PriorityConfig{})
-					inputs := distinctInputs(n)
-					body := func(pr *sim.Proc) int {
-						return c.Conciliate(pr, inputs[pr.ID()])
-					}
-					var (
-						outs []int
-						fin  []bool
-					)
-					if ki == 0 {
-						outs, fin, _ = mustRun(n, s, body)
-					} else {
-						src := attack.PriorityLeakSchedule(n, s.alg, 0.5)
-						var err error
-						outs, fin, _, err = sim.Collect(src, sim.Config{AlgSeed: s.alg}, body)
-						if err != nil {
-							panic(err)
-						}
-					}
-					set := make(map[int]struct{})
-					for i, o := range outs {
-						if fin[i] {
-							set[o] = struct{}{}
-						}
-					}
-					mu.Lock()
-					if agree(outs, fin) {
-						agreedCount++
-					}
-					distinctSum += float64(len(set))
-					mu.Unlock()
-				})
-				rate, ci := stats.Proportion(agreedCount, trials)
-				tbl1.AddRow(kind, pct(rate, ci), distinctSum/float64(trials))
+			priority := func() conciliator.Interface[int] {
+				return conciliator.NewPriority[int](n, conciliator.PriorityConfig{})
 			}
+			row(&tbl1, "oblivious random", p.Seed+23, priority, random)
+			row(&tbl1, "coin-aware priority-leak (attack)", p.Seed+24, priority, func(s trialSeeds) sched.Source {
+				return attack.PriorityLeakSchedule(n, s.alg, 0.5)
+			})
 			return []Table{tbl, tbl1}
 		},
 	}

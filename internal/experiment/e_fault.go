@@ -257,12 +257,10 @@ func runFaultCell(cfg FaultSweepConfig, cell FaultCell, master uint64) FaultCell
 	}
 
 	type trialOut struct {
-		spec       FaultTrialSpec
-		violations []fault.Violation
-		faults     fault.Counts
+		spec FaultTrialSpec
+		FaultTrialResult
 	}
-	trials := make([]trialOut, cfg.Trials)
-	cfg.Params.forEachTrial(master, cfg.Trials, func(t int, s trialSeeds) {
+	trials := runTrials(cfg.Params, seedsFor(master, cfg.Trials), func(t int, s trialSeeds) trialOut {
 		plan := fault.Plan{N: cfg.N, Seed: faultSeeds[t], Semantics: cell.Semantics, Proc: cell.Proc, MaxArg: int64(cfg.MaxArg)}
 		schedule, err := plan.Generate()
 		if err != nil {
@@ -277,21 +275,20 @@ func runFaultCell(cfg FaultSweepConfig, cell FaultCell, master uint64) FaultCell
 			Workload:  cell.Workload,
 			Fault:     schedule,
 		}
-		tr := RunFaultTrial(spec)
-		trials[t] = trialOut{spec: spec, violations: tr.Violations, faults: tr.Res.Faults}
+		return trialOut{spec, RunFaultTrial(spec)}
 	})
 
-	for t := range trials {
-		out.Faults.Add(trials[t].faults)
-		if len(trials[t].violations) == 0 {
+	for t, tr := range trials {
+		out.Faults.Add(tr.Res.Faults)
+		if len(tr.Violations) == 0 {
 			continue
 		}
 		out.Violated++
-		for _, v := range trials[t].violations {
+		for _, v := range tr.Violations {
 			out.ByMonitor[v.Monitor]++
 		}
 		if cfg.Shrink > 0 && len(out.Repros) < maxReprosPerCell {
-			if r := shrinkTrial(trials[t].spec, trials[t].violations, cfg.Shrink); r != nil {
+			if r := shrinkTrial(tr.spec, tr.Violations, cfg.Shrink); r != nil {
 				out.Repros = append(out.Repros, r)
 				if cfg.ReproDir != "" {
 					name := fmt.Sprintf("%s_%s_%s_%s_t%d.json", cell.Semantics, cell.Proc, cell.Kind, cell.Workload, t)

@@ -49,8 +49,8 @@ func e15Substrate() Experiment {
 				for ci, cfg := range configs {
 					c := conciliator.NewPriority[int](n, cfg)
 					inputs := distinctInputs(n)
-					seeds := seedsFor(p.Seed+18+uint64(ci), 1)
-					_, _, res := mustRun(n, seeds[0], func(pr *sim.Proc) int {
+					s := seedsFor(p.Seed+18+uint64(ci), 1)[0]
+					_, _, res := mustRun(s.random(n), s.alg, func(pr *sim.Proc) int {
 						return c.Conciliate(pr, inputs[pr.ID()])
 					})
 					row = append(row, float64(res.TotalSteps)/float64(n))

@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -41,7 +43,6 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		t.Skip("quick experiment sweep skipped in -short mode")
 	}
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			tables := e.Run(Params{Quick: true, Trials: 5})
@@ -136,16 +137,34 @@ func TestSeedsForDisjointStreams(t *testing.T) {
 	}
 }
 
-func TestForEachTrialCoversAllTrials(t *testing.T) {
-	for _, parallelism := range []int{1, 3, 64, 200} {
-		hit := make([]bool, 64)
-		p := Params{Parallelism: parallelism}
-		p.forEachTrial(7, len(hit), func(trial int, s trialSeeds) {
-			hit[trial] = true
-		})
-		for i, h := range hit {
-			if !h {
-				t.Fatalf("parallelism %d: trial %d skipped", parallelism, i)
+// TestRunTrialsContract pins the trial runner: every trial runs exactly
+// once, with its own seed, and its result comes back at its own index —
+// serially, with fewer workers than trials, and with more. Later trials
+// finish first, so a runner that collected results in completion order
+// would fail.
+func TestRunTrialsContract(t *testing.T) {
+	for _, trials := range []int{0, 1, 2, 64} {
+		for _, parallelism := range []int{1, 3, 64, 200} {
+			seeds := make([]int, trials)
+			for i := range seeds {
+				seeds[i] = 1000 + 7*i
+			}
+			runs := make([]atomic.Int32, trials)
+			got := runTrials(Params{Parallelism: parallelism}, seeds, func(trial, seed int) [2]int {
+				runs[trial].Add(1)
+				time.Sleep(time.Duration((trials-trial)%4) * 50 * time.Microsecond)
+				return [2]int{trial, seed}
+			})
+			if len(got) != trials {
+				t.Fatalf("trials %d, parallelism %d: %d results", trials, parallelism, len(got))
+			}
+			for i := range got {
+				if n := runs[i].Load(); n != 1 {
+					t.Errorf("trials %d, parallelism %d: trial %d ran %d times", trials, parallelism, i, n)
+				}
+				if want := [2]int{i, seeds[i]}; got[i] != want {
+					t.Errorf("trials %d, parallelism %d: result %d = %v, want %v", trials, parallelism, i, got[i], want)
+				}
 			}
 		}
 	}
@@ -235,28 +254,28 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTablesIdenticalAcrossParallelism is the determinism contract of
+// the trial runner: identical seed => byte-identical tables no matter
+// how many workers run the trials. It covers every experiment whose
+// cells run trials through runTrials.
 func TestTablesIdenticalAcrossParallelism(t *testing.T) {
-	// The determinism contract of the trial runner: identical seed =>
-	// byte-identical tables no matter how many workers run the trials.
-	// E1 covers the plain random-schedule path, E10 covers every schedule
-	// family including crash schedules.
-	for _, id := range []string{"E1", "E10"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %s missing", id)
-		}
-		render := func(parallelism int) string {
-			var b strings.Builder
-			for _, tbl := range e.Run(Params{Quick: true, Parallelism: parallelism}) {
-				b.WriteString(tbl.TSV())
+	wide := runtime.NumCPU() + 3
+	for _, id := range []string{"E1", "E2", "E4", "E5", "E7", "E8", "E10", "E11", "E12", "E13", "E14", "E16", "E17", "E18", "E21"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("experiment %s missing", id)
 			}
-			return b.String()
-		}
-		serial := render(1)
-		wide := render(runtime.NumCPU() + 3)
-		if serial != wide {
-			t.Errorf("%s: tables differ between Parallelism 1 and %d:\n%s\n---\n%s",
-				id, runtime.NumCPU()+3, serial, wide)
-		}
+			render := func(parallelism int) string {
+				var b strings.Builder
+				for _, tbl := range e.Run(Params{Quick: true, Parallelism: parallelism}) {
+					b.WriteString(tbl.TSV())
+				}
+				return b.String()
+			}
+			if serial, parallel := render(1), render(wide); serial != parallel {
+				t.Errorf("tables differ between Parallelism 1 and %d:\n%s\n---\n%s", wide, serial, parallel)
+			}
+		})
 	}
 }

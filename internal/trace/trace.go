@@ -1,13 +1,11 @@
-// Package trace provides execution-capture utilities: a recording
-// schedule source that allows any controlled run to be replayed exactly
-// (the debugging workflow for probabilistic protocols), and a small
-// concurrency-safe event log used when instrumenting runs.
+// Package trace records and replays schedules: a recording schedule
+// source captures every slot of a controlled run, including crash
+// observations, so the run can be replayed exactly (the debugging
+// workflow for probabilistic protocols).
 package trace
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"github.com/oblivious-consensus/conciliator/internal/sched"
 )
@@ -208,65 +206,4 @@ func (s *ReplaySource) SkipWhile(pred func(pid int) bool) int64 {
 		skipped++
 	}
 	return skipped
-}
-
-// Event is one recorded protocol event.
-type Event struct {
-	// Proc is the process id the event belongs to (-1 for global).
-	Proc int
-	// Round is the protocol round, when meaningful (-1 otherwise).
-	Round int
-	// What describes the event.
-	What string
-}
-
-// String renders the event.
-func (e Event) String() string {
-	switch {
-	case e.Proc < 0:
-		return e.What
-	case e.Round < 0:
-		return fmt.Sprintf("p%d: %s", e.Proc, e.What)
-	default:
-		return fmt.Sprintf("p%d r%d: %s", e.Proc, e.Round, e.What)
-	}
-}
-
-// Log is an append-only, concurrency-safe event log.
-type Log struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Add appends an event.
-func (l *Log) Add(proc, round int, format string, args ...any) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Proc: proc, Round: round, What: fmt.Sprintf(format, args...)})
-}
-
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// Events returns a copy of the recorded events.
-func (l *Log) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
-}
-
-// String renders the log, one event per line.
-func (l *Log) String() string {
-	var b strings.Builder
-	for _, e := range l.Events() {
-		b.WriteString(e.String())
-		b.WriteString("\n")
-	}
-	return b.String()
 }

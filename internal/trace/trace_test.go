@@ -2,7 +2,6 @@ package trace
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/oblivious-consensus/conciliator/internal/memory"
@@ -100,51 +99,6 @@ func TestReplayReproducesRun(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("replay diverged at op %d", i)
 		}
-	}
-}
-
-func TestEventString(t *testing.T) {
-	tests := []struct {
-		e    Event
-		want string
-	}{
-		{Event{Proc: -1, Round: -1, What: "global"}, "global"},
-		{Event{Proc: 2, Round: -1, What: "op"}, "p2: op"},
-		{Event{Proc: 1, Round: 3, What: "adopt"}, "p1 r3: adopt"},
-	}
-	for _, tt := range tests {
-		if got := tt.e.String(); got != tt.want {
-			t.Errorf("String = %q, want %q", got, tt.want)
-		}
-	}
-}
-
-func TestLogConcurrentAppend(t *testing.T) {
-	var l Log
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				l.Add(w, i, "event %d", i)
-			}
-		}()
-	}
-	wg.Wait()
-	if l.Len() != 800 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	s := l.String()
-	if !strings.Contains(s, "p0 r0: event 0") {
-		t.Fatal("rendered log missing expected line")
-	}
-	// Events must be a copy.
-	evs := l.Events()
-	evs[0].What = "mutated"
-	if l.Events()[0].What == "mutated" {
-		t.Fatal("Events aliases internal state")
 	}
 }
 

@@ -12,9 +12,12 @@
 # both sides. It prints each pair's end-to-end metrics, then per metric
 # each side's median and quartiles, the median change/base ratio, and in
 # how many pairs the change was better, in the direction BENCHMARK.json
-# declares. Each run's raw result line, prefixed with side, pair and
-# seed, is kept in .bench_build/pairs/<workload>.log. Nothing under
-# perfbench/ is modified. Needs git and python3 besides the Go toolchain.
+# declares. The median ratio is also printed over the base-first (odd)
+# and the change-first (even) pairs separately, so an effect of run
+# order shows up as a gap between the two. Each run's raw result line,
+# prefixed with side, pair and seed, is kept in
+# .bench_build/pairs/<workload>.log. Nothing under perfbench/ is
+# modified. Needs git and python3 besides the Go toolchain.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -91,11 +94,18 @@ def spread(side, m):
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def median_ratio(ratios, pairs):
+    xs = [ratios[p] for p in pairs]
+    return f"{statistics.median(xs):.3f} over {len(xs)}" if xs else "- over 0"
+
+
 print("per metric: base and change median [quartiles]")
 for m in names:
-    ratios = [by_pair[p]["change"]["metrics"][m] / by_pair[p]["base"]["metrics"][m] for p in by_pair]
-    wins = sum((r > 1) if better[m] == "higher" else (r < 1) for r in ratios)
+    ratios = {p: by_pair[p]["change"]["metrics"][m] / by_pair[p]["base"]["metrics"][m] for p in by_pair}
+    wins = sum((r > 1) if better[m] == "higher" else (r < 1) for r in ratios.values())
     print(f"{m:>10}: base {spread('base', m)}, change {spread('change', m)}; "
-          f"median ratio {statistics.median(ratios):.3f}, change better in {wins}/{len(ratios)} "
-          f"({better[m]} is better)")
+          f"median ratio {statistics.median(ratios.values()):.3f}, change better in {wins}/{len(ratios)} "
+          f"({better[m]} is better); median ratio base-first "
+          f"{median_ratio(ratios, [p for p in ratios if p % 2])}, change-first "
+          f"{median_ratio(ratios, [p for p in ratios if not p % 2])}")
 PY
