@@ -99,7 +99,6 @@ func benchControlledSteps(b *testing.B) {
 		},
 	}
 	for _, tc := range cases {
-		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var totalSteps, totalSlots int64
@@ -165,7 +164,6 @@ func BenchmarkFlatHotPath(b *testing.B) {
 		},
 	}
 	for _, tc := range cases {
-		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			m := &flatBenchCountdown{steps: tc.steps, left: make([]int, tc.n)}
@@ -511,7 +509,6 @@ func BenchmarkAdoptCommit(b *testing.B) {
 		b.ReportMetric(4, "steps/propose")
 	})
 	for _, bits := range []int{1, 8, 20} {
-		bits := bits
 		b.Run(fmt.Sprintf("register/bits=%d", bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ac := adoptcommit.NewRegisterAC[int](adoptcommit.NewDigitCD(adoptcommit.IdentityEncoder(bits)))
@@ -529,7 +526,6 @@ func BenchmarkAdoptCommit(b *testing.B) {
 func BenchmarkSchedules(b *testing.B) {
 	const n = 64
 	for _, kind := range sched.Kinds() {
-		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			inputs := benchInputs(n)
 			for i := 0; i < b.N; i++ {
@@ -555,7 +551,6 @@ func BenchmarkAblations(b *testing.B) {
 		{name: "tuned"},
 		{name: "constant-half", probs: []float64{0.5}},
 	} {
-		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			inputs := benchInputs(n)
 			rounds := 2*11 + 8 // enough rounds for both schedules at n=1024

@@ -133,7 +133,6 @@ func TestCommittedAttackArtifactsReplay(t *testing.T) {
 		t.Skip("full replay of committed artifacts")
 	}
 	for _, name := range []string{"ATTACK_E19_sifter.json", "ATTACK_E19_priority.json"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join("..", "..", name)

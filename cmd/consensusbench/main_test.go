@@ -46,7 +46,6 @@ func TestLowercaseIDAccepted(t *testing.T) {
 
 func TestFormats(t *testing.T) {
 	for _, format := range []string{"text", "markdown", "tsv"} {
-		format := format
 		t.Run(format, func(t *testing.T) {
 			var b strings.Builder
 			if err := run([]string{"-experiment", "E6", "-quick", "-format", format}, &b); err != nil {

@@ -11,7 +11,6 @@ import (
 func TestSolveAllModels(t *testing.T) {
 	inputs := []string{"red", "green", "blue", "blue", "red", "green"}
 	for _, m := range conciliator.Models() {
-		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			res, err := conciliator.Solve(m, inputs)
 			if err != nil {
@@ -97,7 +96,6 @@ func TestSolveAllSchedules(t *testing.T) {
 		conciliator.ScheduleStaggered, conciliator.ScheduleSplit,
 		conciliator.ScheduleZipf, conciliator.ScheduleCrashHalf,
 	} {
-		s := s
 		t.Run(s.String(), func(t *testing.T) {
 			res, err := conciliator.Solve(conciliator.ModelRegister, inputs, conciliator.WithSchedule(s))
 			if err != nil {

@@ -39,7 +39,6 @@ func main() {
 	var wg sync.WaitGroup
 	results := make([]string, workers)
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

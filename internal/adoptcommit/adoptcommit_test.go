@@ -142,7 +142,6 @@ func TestSnapshotACSoloCommits(t *testing.T) {
 
 func TestSnapshotACExhaustiveTwoProcs(t *testing.T) {
 	for _, inputs := range [][]int{{0, 1}, {0, 0}, {1, 0}, {1, 1}} {
-		inputs := inputs
 		t.Run(fmt.Sprintf("inputs %v", inputs), func(t *testing.T) {
 			exhaustive(t, func() Object[int] { return NewSnapshotAC[int](2) }, inputs)
 		})
@@ -154,7 +153,6 @@ func TestSnapshotACExhaustiveThreeProcs(t *testing.T) {
 		t.Skip("exhaustive 3-process check skipped in -short mode")
 	}
 	for _, inputs := range [][]int{{0, 1, 1}, {0, 1, 2}, {2, 2, 2}} {
-		inputs := inputs
 		t.Run(fmt.Sprintf("inputs %v", inputs), func(t *testing.T) {
 			exhaustive(t, func() Object[int] { return NewSnapshotAC[int](3) }, inputs)
 		})
@@ -181,7 +179,6 @@ func TestRegisterACSequential(t *testing.T) {
 
 func TestRegisterACExhaustiveTwoProcs(t *testing.T) {
 	for _, inputs := range [][]int{{0, 1}, {0, 0}, {1, 0}, {1, 1}} {
-		inputs := inputs
 		t.Run(fmt.Sprintf("inputs %v", inputs), func(t *testing.T) {
 			exhaustive(t, func() Object[int] { return NewBinaryAC() }, inputs)
 		})

@@ -31,7 +31,7 @@ type ConflictDetector[V comparable] interface {
 // q's read of flag[a] came after p's write and saw it — contradiction.
 //
 // Cost is k steps, so FlagsCD alone is only sensible for tiny k; DigitCD
-// composes binary FlagsCDs for larger domains.
+// runs one binary detector per digit for larger domains.
 type FlagsCD struct {
 	flags *memory.RegisterArray[struct{}]
 }
@@ -125,14 +125,19 @@ func fnv1a64(s string) uint64 {
 }
 
 // DigitCD decomposes values into binary digits and runs one two-flag
-// FlagsCD per digit: two different values differ in at least one digit,
+// detector per digit: two different values differ in at least one digit,
 // and that digit's detector catches them. Cost is 2*Bits steps, i.e.
 // O(log m) for an m-value universe — the classical bound this repository
 // substitutes for the Aspnes–Ellen O(log m / log log m) object (see
 // DESIGN.md).
+//
+// The digits' flags live in one flat register slice, and Check issues
+// exactly the operations one FlagsCD(2) per digit would, in the same
+// order: per digit, write the own bit's flag, then read the other bit's.
 type DigitCD[V comparable] struct {
-	enc    Encoder[V]
-	digits []*FlagsCD
+	enc Encoder[V]
+	// flags[2*i+b] is digit i's flag for bit value b.
+	flags []memory.Register[struct{}]
 }
 
 var _ ConflictDetector[string] = (*DigitCD[string])(nil)
@@ -143,11 +148,7 @@ func NewDigitCD[V comparable](enc Encoder[V]) *DigitCD[V] {
 	if enc.Bits < 1 || enc.Bits > 64 {
 		panic("adoptcommit: encoder bits out of range [1, 64]")
 	}
-	d := &DigitCD[V]{enc: enc, digits: make([]*FlagsCD, enc.Bits)}
-	for i := range d.digits {
-		d.digits[i] = NewFlagsCD(2)
-	}
-	return d
+	return &DigitCD[V]{enc: enc, flags: make([]memory.Register[struct{}], 2*enc.Bits)}
 }
 
 // Check implements ConflictDetector.
@@ -157,9 +158,11 @@ func (d *DigitCD[V]) Check(ctx memory.Context, v V) bool {
 		panic("adoptcommit: encoded value exceeds encoder width")
 	}
 	ok := true
-	for i, digit := range d.digits {
-		bit := int((code >> uint(i)) & 1)
-		if !digit.Check(ctx, bit) {
+	for i := 0; i < len(d.flags); i += 2 {
+		bit := int(code & 1)
+		code >>= 1
+		d.flags[i+bit].Write(ctx, struct{}{})
+		if _, set := d.flags[i+1-bit].Read(ctx); set {
 			ok = false
 		}
 	}
@@ -172,7 +175,7 @@ func (d *DigitCD[V]) StepBound() int { return 2 * d.enc.Bits }
 // Reset clears every digit's flags so the detector can serve a fresh set
 // of processes. No Check may be in flight (see memory.Register.Reset).
 func (d *DigitCD[V]) Reset() {
-	for _, digit := range d.digits {
-		digit.Reset()
+	for i := range d.flags {
+		d.flags[i].Reset()
 	}
 }

@@ -44,7 +44,6 @@ func TestFlagsCDNoTwoDifferentOKsExhaustive(t *testing.T) {
 	// Model check the two-process, two-distinct-values case over all
 	// interleavings of the k steps each check takes.
 	for _, k := range []int{2, 3} {
-		k := k
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			counts := []int{k, k}
 			for _, slots := range sched.AllInterleavings(counts) {
@@ -83,7 +82,6 @@ func TestFlagsCDSameValueConcurrentAlwaysOK(t *testing.T) {
 
 func TestDigitCDEncoderValidation(t *testing.T) {
 	for _, bits := range []int{0, 65, -1} {
-		bits := bits
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -124,7 +122,6 @@ func TestDigitCDNoTwoDifferentOKsExhaustive(t *testing.T) {
 	const bits = 2
 	pairs := [][2]int{{0, 1}, {1, 2}, {0, 3}, {2, 3}}
 	for _, pair := range pairs {
-		pair := pair
 		t.Run(fmt.Sprintf("values %v", pair), func(t *testing.T) {
 			for _, slots := range sched.AllInterleavings([]int{2 * bits, 2 * bits}) {
 				cd := NewDigitCD(IdentityEncoder(bits))
@@ -236,5 +233,64 @@ func TestHashEncoderStringFastPath(t *testing.T) {
 	}
 	if got, want := HashEncoder[int]().Encode(42), fmtHash(42); got != want {
 		t.Errorf("int Encode = %#x, fmt path %#x", got, want)
+	}
+}
+
+// composedDigitCD is DigitCD's composed form: one FlagsCD(2) per digit,
+// each checked with the code's bit for that digit.
+type composedDigitCD []*FlagsCD
+
+func newComposedDigitCD(bits int) composedDigitCD {
+	c := make(composedDigitCD, bits)
+	for i := range c {
+		c[i] = NewFlagsCD(2)
+	}
+	return c
+}
+
+func (c composedDigitCD) Check(ctx memory.Context, code int) bool {
+	ok := true
+	for i, digit := range c {
+		if !digit.Check(ctx, (code>>i)&1) {
+			ok = false
+		}
+	}
+	return ok
+}
+
+// TestDigitCDMatchesComposedFlagsCDs pins the flat register layout to the
+// composition of binary FlagsCDs it replaces: under every two-process
+// interleaving, for codes differing in no, one and several digits, both
+// forms return the same Check results and charge each process the same
+// steps.
+func TestDigitCDMatchesComposedFlagsCDs(t *testing.T) {
+	const bits = 3
+	for _, pair := range [][2]int{{5, 5}, {0, 0}, {4, 5}, {2, 4}, {1, 6}, {0, 7}} {
+		t.Run(fmt.Sprintf("codes %v", pair), func(t *testing.T) {
+			for _, slots := range sched.AllInterleavings([]int{2 * bits, 2 * bits}) {
+				flat := NewDigitCD(IdentityEncoder(bits))
+				flatOKs, _, flatRes, err := sim.Collect(sched.NewExplicit(2, slots), sim.Config{AlgSeed: 1}, func(p *sim.Proc) bool {
+					return flat.Check(p, pair[p.ID()])
+				})
+				if err != nil {
+					t.Fatalf("schedule %v: flat: %v", slots, err)
+				}
+				composed := newComposedDigitCD(bits)
+				compOKs, _, compRes, err := sim.Collect(sched.NewExplicit(2, slots), sim.Config{AlgSeed: 1}, func(p *sim.Proc) bool {
+					return composed.Check(p, pair[p.ID()])
+				})
+				if err != nil {
+					t.Fatalf("schedule %v: composed: %v", slots, err)
+				}
+				for pid := 0; pid < 2; pid++ {
+					if flatOKs[pid] != compOKs[pid] {
+						t.Fatalf("schedule %v: process %d Check = %v flat, %v composed", slots, pid, flatOKs[pid], compOKs[pid])
+					}
+					if flatRes.Steps[pid] != compRes.Steps[pid] {
+						t.Fatalf("schedule %v: process %d took %d steps flat, %d composed", slots, pid, flatRes.Steps[pid], compRes.Steps[pid])
+					}
+				}
+			}
+		})
 	}
 }

@@ -21,7 +21,6 @@ func TestFlagsACSequential(t *testing.T) {
 func TestFlagsACExhaustiveTwoProcs(t *testing.T) {
 	// k=2: Propose costs CD(2) + 3 = 5 steps.
 	for _, inputs := range [][]int{{0, 1}, {1, 1}, {0, 0}} {
-		inputs := inputs
 		t.Run(fmt.Sprintf("inputs %v", inputs), func(t *testing.T) {
 			exhaustive(t, func() Object[int] { return NewFlagsAC(2) }, inputs)
 		})

@@ -18,7 +18,6 @@ import (
 func TestSnapshotACSafeUnderEveryPrefix(t *testing.T) {
 	inputsSets := [][]int{{0, 1}, {0, 0}, {1, 0}}
 	for _, inputs := range inputsSets {
-		inputs := inputs
 		t.Run(fmt.Sprintf("inputs %v", inputs), func(t *testing.T) {
 			for _, slots := range sched.AllInterleavings([]int{4, 4}) {
 				for cut := 0; cut <= len(slots); cut++ {

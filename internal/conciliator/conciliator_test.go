@@ -104,7 +104,6 @@ func TestPrioritySingleProcess(t *testing.T) {
 
 func TestPriorityValidityAndStepBound(t *testing.T) {
 	for _, n := range []int{2, 5, 16, 33} {
-		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			c := NewPriority[int](n, PriorityConfig{})
 			inputs := distinctInputs(n)
@@ -173,7 +172,6 @@ func TestPriorityPaperPriorityRange(t *testing.T) {
 
 func TestPriorityMaxRegisterVariant(t *testing.T) {
 	for _, tree := range []bool{false, true} {
-		tree := tree
 		t.Run(fmt.Sprintf("tree=%v", tree), func(t *testing.T) {
 			const n = 16
 			c := NewPriority[int](n, PriorityConfig{UseMaxRegisters: true, TreeMax: tree})
@@ -255,7 +253,6 @@ func TestSifterProbsSmallN(t *testing.T) {
 
 func TestSifterValidityAndStepBound(t *testing.T) {
 	for _, n := range []int{2, 7, 32, 100} {
-		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			c := NewSifter[int](n, SifterConfig{})
 			inputs := distinctInputs(n)
@@ -363,7 +360,6 @@ func TestCILSafetyValve(t *testing.T) {
 
 func TestEmbeddedValidityAndBounds(t *testing.T) {
 	for _, n := range []int{2, 8, 64} {
-		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			c := NewEmbedded[int](n, EmbeddedConfig{})
 			inputs := distinctInputs(n)
@@ -432,7 +428,6 @@ func TestConciliatorsDeterministicGivenSeeds(t *testing.T) {
 		{name: "cil", mk: func() Interface[int] { return NewCIL[int](n, CILConfig{}) }},
 	}
 	for _, tc := range mk {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() []int {
 				outs, _ := runConc(t, tc.mk(), distinctInputs(n), sched.NewRandom(n, xrand.New(41)), 19)
@@ -452,7 +447,6 @@ func TestConciliatorsUnderAllScheduleKinds(t *testing.T) {
 	const n = 16
 	inputs := distinctInputs(n)
 	for _, kind := range sched.Kinds() {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			for _, tc := range []struct {
 				name string

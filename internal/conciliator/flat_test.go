@@ -88,7 +88,6 @@ func TestFlatPriorityMaxByteIdentity(t *testing.T) {
 			{UseMaxRegisters: true},
 			{UseMaxRegisters: true, PaperPriorityRange: true},
 		} {
-			cfg := cfg
 			runConcIdentity(t, "priority-max", n,
 				func() Interface[int] { return NewPriority[int](n, cfg) },
 				func() flatConc { return NewFlatPriorityMax(n, cfg) })

@@ -82,7 +82,6 @@ func TestConfigValidation(t *testing.T) {
 
 func TestConsensusAgreementAndValidityAllFactories(t *testing.T) {
 	for _, f := range factories() {
-		f := f
 		t.Run(f.name, func(t *testing.T) {
 			rng := xrand.New(7)
 			for trial := 0; trial < 30; trial++ {
@@ -100,7 +99,6 @@ func TestConsensusAllSameInputOnePhase(t *testing.T) {
 	// With identical inputs, the first adopt-commit must commit
 	// immediately (conciliator validity + adopt-commit convergence).
 	for _, f := range factories() {
-		f := f
 		t.Run(f.name, func(t *testing.T) {
 			const n = 8
 			c := f.mk(n)
@@ -147,7 +145,6 @@ func TestConsensusAgreementUnderAllScheduleKinds(t *testing.T) {
 	const n = 12
 	inputs := distinct(n)
 	for _, kind := range sched.Kinds() {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			for _, f := range factories() {
 				for trial := 0; trial < 5; trial++ {
@@ -232,7 +229,6 @@ func TestConsensusIndividualStepsScaleSublinearly(t *testing.T) {
 		mk   func(n int) *Protocol[int]
 	}
 	for _, tc := range []case_{{"snapshot", NewSnapshot[int]}, {"register", NewRegister[int]}} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			mean := func(n, trials int, seed uint64) float64 {
 				rng := xrand.New(seed)

@@ -21,7 +21,6 @@ func TestConsensusSafeUnderEveryCrashSubset(t *testing.T) {
 		{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3},
 	}
 	for _, victims := range subsets {
-		victims := victims
 		t.Run(fmt.Sprintf("crash %v", victims), func(t *testing.T) {
 			for trial := 0; trial < 8; trial++ {
 				seed := uint64(trial*31 + len(victims))

@@ -134,7 +134,6 @@ func recordedRegisterHistory(t *testing.T, writers, readers, opsEach int, seed u
 		wg  sync.WaitGroup
 	)
 	for w := 0; w < writers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -148,7 +147,6 @@ func recordedRegisterHistory(t *testing.T, writers, readers, opsEach int, seed u
 		}()
 	}
 	for r := 0; r < readers; r++ {
-		r := r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -184,7 +182,6 @@ func TestMemoryMaxRegisterIsLinearizable(t *testing.T) {
 			wg  sync.WaitGroup
 		)
 		for w := 0; w < 3; w++ {
-			w := w
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -198,7 +195,6 @@ func TestMemoryMaxRegisterIsLinearizable(t *testing.T) {
 			}()
 		}
 		for r := 0; r < 3; r++ {
-			r := r
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -230,7 +226,6 @@ func TestTreeMaxRegisterIsLinearizable(t *testing.T) {
 			wg  sync.WaitGroup
 		)
 		for w := 0; w < 3; w++ {
-			w := w
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -244,7 +239,6 @@ func TestTreeMaxRegisterIsLinearizable(t *testing.T) {
 			}()
 		}
 		for r := 0; r < 2; r++ {
-			r := r
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -98,7 +98,6 @@ func TestAfekConcurrentScansNested(t *testing.T) {
 		wg    sync.WaitGroup
 	)
 	for w := 0; w < n; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -139,7 +138,6 @@ func TestAfekScanMonotonePerReader(t *testing.T) {
 	s := NewAfekSnapshot[int](n)
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

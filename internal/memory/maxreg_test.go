@@ -50,7 +50,6 @@ func TestMaxRegisterOps(t *testing.T) {
 
 func TestTreeMaxRegisterBitsValidation(t *testing.T) {
 	for _, bits := range []int{0, -1, 64, 100} {
-		bits := bits
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -116,7 +115,6 @@ func TestTreeMaxRegisterMonotoneUnderConcurrency(t *testing.T) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

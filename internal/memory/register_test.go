@@ -62,7 +62,6 @@ func TestRegisterConcurrentAccess(t *testing.T) {
 	r := NewRegister[int]()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -100,7 +99,6 @@ func TestCompareEmptyAndWriteSingleWinner(t *testing.T) {
 	var wg sync.WaitGroup
 	winners := make([]bool, 16)
 	for i := range winners {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -106,7 +106,6 @@ func TestSnapshotViewsNestedUnderConcurrency(t *testing.T) {
 		wg    sync.WaitGroup
 	)
 	for w := 0; w < n; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

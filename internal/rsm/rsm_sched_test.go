@@ -62,7 +62,6 @@ func TestKVConvergenceUnderSkewedSchedules(t *testing.T) {
 		{"program", program()},
 	}
 	for _, tc := range sources {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			log := NewLog[Op](n, consensus.NewRegister[Op])
 			pending := kvPending(n, slots, 47)

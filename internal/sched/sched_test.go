@@ -178,7 +178,6 @@ func TestExplicitCopiesInput(t *testing.T) {
 
 func TestNewKinds(t *testing.T) {
 	for _, k := range Kinds() {
-		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			s := New(k, 8, 42)
 			if s.N() != 8 {
@@ -360,7 +359,6 @@ func skipperSources() map[string]func() (Source, Source) {
 	}
 	out := make(map[string]func() (Source, Source), len(fresh))
 	for name, mk := range fresh {
-		mk := mk
 		out[name] = func() (Source, Source) { return mk(), mk() }
 	}
 	return out

@@ -11,8 +11,12 @@
 //     writes cost one agreement instead of k.
 //   - Pipelining: up to W proposer workers per group each own the slot
 //     they atomically claimed, so W consensus instances are in flight
-//     concurrently; a reorder buffer applies decided batches strictly in
-//     slot order, preserving state-machine determinism.
+//     concurrently. A worker that decides a slot ahead of the next one
+//     to apply leaves it in the group's reorder stash; the worker that
+//     decides the next slot applies it and every stashed slot that
+//     follows it, so state advances strictly in slot order, preserving
+//     state-machine determinism, with no goroutine between deciding and
+//     applying.
 //   - Sharding: a consistent hash of the key routes each op to one of S
 //     independent groups, each with its own rsm.Log and KV state, so
 //     aggregate throughput scales with S (no cross-group coordination —
@@ -114,15 +118,19 @@ type OpResult struct {
 }
 
 // pendingOp is one submission waiting for its batch to commit and apply.
+// The group fills in res or err before the send on done, so the
+// submitter reads them after its receive.
 type pendingOp struct {
 	tag  Tag
 	op   rsm.Op
-	done chan OpResult // buffered 1; applier completes it
+	res  OpResult
+	err  error
+	done chan struct{} // buffered 1; sent once the op applied or failed
 }
 
-// decidedBatch is a worker's handoff to the group applier: the slot it
-// claimed, the value consensus decided there, and the submissions riding
-// in the proposed batch.
+// decidedBatch is one decided slot on its way to being applied: the slot
+// a worker claimed, the value consensus decided there, and the
+// submissions riding in the proposed batch.
 type decidedBatch struct {
 	slot     int
 	proposed string
@@ -143,28 +151,49 @@ type Node struct {
 }
 
 type group struct {
-	id   int
-	cfg  *Config
-	log  *rsm.Log[string]
-	node *Node
+	id  int
+	cfg *Config
+	log *rsm.Log[string]
 
-	intake  chan *pendingOp
-	decided chan decidedBatch
+	intake chan *pendingOp
 
 	nextSlot atomic.Int64
 
-	mu           sync.RWMutex
+	mu sync.RWMutex
+	// stash holds decided slots at or after next, the next slot to
+	// apply, until every slot before them has applied.
+	stash        map[int]decidedBatch
+	next         int
 	kv           *rsm.KV
 	decidedLog   []string
 	appliedSlots int
 	appliedOps   int64
 	batchSizes   *stats.IntHist
+	// halted is set once the slot an apply-invariant break was recorded
+	// for comes up: from it on, no batch applies.
+	halted bool
 
-	runErr error
+	// failure holds the group's first apply-invariant break; it is
+	// recorded before the batch's worker takes mu.
+	failure atomic.Pointer[error]
+	runErr  error
 
 	// shardOps is the per-shard committed-op counter, resolved at Start
 	// from the then-installed registry (enable metrics before Start).
 	shardOps *metrics.Counter
+}
+
+func newGroup(n *Node, gid int, mk func(n int) *consensus.Protocol[string]) *group {
+	return &group{
+		id:         gid,
+		cfg:        &n.cfg,
+		log:        rsm.NewLog[string](n.cfg.Pipeline, mk),
+		intake:     make(chan *pendingOp, n.cfg.QueueDepth),
+		stash:      make(map[int]decidedBatch),
+		kv:         rsm.NewKV(),
+		batchSizes: stats.NewIntHist(n.cfg.BatchMax + 1),
+		shardOps:   metrics.Default().Counter(fmt.Sprintf("service.shard_ops.%d", gid)),
+	}
 }
 
 // Start validates cfg, spins up the consensus groups, and returns a
@@ -177,32 +206,16 @@ func Start(cfg Config) (*Node, error) {
 	n := &Node{cfg: cfg}
 	root := xrand.New(cfg.Seed)
 	for gid := 0; gid < cfg.Shards; gid++ {
-		g := &group{
-			id:         gid,
-			cfg:        &n.cfg,
-			node:       n,
-			log:        rsm.NewLog[string](cfg.Pipeline, mk),
-			intake:     make(chan *pendingOp, cfg.QueueDepth),
-			decided:    make(chan decidedBatch, cfg.Pipeline),
-			kv:         rsm.NewKV(),
-			batchSizes: stats.NewIntHist(cfg.BatchMax + 1),
-			shardOps:   metrics.Default().Counter(fmt.Sprintf("service.shard_ops.%d", gid)),
-		}
+		g := newGroup(n, gid, mk)
 		n.groups = append(n.groups, g)
 		algSeed := root.SeedNamed(uint64(gid))
-		n.wg.Add(2)
+		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
 			// The group's proposer workers are W long-lived processes in
 			// their own concurrent-simulator universe; RunConcurrent
 			// returns when every worker has drained and exited.
-			_, err := sim.RunConcurrent(g.cfg.Pipeline, g.worker, sim.Config{AlgSeed: algSeed})
-			g.runErr = err
-			close(g.decided)
-		}()
-		go func() {
-			defer n.wg.Done()
-			g.applier()
+			_, g.runErr = sim.RunConcurrent(g.cfg.Pipeline, g.worker, sim.Config{AlgSeed: algSeed})
 		}()
 	}
 	return n, nil
@@ -248,7 +261,7 @@ func (n *Node) Submit(client uint32, op rsm.Op) (OpResult, error) {
 	po := &pendingOp{
 		tag:  Tag{Client: client, Seq: n.seq.Add(1)},
 		op:   op,
-		done: make(chan OpResult, 1),
+		done: make(chan struct{}, 1),
 	}
 	// The send happens under the read half of closeMu: Close flips the
 	// flag and closes the intakes under the write half, so it can only
@@ -264,7 +277,8 @@ func (n *Node) Submit(client uint32, op rsm.Op) (OpResult, error) {
 	g.intake <- po
 	n.closeMu.RUnlock()
 	mSubmitted.Inc()
-	return <-po.done, nil
+	<-po.done
+	return po.res, po.err
 }
 
 // Get serves a read from the key's group state: the result reflects
@@ -281,10 +295,11 @@ func (n *Node) Get(key string) (string, bool) {
 // worker is one proposer process: it blocks for the first queued op,
 // drains up to BatchMax-1 more without blocking, claims the group's next
 // slot, proposes the encoded batch into that slot's consensus instance,
-// and hands the decided batch to the applier. Exactly one worker
-// proposes per slot (the claim is an atomic counter), so the decided
-// value is always the claimant's own proposal.
+// and delivers the decided batch. Exactly one worker proposes per slot
+// (the claim is an atomic counter), so the decided value is always the
+// claimant's own proposal.
 func (g *group) worker(p *sim.Proc) {
+	var ops []BatchOp // EncodeBatch keeps none of it, so it is reused per batch
 	for {
 		first, ok := <-g.intake
 		if !ok {
@@ -305,76 +320,95 @@ func (g *group) worker(p *sim.Proc) {
 				break drain
 			}
 		}
-		ops := make([]BatchOp, len(batch))
-		for i, po := range batch {
-			ops[i] = BatchOp{Tag: po.tag, Op: po.op}
+		ops = ops[:0]
+		for _, po := range batch {
+			ops = append(ops, BatchOp{Tag: po.tag, Op: po.op})
 		}
 		enc := EncodeBatch(ops)
 		slot := int(g.nextSlot.Add(1) - 1)
 		dec := g.log.Propose(p, slot, enc)
-		g.decided <- decidedBatch{slot: slot, proposed: enc, decided: dec, waiters: batch}
+		g.deliver(decidedBatch{slot: slot, proposed: enc, decided: dec, waiters: batch})
 	}
 }
 
-// applier is the group's single in-order apply loop: workers decide
-// slots out of order (pipelining), the reorder buffer holds early
-// arrivals, and state only ever advances slot by slot.
-func (g *group) applier() {
-	stash := make(map[int]decidedBatch)
-	next := 0
-	for db := range g.decided {
-		stash[db.slot] = db
-		for {
-			d, ok := stash[next]
-			if !ok {
-				break
-			}
-			delete(stash, next)
-			g.apply(d)
-			next++
-			// The slot's waiters are woken and its batch is in
-			// decidedLog, so its consensus instance can be recycled.
-			g.log.Compact(next)
-		}
-	}
-}
-
-func (g *group) apply(d decidedBatch) {
+// deliver stashes a decided slot and, if it is the next slot to apply,
+// applies it and every stashed slot that follows it without a gap, in
+// slot order. Workers decide slots out of order (pipelining), so state
+// only ever advances slot by slot, whichever worker's delivery completes
+// the run. The run's waiters are woken outside the lock, and the applied
+// slots' consensus instances are recycled.
+func (g *group) deliver(d decidedBatch) {
 	if d.decided != d.proposed {
 		// Slots are single-proposer by construction, so consensus
 		// validity forces decided == proposed; anything else means the
-		// slot-claim invariant broke and waiters would be lost.
-		panic(fmt.Sprintf("service: group %d slot %d decided a batch nobody proposed there", g.id, d.slot))
+		// slot-claim invariant broke. The group stops applying at this
+		// slot, and this and every later batch's Submits fail.
+		err := fmt.Errorf("service: group %d slot %d decided a batch nobody proposed there", g.id, d.slot)
+		g.failure.CompareAndSwap(nil, &err)
 	}
-	ops, err := DecodeBatch(d.decided)
-	if err != nil {
-		panic(fmt.Sprintf("service: group %d slot %d decided undecodable batch: %v", g.id, d.slot, err))
-	}
-	results := make([]OpResult, len(ops))
+	// run collects the batches this delivery applies (or fails), to wake
+	// their waiters after the unlock; it is nearly always one slot.
+	var buf [4]decidedBatch
+	run := buf[:0]
 	g.mu.Lock()
-	for i, bo := range ops {
-		g.kv.Apply(bo.Op)
-		res := OpResult{Shard: g.id, Slot: d.slot}
-		res.Value, res.Found = g.kv.Get(bo.Op.Key)
-		results[i] = res
+	g.stash[d.slot] = d
+	for {
+		b, ok := g.stash[g.next]
+		if !ok {
+			break
+		}
+		delete(g.stash, g.next)
+		g.next++
+		if b.decided != b.proposed {
+			g.halted = true
+		}
+		if g.halted {
+			err := *g.failure.Load()
+			for _, po := range b.waiters {
+				po.err = err
+			}
+		} else {
+			g.apply(b)
+		}
+		run = append(run, b)
+	}
+	next := g.next
+	g.mu.Unlock()
+	for _, b := range run {
+		for _, po := range b.waiters {
+			po.done <- struct{}{}
+		}
+	}
+	if len(run) > 0 {
+		// The run's waiters are woken and its batches are in decidedLog,
+		// so their consensus instances can be recycled.
+		g.log.Compact(next)
+	}
+}
+
+// apply applies one decided batch to the group's state: the waiters'
+// own ops, which are the decided ones since decided == proposed. It
+// records each op's result on its waiter. The caller holds g.mu.
+func (g *group) apply(d decidedBatch) {
+	for _, po := range d.waiters {
+		g.kv.Apply(po.op)
+		po.res = OpResult{Shard: g.id, Slot: d.slot}
+		po.res.Value, po.res.Found = g.kv.Get(po.op.Key)
 	}
 	g.decidedLog = append(g.decidedLog, d.decided)
 	g.appliedSlots++
-	g.appliedOps += int64(len(ops))
-	g.batchSizes.Add(int64(len(ops)))
-	g.mu.Unlock()
-	for i, po := range d.waiters {
-		po.done <- results[i]
-	}
+	g.appliedOps += int64(len(d.waiters))
+	g.batchSizes.Add(int64(len(d.waiters)))
 	mBatches.Inc()
-	mBatchOps.Observe(int64(len(ops)))
-	mCommitted.Add(int64(len(ops)))
-	g.shardOps.Add(int64(len(ops)))
+	mBatchOps.Observe(int64(len(d.waiters)))
+	mCommitted.Add(int64(len(d.waiters)))
+	g.shardOps.Add(int64(len(d.waiters)))
 }
 
 // Close drains the node gracefully: no new submissions are accepted,
 // every already-queued op still commits and applies, in-flight slots
-// flush in order, and all worker and applier goroutines exit. Close is
+// flush in order, and all worker goroutines exit. It reports any group
+// whose workers panicked or whose apply invariant broke. Close is
 // idempotent; later calls return the first result.
 func (n *Node) Close() error {
 	n.closeMu.Lock()
@@ -392,6 +426,9 @@ func (n *Node) Close() error {
 	for _, g := range n.groups {
 		if g.runErr != nil {
 			errs = append(errs, fmt.Errorf("group %d: %w", g.id, g.runErr))
+		}
+		if err := g.failure.Load(); err != nil {
+			errs = append(errs, *err)
 		}
 	}
 	n.closeErr = errors.Join(errs...)

@@ -118,7 +118,6 @@ func TestCustomProbsStillOneWinner(t *testing.T) {
 func TestWinnerUnderEveryScheduleKind(t *testing.T) {
 	const n = 16
 	for _, kind := range sched.Kinds() {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			ts := New(n, Config{})
 			wins, finished := runTAS(t, ts, n, sched.New(kind, n, 99), 17)
