@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/oblivious-consensus/conciliator/internal/attack/search"
@@ -32,22 +33,15 @@ func (f *attackFlags) validate() ([]string, error) {
 	if f.spec == "all" {
 		protocols = search.Protocols()
 	} else {
-		known := make(map[string]bool)
-		for _, p := range search.Protocols() {
-			known[p] = true
-		}
-		for _, s := range strings.Split(f.spec, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
+		var err error
+		protocols, err = parseList("attack", "protocols", f.spec, func(s string) (string, error) {
+			if !slices.Contains(search.Protocols(), s) {
+				return "", fmt.Errorf("unknown protocol %q (want all, %s)", s, strings.Join(search.Protocols(), ", "))
 			}
-			if !known[s] {
-				return nil, fmt.Errorf("-attack: unknown protocol %q (want all, %s)", s, strings.Join(search.Protocols(), ", "))
-			}
-			protocols = append(protocols, s)
-		}
-		if len(protocols) == 0 {
-			return nil, fmt.Errorf("-attack: no protocols in %q", f.spec)
+			return s, nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if f.n < 0 || f.n == 1 || f.n > 64 {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/des"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
@@ -56,41 +58,27 @@ func (f *desFlags) validate() (sw desSweep, err error) {
 	}
 	sw.ns = desDefaultNs
 	if f.ns != "" {
-		sw.ns = nil
-		for _, s := range strings.Split(f.ns, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
+		sw.ns, err = parseList("des-n", "process counts", f.ns, func(s string) (int, error) {
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 1 {
+				return 0, fmt.Errorf("bad process count %q", s)
 			}
-			n, perr := strconv.Atoi(s)
-			if perr != nil || n < 1 {
-				return sw, fmt.Errorf("-des-n: bad process count %q", s)
-			}
-			sw.ns = append(sw.ns, n)
-		}
-		if len(sw.ns) == 0 {
-			return sw, fmt.Errorf("-des-n: no process counts in %q", f.ns)
+			return n, nil
+		})
+		if err != nil {
+			return sw, err
 		}
 	}
 	sw.protocols = des.Protocols()
 	if f.protocols != "" {
-		sw.protocols = nil
-		known := make(map[string]bool)
-		for _, p := range des.Protocols() {
-			known[p] = true
-		}
-		for _, s := range strings.Split(f.protocols, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
+		sw.protocols, err = parseList("des-protocols", "protocols", f.protocols, func(s string) (string, error) {
+			if !slices.Contains(des.Protocols(), s) {
+				return "", fmt.Errorf("unknown protocol %q (want %s)", s, strings.Join(des.Protocols(), ", "))
 			}
-			if !known[s] {
-				return sw, fmt.Errorf("-des-protocols: unknown protocol %q (want %s)", s, strings.Join(des.Protocols(), ", "))
-			}
-			sw.protocols = append(sw.protocols, s)
-		}
-		if len(sw.protocols) == 0 {
-			return sw, fmt.Errorf("-des-protocols: no protocols in %q", f.protocols)
+			return s, nil
+		})
+		if err != nil {
+			return sw, err
 		}
 	}
 	if f.latency != "" {
@@ -107,16 +95,9 @@ func (f *desFlags) validate() (sw desSweep, err error) {
 	}
 	sw.net.Loss = f.loss
 	if f.partitions != "" {
-		for _, s := range strings.Split(f.partitions, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			p, perr := des.ParsePartition(s)
-			if perr != nil {
-				return sw, fmt.Errorf("-des-partition: %w", perr)
-			}
-			sw.net.Partitions = append(sw.net.Partitions, p)
+		sw.net.Partitions, err = parseList("des-partition", "partitions", f.partitions, des.ParsePartition)
+		if err != nil {
+			return sw, err
 		}
 	}
 	if f.crash == "" {
@@ -223,9 +204,6 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 	if err != nil {
 		return err
 	}
-	if seed == 0 {
-		seed = 20120716 // the documented default master seed
-	}
 
 	rec := desRecord{
 		Schema:  "conciliator-des/v1",
@@ -263,75 +241,43 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 			for t := range cellSeeds {
 				cellSeeds[t] = seedRng.Uint64()
 			}
-			var (
-				steps      []float64
-				vtimes     []float64
-				row        = desRow{N: n, Protocol: protocol, AllDecided: true}
-				cellRepros int
-			)
 			// The cell's trials run in parallel; everything below reads
-			// their results in seed order, so rows, records and artifacts
-			// do not depend on the worker count.
+			// them in seed order, so rows, records and artifacts do not
+			// depend on the worker count.
 			cellCfg := des.Config{N: n, Protocol: protocol, Net: sw.net, Chaos: sw.chaos}
-			for t, res := range experiment.RunDESTrials(experiment.Params{}, cellCfg, cellSeeds) {
-				if res.Err != nil {
-					if !sw.weakened {
-						return fmt.Errorf("des n=%d %s: %w", n, protocol, res.Err)
-					}
-					// Weakened regime: the run itself may wedge (e.g. a
-					// process blocked on state the server forgot). That is
-					// a measured outcome of leaving the atomic model.
-					row.RunErrors++
-					continue
+			c := experiment.RunDESCell(experiment.Params{}, cellCfg, cellSeeds)
+			// In the weakened regime a run may wedge (e.g. a process
+			// blocked on state the server forgot): a measured outcome of
+			// leaving the atomic model, counted in run errors.
+			if !sw.weakened {
+				if err := c.Err(); err != nil {
+					return fmt.Errorf("des n=%d %s: %w", n, protocol, err)
 				}
-				row.Rounds = res.Rounds
-				if res.Phases > row.Phases {
-					row.Phases = res.Phases
-				}
-				for _, st := range res.Steps {
-					steps = append(steps, float64(st))
-				}
-				vtimes = append(vtimes, float64(res.VirtualTime.Microseconds())/1000)
-				row.MsgsSent += res.MsgsSent
-				row.MsgsDropped += res.MsgsDropped
-				row.MsgsBlocked += res.MsgsBlocked
-				row.Retransmits += res.Retransmits
-				row.Events += res.Events
-				row.AllDecided = row.AllDecided && res.AllDecided
-				row.Violations += len(res.Violations)
-				row.Crashes += res.Crashes
-				row.Restarts += res.Restarts
-				row.Wipes += res.Wipes
-				row.Resyncs += res.Resyncs
-				row.GaveUp += res.GaveUp
-				if m := res.MaxSteps(); m > row.StepsMax {
-					row.StepsMax = m
-				}
-				if len(res.Violations) > 0 {
-					if !sw.weakened {
-						atomicViolations += len(res.Violations)
-					}
-					if df.repros != "" && cellRepros < desMaxReprosPerCell {
-						cfg := cellCfg
-						cfg.Seed = cellSeeds[t]
-						path, serr := shrinkAndSaveRepro(cfg, df.repros, cellRepros)
-						if serr != nil {
-							return fmt.Errorf("des n=%d %s seed %d: shrinking repro: %w", n, protocol, cfg.Seed, serr)
-						}
-						fmt.Fprintf(out, "saved fault repro: %s\n", path)
-						cellRepros++
-					}
+				atomicViolations += c.Violations
+			}
+			if df.repros != "" {
+				if err := saveCellRepros(out, df.repros, cellCfg, cellSeeds, c); err != nil {
+					return err
 				}
 			}
-			sum := stats.Summarize(steps)
-			qs := stats.Quantiles(steps, 0.5, 0.9, 0.99)
-			row.StepsMean, row.StepsCI95 = sum.Mean, sum.CI95()
-			row.StepsP50, row.StepsP90, row.StepsP99 = qs[0], qs[1], qs[2]
-			vsum := stats.Summarize(vtimes)
-			row.VirtualMsMean = vsum.Mean
+			sum := stats.Summarize(c.Steps)
+			qs := stats.Quantiles(c.Steps, 0.5, 0.9, 0.99)
+			// Virtual times are truncated to whole microseconds, as the
+			// record has always reported them.
+			vsum := stats.Summarize(c.VirtualMs(time.Microsecond))
+			row := desRow{
+				N: n, Protocol: protocol, Rounds: c.Rounds, Phases: c.MaxPhases,
+				StepsMean: sum.Mean, StepsCI95: sum.CI95(),
+				StepsP50: qs[0], StepsP90: qs[1], StepsP99: qs[2], StepsMax: c.MaxSteps,
+				MsgsSent: c.MsgsSent, MsgsDropped: c.MsgsDropped, MsgsBlocked: c.MsgsBlocked,
+				Retransmits: c.Retransmits, Events: c.Events, VirtualMsMean: vsum.Mean,
+				AllDecided: c.AllDecided, Violations: c.Violations,
+				Crashes: c.Crashes, Restarts: c.Restarts, Wipes: c.Wipes, Resyncs: c.Resyncs,
+				GaveUp: c.GaveUp, RunErrors: c.RunErrors,
+			}
 			rec.Rows = append(rec.Rows, row)
 			cells := []any{n, protocol, row.Rounds, row.Phases, sum.String(), qs[2], row.StepsMax,
-				row.Retransmits, vsum.String(), fmt.Sprintf("%v", row.AllDecided), row.Violations}
+				row.Retransmits, vsum.String(), row.AllDecided, row.Violations}
 			if chaotic {
 				cells = append(cells, row.Crashes, row.Restarts, row.Wipes, row.Resyncs, row.GaveUp, row.RunErrors)
 			}
@@ -355,6 +301,28 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 // first failures are the interesting ones; hundreds of near-identical
 // artifacts are noise.
 const desMaxReprosPerCell = 2
+
+// saveCellRepros shrinks and saves the first desMaxReprosPerCell
+// violating trials of cell c, in seed order, printing each saved path.
+func saveCellRepros(out io.Writer, dir string, cfg des.Config, seeds []uint64, c experiment.DESCell) error {
+	saved := 0
+	for t, tr := range c.Trials {
+		if saved == desMaxReprosPerCell {
+			break
+		}
+		if tr.Err != nil || len(tr.Violations) == 0 {
+			continue
+		}
+		cfg.Seed = seeds[t]
+		path, err := shrinkAndSaveRepro(cfg, dir, saved)
+		if err != nil {
+			return fmt.Errorf("des n=%d %s seed %d: shrinking repro: %w", cfg.N, cfg.Protocol, cfg.Seed, err)
+		}
+		fmt.Fprintf(out, "saved fault repro: %s\n", path)
+		saved++
+	}
+	return nil
+}
 
 // restartLabel names the restart variant for table titles.
 func restartLabel(v string) string {

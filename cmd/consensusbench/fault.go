@@ -26,6 +26,12 @@ type faultFlags struct {
 	replay  string // -fault-replay
 }
 
+// allSemantics and allProcFaults are the fault matrix's full axes.
+var (
+	allSemantics  = []fault.Semantics{fault.SemAtomic, fault.SemRegular, fault.SemSafe}
+	allProcFaults = []fault.ProcFault{fault.ProcNone, fault.ProcStutter, fault.ProcStall, fault.ProcCrashRecover}
+)
+
 // validate checks the sweep's flag values before any trial runs. It
 // returns the parsed matrix axes for the sweep.
 func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault, kinds []sched.Kind, err error) {
@@ -44,57 +50,46 @@ func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault
 	if f.shrink < 0 {
 		return nil, nil, nil, fmt.Errorf("-fault-shrink must be non-negative, got %d", f.shrink)
 	}
-	for _, tok := range strings.Split(f.spec, ",") {
-		tok = strings.TrimSpace(tok)
-		switch {
-		case tok == "":
-		case tok == "all":
-			// Full matrix on both axes; listing other kinds alongside is
-			// harmless but redundant.
-			sems = []fault.Semantics{fault.SemAtomic, fault.SemRegular, fault.SemSafe}
-			procs = []fault.ProcFault{fault.ProcNone, fault.ProcStutter, fault.ProcStall, fault.ProcCrashRecover}
-		default:
-			if pf, ok := fault.ProcFaultByName(tok); ok {
-				procs = append(procs, pf)
-			} else if sm, ok := fault.SemanticsByName(tok); ok {
-				sems = append(sems, sm)
-			} else {
-				return nil, nil, nil, fmt.Errorf("unknown fault kind %q in -fault (want all, %s, %s, %s, %s, %s, %s)",
-					tok, fault.ProcStutter, fault.ProcStall, fault.ProcCrashRecover,
-					fault.SemAtomic, fault.SemRegular, fault.SemSafe)
-			}
+	// Each item adds to its axis; "all" sets the full matrix on both.
+	if _, err = parseList("fault", "fault kinds", f.spec, func(tok string) (struct{}, error) {
+		if tok == "all" {
+			sems, procs = allSemantics, allProcFaults
+		} else if pf, ok := fault.ProcFaultByName(tok); ok {
+			procs = append(procs, pf)
+		} else if sm, ok := fault.SemanticsByName(tok); ok {
+			sems = append(sems, sm)
+		} else {
+			return struct{}{}, fmt.Errorf("unknown fault kind %q (want all, %s, %s, %s, %s, %s, %s)",
+				tok, fault.ProcStutter, fault.ProcStall, fault.ProcCrashRecover,
+				fault.SemAtomic, fault.SemRegular, fault.SemSafe)
 		}
-	}
-	if len(sems) == 0 && len(procs) == 0 {
-		return nil, nil, nil, fmt.Errorf("-fault lists no fault kinds")
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, nil, nil, err
 	}
 	// Naming only process faults sweeps them against every register
 	// semantics, and vice versa: each axis defaults to "all" when the
 	// other is pinned.
 	if len(sems) == 0 {
-		sems = []fault.Semantics{fault.SemAtomic, fault.SemRegular, fault.SemSafe}
+		sems = allSemantics
 	}
 	if len(procs) == 0 {
-		procs = []fault.ProcFault{fault.ProcNone, fault.ProcStutter, fault.ProcStall, fault.ProcCrashRecover}
+		procs = allProcFaults
 	}
 	if f.scheds != "" {
-		for _, tok := range strings.Split(f.scheds, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
+		kinds, err = parseList("fault-sched", "schedule kinds", f.scheds, func(tok string) (sched.Kind, error) {
 			k, ok := sched.KindByName(tok)
 			if !ok {
 				var names []string
 				for _, kk := range sched.Kinds() {
 					names = append(names, kk.String())
 				}
-				return nil, nil, nil, fmt.Errorf("unknown schedule kind %q in -fault-sched (want %s)", tok, strings.Join(names, ", "))
+				return k, fmt.Errorf("unknown schedule kind %q (want %s)", tok, strings.Join(names, ", "))
 			}
-			kinds = append(kinds, k)
-		}
-		if len(kinds) == 0 {
-			return nil, nil, nil, fmt.Errorf("-fault-sched lists no schedule kinds")
+			return k, nil
+		})
+		if err != nil {
+			return nil, nil, nil, err
 		}
 	}
 	return sems, procs, kinds, nil
@@ -164,9 +159,6 @@ func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) erro
 		Trials:    cfg.Trials,
 		Shrink:    cfg.Shrink,
 		hostShape: thisHost(),
-	}
-	if rep.Seed == 0 {
-		rep.Seed = 20120716
 	}
 	var atomicFailures []string
 	totalViolated := 0

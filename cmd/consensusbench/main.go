@@ -150,6 +150,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	if *seed == 0 {
+		*seed = xrand.DefaultSeed
+	}
 	var set []string
 	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	mode, err := pickMode(set)
@@ -207,19 +210,15 @@ func run(args []string, out io.Writer) error {
 	case *all:
 		todo = experiment.All()
 	case *expID != "":
-		for _, id := range strings.Split(*expID, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
+		todo, err = parseList("experiment", "experiment ids", *expID, func(id string) (experiment.Experiment, error) {
 			e, ok := experiment.ByID(strings.ToUpper(id))
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (use -list)", id)
+				return e, fmt.Errorf("unknown experiment %q (use -list)", id)
 			}
-			todo = append(todo, e)
-		}
-		if len(todo) == 0 {
-			return fmt.Errorf("no experiment ids in %q", *expID)
+			return e, nil
+		})
+		if err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("nothing to do: pass -experiment <id>, -all, or -list")
@@ -248,9 +247,6 @@ func run(args []string, out io.Writer) error {
 		Trials:      *trials,
 		Parallelism: *parallel,
 		hostShape:   thisHost(),
-	}
-	if rec.Seed == 0 {
-		rec.Seed = 20120716 // the documented default master seed
 	}
 	if rec.Parallelism == 0 {
 		rec.Parallelism = runtime.NumCPU()

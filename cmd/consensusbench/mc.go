@@ -33,22 +33,13 @@ func (f *mcFlags) protocols() ([]consensus.FlatConfig, error) {
 	if spec == "" || spec == "all" {
 		spec = "sifter:register,sifter-half:register,priority-max:snapshot"
 	}
-	var cfgs []consensus.FlatConfig
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
+	return parseList("mc", "protocols", spec, func(tok string) (consensus.FlatConfig, error) {
 		conc, ac, ok := strings.Cut(tok, ":")
 		if !ok {
-			return nil, fmt.Errorf("-mc entry %q: want conciliator:adopt-commit (e.g. sifter:register)", tok)
+			return consensus.FlatConfig{}, fmt.Errorf("entry %q: want conciliator:adopt-commit (e.g. sifter:register)", tok)
 		}
-		cfgs = append(cfgs, consensus.FlatConfig{Conciliator: conc, AC: ac})
-	}
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("-mc %q selects no protocols", f.spec)
-	}
-	return cfgs, nil
+		return consensus.FlatConfig{Conciliator: conc, AC: ac}, nil
+	})
 }
 
 func (f *mcFlags) validate(quick bool) (kind sched.Kind, err error) {
@@ -120,9 +111,6 @@ func runMCSweep(out io.Writer, f *mcFlags, seed uint64, quick bool, parallel int
 	cfgs, err := f.protocols()
 	if err != nil {
 		return err
-	}
-	if seed == 0 {
-		seed = 20120716
 	}
 	if parallel < 1 {
 		parallel = runtime.NumCPU()

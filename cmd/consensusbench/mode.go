@@ -100,3 +100,24 @@ func pickMode(set []string) (*runMode, error) {
 func dashed(names []string) string {
 	return "-" + strings.Join(names, ", -")
 }
+
+// parseList parses the comma list val of flag -name: it trims each item,
+// skips blank ones and parses the rest with parse. A list that names
+// nothing is an error; what names the items in that error.
+func parseList[T any](name, what, val string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, item := range strings.Split(val, ",") {
+		if item = strings.TrimSpace(item); item == "" {
+			continue
+		}
+		v, err := parse(item)
+		if err != nil {
+			return nil, fmt.Errorf("-%s: %w", name, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-%s: no %s in %q", name, what, val)
+	}
+	return out, nil
+}

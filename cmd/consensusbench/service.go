@@ -113,9 +113,6 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 	if sf.addr != "" && sf.shards != "" {
 		return fmt.Errorf("-service-addr drives one remote node; -service-shards only applies to in-process sweeps")
 	}
-	if seed == 0 {
-		seed = 20120716 // the documented default master seed
-	}
 	if quick {
 		if sf.duration == 0 {
 			sf.duration = 500 * time.Millisecond
@@ -244,22 +241,13 @@ func parseShardCounts(spec string) ([]int, error) {
 	if spec == "" {
 		spec = "1,4"
 	}
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
+	return parseList("service-shards", "shard counts", spec, func(f string) (int, error) {
 		s, err := strconv.Atoi(f)
 		if err != nil || s <= 0 {
-			return nil, fmt.Errorf("bad shard count %q in -service-shards (want positive integers)", f)
+			return 0, fmt.Errorf("bad shard count %q (want positive integers)", f)
 		}
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-service-shards %q names no shard counts", spec)
-	}
-	return out, nil
+		return s, nil
+	})
 }
 
 func buildServiceEntry(id string, shards int, rep service.LoadReport, occ *stats.IntHist) serviceEntry {

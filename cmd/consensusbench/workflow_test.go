@@ -3,16 +3,19 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// workflowCommands returns the argument lists of every
-// `go run ./cmd/consensusbench` command in a workflow file, with
-// backslash continuations joined, double quotes removed and the command
-// cut at the first pipe, redirection or command separator.
-func workflowCommands(t *testing.T, path string) [][]string {
+// commandLines returns the argument lists of every
+// `go run ./cmd/consensusbench` command in a workflow or doc file: each
+// line that starts with the command, with backslash continuations
+// joined, and each inline code span that holds one, which may wrap onto
+// the next lines. Double quotes are removed, and each command is cut at
+// the first comment, pipe, redirection, command separator or trailing &.
+func commandLines(t *testing.T, path string) [][]string {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -23,17 +26,26 @@ func workflowCommands(t *testing.T, path string) [][]string {
 	var cmds [][]string
 	for i := 0; i < len(lines); i++ {
 		line := strings.TrimSpace(lines[i])
-		if !strings.HasPrefix(line, prefix) {
+		var text string
+		switch _, span, inline := strings.Cut(line, "`"+prefix); {
+		case strings.HasPrefix(line, prefix):
+			text = strings.TrimPrefix(line, prefix)
+			for strings.HasSuffix(text, `\`) && i+1 < len(lines) {
+				i++
+				text = strings.TrimSuffix(text, `\`) + " " + strings.TrimSpace(lines[i])
+			}
+		case inline:
+			for !strings.Contains(span, "`") && i+1 < len(lines) {
+				i++
+				span += " " + strings.TrimSpace(lines[i])
+			}
+			text, _, _ = strings.Cut(span, "`")
+		default:
 			continue
-		}
-		text := strings.TrimPrefix(line, prefix)
-		for strings.HasSuffix(text, `\`) && i+1 < len(lines) {
-			i++
-			text = strings.TrimSuffix(text, `\`) + " " + strings.TrimSpace(lines[i])
 		}
 		var args []string
 		for _, tok := range strings.Fields(strings.ReplaceAll(text, `"`, "")) {
-			if tok == "|" || tok == ";" || tok == "&&" || tok == "||" || strings.ContainsAny(tok[:1], "<>") || strings.HasPrefix(tok, "2>") {
+			if tok == "|" || tok == ";" || tok == "&&" || tok == "||" || tok == "&" || strings.ContainsAny(tok[:1], "#<>") || strings.HasPrefix(tok, "2>") {
 				break
 			}
 			args = append(args, tok)
@@ -44,15 +56,20 @@ func workflowCommands(t *testing.T, path string) [][]string {
 }
 
 // TestWorkflowCommandLinesParse: every consensusbench command that CI
-// and the nightly job run must still parse against this binary's flags,
-// with values of the right types, and pass the one-mode check, so that
-// deleting or renaming a flag cannot silently break a workflow that
-// only runs on the server. Nothing is run: each argument list gets a
-// trailing -trials=x, which fails to parse only once every flag before
-// it has parsed.
+// and the nightly job run, or that the docs tell a reader to run, must
+// still parse against this binary's flags, with values of the right
+// types, and pass the one-mode check, so that deleting or renaming a
+// flag cannot silently break a workflow that only runs on the server or
+// leave a doc naming a flag the binary lost. Nothing is run: each
+// argument list gets a trailing -trials=x, which fails to parse only
+// once every flag before it has parsed.
 func TestWorkflowCommandLinesParse(t *testing.T) {
-	for _, file := range []string{"ci.yml", "nightly.yml"} {
-		cmds := workflowCommands(t, "../../.github/workflows/"+file)
+	for _, path := range []string{
+		"../../.github/workflows/ci.yml", "../../.github/workflows/nightly.yml",
+		"../../README.md", "../../EXPERIMENTS.md", "../../METRICS.md", "../../CONTRIBUTING.md",
+	} {
+		file := filepath.Base(path)
+		cmds := commandLines(t, path)
 		if len(cmds) == 0 {
 			t.Fatalf("%s: no consensusbench commands found", file)
 		}

@@ -20,7 +20,7 @@ type Config struct {
 	Protocol string
 	// N is the process count, in [2, 64].
 	N int
-	// Seed drives every random choice (0 = default 20120716).
+	// Seed drives every random choice (0 = xrand.DefaultSeed).
 	Seed uint64
 	// Budget is the total number of candidate evaluations the
 	// evolutionary loop may spend, including the initial population
@@ -55,7 +55,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
-		c.Seed = 20120716
+		c.Seed = xrand.DefaultSeed
 	}
 	if c.Budget <= 0 {
 		c.Budget = 96

@@ -118,30 +118,17 @@ func e21Chaos() Experiment {
 						// registers, which voids the termination analysis
 						// along with the safety proofs: its run errors are
 						// findings, not bugs.
-						set := runDESCell(p, cfg, trials, 2100+cell)
-						if !sc.weakened {
-							set.mustSucceed()
-						}
-						var crashes, restarts, resyncs, wipes int64
-						gaveUp := 0
-						for _, r := range set.trials {
-							crashes += r.Crashes
-							restarts += r.Restarts
-							resyncs += r.Resyncs
-							wipes += r.Wipes
-							gaveUp += r.GaveUp
-						}
-						if !sc.weakened && set.violations() > 0 {
+						c := runDESCell(p, cfg, trials, 2100+cell, sc.weakened)
+						if !sc.weakened && c.Violations > 0 {
 							panic(fmt.Sprintf("experiment: E21 %s n=%d %q: safety violated under atomic semantics", protocol, n, sc.name))
 						}
-						if sc.giveUp && gaveUp == 0 {
+						if sc.giveUp && c.GaveUp == 0 {
 							panic(fmt.Sprintf("experiment: E21 %s n=%d %q: give-up scenario degraded nobody", protocol, n, sc.name))
 						}
 						matrix.AddRow(n, protocol, sc.name,
-							stats.Summarize(set.steps).String(),
-							crashes, restarts, resyncs, wipes, gaveUp,
-							fmt.Sprintf("%v", set.allDecided()),
-							set.runErrs(), set.violations())
+							stats.Summarize(c.Steps).String(),
+							c.Crashes, c.Restarts, c.Resyncs, c.Wipes, c.GaveUp,
+							c.AllDecided, c.RunErrors, c.Violations)
 					}
 				}
 			}

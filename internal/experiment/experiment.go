@@ -26,8 +26,7 @@ type Params struct {
 	// Trials per configuration (0 = per-experiment default).
 	Trials int
 
-	// Seed is the master seed (0 means the fixed default 20120716 — the
-	// PODC'12 session date, chosen to make reports reproducible).
+	// Seed is the master seed (0 means xrand.DefaultSeed).
 	Seed uint64
 
 	// Quick shrinks the sweeps so the whole suite finishes in seconds;
@@ -44,7 +43,7 @@ type Params struct {
 
 func (p Params) withDefaults() Params {
 	if p.Seed == 0 {
-		p.Seed = 20120716
+		p.Seed = xrand.DefaultSeed
 	}
 	if p.Parallelism < 1 {
 		p.Parallelism = runtime.NumCPU()

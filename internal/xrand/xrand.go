@@ -18,6 +18,10 @@ package xrand
 
 import "math/bits"
 
+// DefaultSeed is the master seed the harnesses use when none is given:
+// 20120716, the PODC'12 session date, so that reports are reproducible.
+const DefaultSeed = 20120716
+
 // Rand is a deterministic pseudo-random number generator. It is not safe
 // for concurrent use; fork independent streams with Fork instead of
 // sharing one Rand across goroutines.
