@@ -50,14 +50,22 @@ func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault
 	if f.shrink < 0 {
 		return nil, nil, nil, fmt.Errorf("-fault-shrink must be non-negative, got %d", f.shrink)
 	}
-	// Each item adds to its axis; "all" sets the full matrix on both.
+	// Each item adds to its axis and "all" adds every value to both. The
+	// axes are sets: each value runs once, in the full axis's order,
+	// whatever the order or repetition of the items naming it.
+	semOn, procOn := map[fault.Semantics]bool{}, map[fault.ProcFault]bool{}
 	if _, err = parseList("fault", "fault kinds", f.spec, func(tok string) (struct{}, error) {
 		if tok == "all" {
-			sems, procs = allSemantics, allProcFaults
+			for _, sm := range allSemantics {
+				semOn[sm] = true
+			}
+			for _, pf := range allProcFaults {
+				procOn[pf] = true
+			}
 		} else if pf, ok := fault.ProcFaultByName(tok); ok {
-			procs = append(procs, pf)
+			procOn[pf] = true
 		} else if sm, ok := fault.SemanticsByName(tok); ok {
-			sems = append(sems, sm)
+			semOn[sm] = true
 		} else {
 			return struct{}{}, fmt.Errorf("unknown fault kind %q (want all, %s, %s, %s, %s, %s, %s)",
 				tok, fault.ProcStutter, fault.ProcStall, fault.ProcCrashRecover,
@@ -70,12 +78,7 @@ func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault
 	// Naming only process faults sweeps them against every register
 	// semantics, and vice versa: each axis defaults to "all" when the
 	// other is pinned.
-	if len(sems) == 0 {
-		sems = allSemantics
-	}
-	if len(procs) == 0 {
-		procs = allProcFaults
-	}
+	sems, procs = axis(allSemantics, semOn), axis(allProcFaults, procOn)
 	if f.scheds != "" {
 		kinds, err = parseList("fault-sched", "schedule kinds", f.scheds, func(tok string) (sched.Kind, error) {
 			k, ok := sched.KindByName(tok)
@@ -93,6 +96,18 @@ func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault
 		}
 	}
 	return sems, procs, kinds, nil
+}
+
+// axis returns a fresh slice of the values of all that on names, in
+// all's order, or of every value when on names none.
+func axis[T comparable](all []T, on map[T]bool) []T {
+	var out []T
+	for _, v := range all {
+		if on[v] || len(on) == 0 {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // faultReport is the machine-readable record written by -fault-json.

@@ -52,6 +52,40 @@ func TestFaultFlagValidation(t *testing.T) {
 	}
 }
 
+// TestFaultAxesAreSets: the -fault items pick each matrix axis as a set
+// in the full axis's order, so neither the order nor the repetition of
+// items, nor an "all" among them, changes which cells run.
+func TestFaultAxesAreSets(t *testing.T) {
+	tests := []struct {
+		spec  string
+		sems  []fault.Semantics
+		procs []fault.ProcFault
+	}{
+		{"all", allSemantics, allProcFaults},
+		{"all,stutter", allSemantics, allProcFaults},
+		{"stutter,all", allSemantics, allProcFaults},
+		{"safe,all,stall", allSemantics, allProcFaults},
+		{"stutter,stutter", allSemantics, []fault.ProcFault{fault.ProcStutter}},
+		{"crash-recovery,stutter", allSemantics, []fault.ProcFault{fault.ProcStutter, fault.ProcCrashRecover}},
+		{"safe,atomic,safe,stall", []fault.Semantics{fault.SemAtomic, fault.SemSafe}, []fault.ProcFault{fault.ProcStall}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.spec, func(t *testing.T) {
+			sems, procs, _, err := (&faultFlags{spec: tt.spec}).validate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(sems) != fmt.Sprint(tt.sems) || fmt.Sprint(procs) != fmt.Sprint(tt.procs) {
+				t.Errorf("axes = %v × %v, want %v × %v", sems, procs, tt.sems, tt.procs)
+			}
+		})
+	}
+	// The full axes are package state: no sweep may extend them.
+	if len(allSemantics) != 3 || len(allProcFaults) != 4 {
+		t.Errorf("full axes changed to %v × %v", allSemantics, allProcFaults)
+	}
+}
+
 func TestFaultSweepSmokeAndReport(t *testing.T) {
 	reportPath := filepath.Join(t.TempDir(), "fault.json")
 	var b strings.Builder

@@ -33,7 +33,7 @@ type ConflictDetector[V comparable] interface {
 // Cost is k steps, so FlagsCD alone is only sensible for tiny k; DigitCD
 // runs one binary detector per digit for larger domains.
 type FlagsCD struct {
-	flags *memory.RegisterArray[struct{}]
+	flags *memory.Flags
 }
 
 var _ ConflictDetector[int] = (*FlagsCD)(nil)
@@ -43,18 +43,18 @@ func NewFlagsCD(k int) *FlagsCD {
 	if k < 2 {
 		panic("adoptcommit: FlagsCD needs at least two values")
 	}
-	return &FlagsCD{flags: memory.NewRegisterArray[struct{}](k)}
+	return &FlagsCD{flags: memory.NewFlags(k)}
 }
 
 // Check implements ConflictDetector. v must be in [0, k).
 func (c *FlagsCD) Check(ctx memory.Context, v int) bool {
-	c.flags.At(v).Write(ctx, struct{}{})
+	c.flags.Write(ctx, v)
 	ok := true
 	for i := 0; i < c.flags.Len(); i++ {
 		if i == v {
 			continue
 		}
-		if _, set := c.flags.At(i).Read(ctx); set {
+		if c.flags.Read(ctx, i) {
 			// Keep reading: steps are bounded either way and finishing
 			// the collect keeps Check's cost schedule-independent.
 			ok = false
@@ -131,13 +131,13 @@ func fnv1a64(s string) uint64 {
 // substitutes for the Aspnes–Ellen O(log m / log log m) object (see
 // DESIGN.md).
 //
-// The digits' flags live in one flat register slice, and Check issues
+// The digits' flags live in one packed flag set, and Check issues
 // exactly the operations one FlagsCD(2) per digit would, in the same
 // order: per digit, write the own bit's flag, then read the other bit's.
 type DigitCD[V comparable] struct {
 	enc Encoder[V]
-	// flags[2*i+b] is digit i's flag for bit value b.
-	flags []memory.Register[struct{}]
+	// Flag 2*i+b is digit i's flag for bit value b.
+	flags *memory.Flags
 }
 
 var _ ConflictDetector[string] = (*DigitCD[string])(nil)
@@ -148,7 +148,7 @@ func NewDigitCD[V comparable](enc Encoder[V]) *DigitCD[V] {
 	if enc.Bits < 1 || enc.Bits > 64 {
 		panic("adoptcommit: encoder bits out of range [1, 64]")
 	}
-	return &DigitCD[V]{enc: enc, flags: make([]memory.Register[struct{}], 2*enc.Bits)}
+	return &DigitCD[V]{enc: enc, flags: memory.NewFlags(2 * enc.Bits)}
 }
 
 // Check implements ConflictDetector.
@@ -158,11 +158,11 @@ func (d *DigitCD[V]) Check(ctx memory.Context, v V) bool {
 		panic("adoptcommit: encoded value exceeds encoder width")
 	}
 	ok := true
-	for i := 0; i < len(d.flags); i += 2 {
+	for i := 0; i < d.flags.Len(); i += 2 {
 		bit := int(code & 1)
 		code >>= 1
-		d.flags[i+bit].Write(ctx, struct{}{})
-		if _, set := d.flags[i+1-bit].Read(ctx); set {
+		d.flags.Write(ctx, i+bit)
+		if d.flags.Read(ctx, i+1-bit) {
 			ok = false
 		}
 	}
@@ -174,8 +174,4 @@ func (d *DigitCD[V]) StepBound() int { return 2 * d.enc.Bits }
 
 // Reset clears every digit's flags so the detector can serve a fresh set
 // of processes. No Check may be in flight (see memory.Register.Reset).
-func (d *DigitCD[V]) Reset() {
-	for i := range d.flags {
-		d.flags[i].Reset()
-	}
-}
+func (d *DigitCD[V]) Reset() { d.flags.Reset() }

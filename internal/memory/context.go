@@ -16,7 +16,8 @@
 // representations latched per object on first use (see repMode): plain
 // field access under Exclusive contexts (the controlled engine and the
 // DES server), or hardware atomics — atomic.Pointer stores and CAS
-// loops — under every other context.
+// loops, and atomic ORs on packed flag words — under every other
+// context.
 package memory
 
 import (
@@ -79,7 +80,8 @@ func (freeExclusiveContext) Exclusive() bool { return true }
 //     Chosen when the first operation's context is Exclusive: the
 //     controlled engine and the DES server.
 //   - repLockFree: an atomic.Pointer cell updated by plain stores or CAS
-//     loops. Chosen under every other context: concurrent runs and Free.
+//     loops (Flags: words updated by atomic OR). Chosen under every
+//     other context: concurrent runs and Free.
 //
 // The latch is sticky: once decided, every operation from every context
 // follows it, so two representations can never disagree about an
@@ -104,12 +106,22 @@ const (
 )
 
 // of returns the object's latched representation, deciding it from
-// ctx.Exclusive() on the first call. Concurrent first operations racing
-// to latch agree on the outcome of the CAS.
+// ctx.Exclusive() on the first call. It is small enough to inline, so an
+// operation on a latched object pays one atomic load and no call; the
+// CI inlining guard keeps it that way.
 func (r *repMode) of(ctx Context) int32 {
 	if m := r.m.Load(); m != repUndecided {
 		return m
 	}
+	return r.latch(ctx)
+}
+
+// latch decides an undecided representation. Concurrent first
+// operations racing to latch agree on the outcome of the CAS. Kept out
+// of line so of stays under the inliner's budget.
+//
+//go:noinline
+func (r *repMode) latch(ctx Context) int32 {
 	want := repLockFree
 	if ctx.Exclusive() {
 		want = repDirect

@@ -45,6 +45,24 @@ var repCases = []repCase{
 		},
 	},
 	{
+		name:     "Flags",
+		prefixes: []string{"memory.register."},
+		want: map[string]int64{
+			"memory.register.read":  4,
+			"memory.register.write": 3,
+		},
+		run: func(ctx Context, obs func(string, ...any)) {
+			f := NewFlags(70)
+			obs("f.Read(3)=%v", f.Read(ctx, 3))
+			f.Write(ctx, 3)
+			f.Write(ctx, 66) // second word
+			f.Write(ctx, 3)  // already set
+			for _, i := range []int{3, 66, 4} {
+				obs("f.Read(%d)=%v", i, f.Read(ctx, i))
+			}
+		},
+	},
+	{
 		name:     "MaxRegister",
 		prefixes: []string{"memory.maxreg."},
 		want: map[string]int64{
@@ -225,11 +243,14 @@ func TestRepresentationLatchIsSticky(t *testing.T) {
 			reg := NewRegister[int]()
 			maxr := NewMaxRegister[int]()
 			snap := NewSnapshot[int](2)
+			flags := NewFlags(2)
 			reg.Write(tc.first, 5)
 			maxr.WriteMax(tc.first, 5, 50)
 			snap.Update(tc.first, 1, 5)
+			flags.Write(tc.first, 0)
 			for name, got := range map[string]int32{
 				"Register": reg.rep.m.Load(), "MaxRegister": maxr.rep.m.Load(), "Snapshot": snap.rep.m.Load(),
+				"Flags": flags.rep.m.Load(),
 			} {
 				if got != tc.want {
 					t.Errorf("%s latched %d, want %d", name, got, tc.want)
@@ -250,6 +271,14 @@ func TestRepresentationLatchIsSticky(t *testing.T) {
 			snap.Update(tc.second, 0, 4)
 			if view := snap.Scan(tc.first); view[0] != (Entry[int]{Value: 4, OK: true}) || view[1] != (Entry[int]{Value: 5, OK: true}) {
 				t.Errorf("Scan = %v, want [4 5]", view)
+			}
+			flags.Write(tc.second, 1)
+			if !flags.Read(tc.first, 0) || !flags.Read(tc.first, 1) {
+				t.Error("Flags lost a write across contexts")
+			}
+			flags.Reset()
+			if flags.Read(tc.second, 0) || flags.rep.m.Load() != tc.want {
+				t.Errorf("Flags after Reset: flag 0 set or latch %d, want clear and %d", flags.rep.m.Load(), tc.want)
 			}
 			if got := reg.rep.m.Load(); got != tc.want {
 				t.Errorf("Register latch moved to %d after second-context operations, want %d", got, tc.want)

@@ -205,7 +205,7 @@ func TestProposeCompactSteadyStateAllocs(t *testing.T) {
 	if metrics.Enabled() {
 		t.Skip("allocation counts require metrics to be disabled")
 	}
-	const budget = 9
+	const budget = 8
 	log := NewLog[string](1, consensus.NewRegister[string])
 	batch := "rsm-batch/v1\n1 7 42 \"k001\" \"v1\"\n"
 	var allocs float64

@@ -44,6 +44,11 @@ type Log[V comparable] struct {
 	base int
 	// free holds reset instances ready for reuse.
 	free []*slotState[V]
+	// idle is Compact's scratch list of instances to reset, kept across
+	// calls so a compaction does not allocate. A Compact holds it (nil
+	// here) while it resets outside the lock; an overlapping Compact
+	// then builds its own.
+	idle []*slotState[V]
 }
 
 // slotState is one slot's consensus instance plus the number of
@@ -100,7 +105,7 @@ func (l *Log[V]) Compact(below int) {
 		return
 	}
 	l.base = below
-	var idle []*slotState[V]
+	idle := l.idle[:0]
 	for s, st := range l.slots {
 		if s >= below {
 			continue
@@ -110,10 +115,13 @@ func (l *Log[V]) Compact(below int) {
 			idle = append(idle, st)
 		}
 	}
-	l.mu.Unlock()
 	if len(idle) == 0 {
+		l.idle = idle
+		l.mu.Unlock()
 		return
 	}
+	l.idle = nil
+	l.mu.Unlock()
 	// No proposer can reach an idle instance any more, so the reset
 	// runs outside the lock with plain stores; handing the instances
 	// over under the lock orders it before their next use.
@@ -122,6 +130,8 @@ func (l *Log[V]) Compact(below int) {
 	}
 	l.mu.Lock()
 	l.free = append(l.free, idle...)
+	clear(idle)
+	l.idle = idle[:0]
 	l.mu.Unlock()
 }
 

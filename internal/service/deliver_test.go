@@ -156,7 +156,7 @@ func TestSubmitAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		submit()
 	}
-	const want = 14
+	const want = 13
 	if got := testing.AllocsPerRun(500, submit); got != want {
 		t.Errorf("solo Submit allocates %v times, want %d", got, want)
 	}
