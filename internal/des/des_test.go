@@ -18,8 +18,8 @@ func TestEventQueueOrdering(t *testing.T) {
 	var got []int64
 	var ids []int32
 	for {
-		ev, ok := q.pop()
-		if !ok {
+		ev := q.pop()
+		if ev == nil {
 			break
 		}
 		got = append(got, ev.at)

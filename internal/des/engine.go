@@ -1,7 +1,6 @@
 package des
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -32,26 +31,27 @@ import (
 // tick's events into near and sorts the index. Every wheel event's tick
 // lies in (cur, cur+wheelSize), so a bucket never mixes two ticks.
 //
-// Ordering is (virtual time, insertion sequence). Keys are unique and the
-// order on them is total, so any exact priority queue pops the same
-// sequence; the wheel computes the same answer a binary heap would, only
-// faster. The sequence tiebreak makes the pop order — and therefore every
-// RNG draw made while handling events — a pure function of the
-// configuration and seed, which is the whole determinism contract: two
-// events at the same virtual nanosecond are handled in the order they
-// were scheduled.
+// Ordering is (virtual time, insertion order). The order is total, so any
+// exact priority queue pops the same sequence; the wheel computes the
+// same answer a binary heap would, only faster. The insertion-order
+// tiebreak makes the pop order — and therefore every RNG draw made while
+// handling events — a pure function of the configuration and seed, which
+// is the whole determinism contract: two events at the same virtual
+// nanosecond are handled in the order they were scheduled.
 //
-// The index never compares seq. advance fills near in seq order among
-// equal times: first far's events of the tick, which far pops in (at, seq)
-// order and which were all pushed before any wheel event of that tick (cur
-// only grows, so once a tick is inside the wheel's span it stays there);
-// then the bucket's chunks, oldest first, each filled in push order; and
-// a push into the current tick appends after them all. So a key of
-// offset-in-tick<<32 | index-in-near orders near exactly by (at, seq),
-// and a plain integer sort does what a comparator on events would. setTick
-// caps shift at maxShift so every offset fits in 32 bits; for a mean
-// latency so long that the cap binds, the wheel spans fewer means and
-// more events wait in far, with the order still exact.
+// Only far stores an insertion sequence number, next to each of its
+// events; an event itself carries none. advance fills near in insertion
+// order among equal times: first far's events of the tick, which far pops
+// in (at, seq) order and which were all pushed before any wheel event of
+// that tick (cur only grows, so once a tick is inside the wheel's span it
+// stays there); then the bucket's chunks, oldest first, each filled in
+// push order; and a push into the current tick appends after them all.
+// So a key of offset-in-tick<<32 | index-in-near orders near exactly by
+// (time, insertion order), and a plain integer sort does what a
+// comparator on events would. setTick caps shift at maxShift so every
+// offset fits in 32 bits; for a mean latency so long that the cap binds,
+// the wheel spans fewer means and more events wait in far, with the order
+// still exact.
 //
 // The one precondition: no push is earlier than the last pop (the engine
 // schedules at now plus a non-negative delay). That keeps every push at
@@ -77,15 +77,21 @@ const (
 )
 
 // event is one scheduled occurrence. It is stored by value in near, far
-// and the wheel's slab; keep it compact. It holds no pointers, so the
-// queue's slices are never scanned by the garbage collector and vacated
-// slots need no clearing.
+// and the wheel's slab, 48 bytes; keep it compact. It holds no pointers,
+// so the queue's slices are never scanned by the garbage collector and
+// vacated slots need no clearing.
 type event struct {
 	at   int64 // virtual time, nanoseconds
-	seq  uint64
 	to   int32 // destination node: process id, or serverID
 	kind evKind
 	msg  message
+}
+
+// farEvent is an event in far with its insertion sequence number, which
+// orders far's events of equal time.
+type farEvent struct {
+	event
+	seq uint64
 }
 
 const (
@@ -110,19 +116,19 @@ const (
 )
 
 // eventQueue is an exact min-priority queue of events ordered by
-// (at, seq); see the file comment for its layout. The zero value is
-// ready to use with ticks sized for a 1ms mean latency.
+// (time, insertion order); see the file comment for its layout. The zero
+// value is ready to use with ticks sized for a 1ms mean latency.
 type eventQueue struct {
-	seq   uint64
-	n     int   // events queued in total
-	shift uint  // tick width is 1<<shift ns
-	cur   int64 // current tick; near holds its events
-	last  int64 // time of the last pop; no push may be earlier
+	seq   uint64 // pushes into far so far
+	n     int    // events queued in total
+	shift uint   // tick width is 1<<shift ns
+	cur   int64  // current tick; near holds its events
+	last  int64  // time of the last pop; no push may be earlier
 
-	near []event  // events of tick cur, in seq order among equal times
-	keys []uint64 // offset-in-tick<<32 | index into near, ascending
-	head int      // keys[head:] are still queued
-	far  []event  // binary heap: ticks >= cur+wheelSize at push time
+	near []event    // events of tick cur, in push order among equal times
+	keys []uint64   // offset-in-tick<<32 | index into near, ascending
+	head int        // keys[head:] are still queued
+	far  []farEvent // binary heap: ticks >= cur+wheelSize at push time
 
 	// The wheel's slab is cut into chunks of chunkSize events, so a
 	// bucket is a short list of contiguous runs: draining one streams
@@ -181,9 +187,8 @@ func (q *eventQueue) push(at int64, to int32, kind evKind, m message) {
 	if at < q.last {
 		panic("des: event pushed earlier than the last pop")
 	}
-	q.seq++
 	q.n++
-	e := event{at: at, seq: q.seq, to: to, kind: kind, msg: m}
+	e := event{at: at, to: to, kind: kind, msg: m}
 	t := at >> q.shift
 	switch d := t - q.cur; {
 	case d == 0:
@@ -210,23 +215,28 @@ func (q *eventQueue) push(at int64, to int32, kind evKind, m message) {
 		bk.fill++
 		q.wheelN++
 	default:
-		q.far = heapPush(q.far, e)
+		q.seq++
+		q.far = heapPush(q.far, farEvent{e, q.seq})
 	}
 }
 
-// pop removes and returns the earliest event.
-func (q *eventQueue) pop() (event, bool) {
+// pop removes the earliest event and returns it in place in near, or nil
+// when the queue is empty. The event stays valid until the next pop:
+// only advance, which runs inside pop, overwrites near's slots, and a
+// push into the current tick appends past every slot already filled (or
+// copies near to a larger array, leaving the old one intact).
+func (q *eventQueue) pop() *event {
 	if q.n == 0 {
-		return event{}, false
+		return nil
 	}
 	if q.head == len(q.keys) {
 		q.advance()
 	}
 	q.n--
-	top := q.near[uint32(q.keys[q.head])]
+	top := &q.near[uint32(q.keys[q.head])]
 	q.head++
 	q.last = top.at
-	return top, true
+	return top
 }
 
 // advance moves cur to the earliest non-empty tick, fills near with that
@@ -245,9 +255,8 @@ func (q *eventQueue) advance() {
 	q.cur = next
 	q.near, q.keys, q.head = q.near[:0], q.keys[:0], 0
 	for len(q.far) > 0 && q.far[0].at>>q.shift == next {
-		var e event
-		q.far, e = heapPop(q.far)
-		q.near = append(q.near, e)
+		q.near = append(q.near, q.far[0].event)
+		q.far = heapPop(q.far)
 	}
 	// A bucket holds only ticks in (cur, cur+wheelSize), so next's bucket
 	// holds tick next or nothing.
@@ -308,18 +317,13 @@ func (q *eventQueue) nextBucketTick() int64 {
 	return q.cur + (b-q.cur)&wheelMask
 }
 
-// cmpEvents orders events by (at, seq).
-func cmpEvents(a, b *event) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.seq, b.seq)
+// evLess orders far's events by (at, seq).
+func evLess(a, b *farEvent) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-func evLess(a, b *event) bool { return cmpEvents(a, b) < 0 }
-
 // heapPush adds e to the binary min-heap h.
-func heapPush(h []event, e event) []event {
+func heapPush(h []farEvent, e farEvent) []farEvent {
 	h = append(h, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -335,19 +339,18 @@ func heapPush(h []event, e event) []event {
 }
 
 // heapPop removes the minimum of the non-empty binary min-heap h.
-func heapPop(h []event) ([]event, event) {
-	top := h[0]
+func heapPop(h []farEvent) []farEvent {
 	last := len(h) - 1
 	h[0] = h[last]
 	h = h[:last]
 	if last > 1 {
 		siftDown(h, 0)
 	}
-	return h, top
+	return h
 }
 
 // siftDown restores the heap property below index i.
-func siftDown(h []event, i int) {
+func siftDown(h []farEvent, i int) {
 	e := h[i]
 	for {
 		c := 2*i + 1

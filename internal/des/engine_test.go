@@ -9,18 +9,26 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// refQueue is the oracle the event queue is checked against: a slice
-// kept sorted by (at, seq), each push inserted at its sorted position.
-type refQueue struct{ evs []event }
+// refEvent is a pushed event as the oracle sees it: its time and its
+// destination, which the checker numbers in push order.
+type refEvent struct {
+	at int64
+	to int32
+}
 
-func (r *refQueue) push(e event) {
-	i := sort.Search(len(r.evs), func(i int) bool { return evLess(&e, &r.evs[i]) })
+// refQueue is the oracle the event queue is checked against: a slice
+// kept sorted by (at, push order), each push inserted at its sorted
+// position.
+type refQueue struct{ evs []refEvent }
+
+func (r *refQueue) push(e refEvent) {
+	i := sort.Search(len(r.evs), func(i int) bool { return e.at < r.evs[i].at })
 	r.evs = slices.Insert(r.evs, i, e)
 }
 
-func (r *refQueue) pop() (event, bool) {
+func (r *refQueue) pop() (refEvent, bool) {
 	if len(r.evs) == 0 {
-		return event{}, false
+		return refEvent{}, false
 	}
 	e := r.evs[0]
 	r.evs = r.evs[1:]
@@ -38,7 +46,8 @@ func defaultGeometry() (tick, horizon int64) {
 
 // queueChecker drives an eventQueue and a refQueue in lockstep. Push
 // delays are relative to now, the time of the last popped event, as in
-// the engine.
+// the engine. Each push goes to a fresh destination id, also carried in
+// the message, so a popped event names its place in push order.
 type queueChecker struct {
 	t   testing.TB
 	q   *eventQueue
@@ -53,18 +62,25 @@ func (c *queueChecker) push(delay int64) { c.pushAt(c.now + delay) }
 func (c *queueChecker) pushAt(at int64) {
 	c.id++
 	c.q.push(at, c.id, evDeliver, message{val: c.id})
-	c.ref.push(event{at: at, seq: c.q.seq, to: c.id})
+	c.ref.push(refEvent{at: at, to: c.id})
 }
 
 func (c *queueChecker) pop() {
 	c.t.Helper()
-	got, gok := c.q.pop()
+	ev := c.q.pop()
 	want, wok := c.ref.pop()
-	if gok != wok || got.at != want.at || got.seq != want.seq || got.to != want.to || got.msg.val != want.to {
-		c.t.Fatalf("pop = (at %d seq %d to %d, %v), want (at %d seq %d to %d, %v)",
-			got.at, got.seq, got.to, gok, want.at, want.seq, want.to, wok)
+	var got refEvent
+	if ev != nil {
+		if ev.msg.val != ev.to {
+			c.t.Fatalf("popped event to %d carries message %d", ev.to, ev.msg.val)
+		}
+		got = refEvent{at: ev.at, to: ev.to}
 	}
-	if gok {
+	if (ev != nil) != wok || got != want {
+		c.t.Fatalf("pop = (at %d to %d, %v), want (at %d to %d, %v)",
+			got.at, got.to, ev != nil, want.at, want.to, wok)
+	}
+	if wok {
 		c.now = got.at
 	}
 	if c.q.len() != len(c.ref.evs) {
@@ -346,7 +362,7 @@ func holdQueue() (*eventQueue, func() int64) {
 func TestEventQueueSteadyStateAllocs(t *testing.T) {
 	q, delay := holdQueue()
 	cycle := func() {
-		ev, _ := q.pop()
+		ev := q.pop()
 		q.push(ev.at+delay(), ev.to, evDeliver, ev.msg)
 	}
 	for i := 0; i < 200_000; i++ {
@@ -364,7 +380,7 @@ func BenchmarkEventQueue(b *testing.B) {
 	q, delay := holdQueue()
 	b.ReportAllocs()
 	for b.Loop() {
-		ev, _ := q.pop()
+		ev := q.pop()
 		q.push(ev.at+delay(), ev.to, evDeliver, ev.msg)
 	}
 }

@@ -10,34 +10,39 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// proc is one process's RPC, retry and chaos state. Its protocol state
-// is its cursor in the runner's consensus machine, indexed by id.
+// proc is the hot part of one process's state: what an event addressed
+// to the process reads, at most 40 bytes. Its protocol state is its
+// cursor in the runner's consensus machine and the rest lives in
+// procCold, both indexed by the process id. The outstanding request is
+// not stored: it is rebuilt when it must be retransmitted (see request).
 type proc struct {
-	id  int32
-	rng xrand.Rand
-
-	// Stop-and-wait RPC state.
-	opSeq   uint32
-	await   bool
-	req     message
-	rto     int64
-	steps   int64
-	retrans int64
-
-	// Chaos state. seedBase is the seed incarnation 0's RNG was reseeded
-	// from; incarnation k > 0 reseeds from its named fork keyed by k, so
-	// amnesiac restarts draw fresh-but-replayable protocol randomness.
+	// Stop-and-wait RPC state. opSeq and inc identify the outstanding
+	// request; an amnesiac restart bumps the incarnation inc.
+	rto       int64
+	steps     int64
+	opSeq     uint32
 	inc       uint32
+	opRetries int32
+	await     bool
 	down      bool
 	gaveUp    bool
-	opRetries int
-	seedBase  uint64
-	resyncs   int64
 	// syncing: a fresh amnesiac incarnation is re-establishing its RPC
 	// session with the memory server before it resumes the machine.
 	syncing bool
-
 	decided bool
+}
+
+// procCold is the part of a process's state that the per-operation path
+// does not read: its protocol RNG, which only a phase change or a restart
+// draws from or reseeds, and counters summed once into the Result.
+type procCold struct {
+	rng xrand.Rand
+	// seedBase is the seed incarnation 0's RNG was reseeded from;
+	// incarnation k > 0 reseeds from its named fork keyed by k, so
+	// amnesiac restarts draw fresh-but-replayable protocol randomness.
+	seedBase uint64
+	retrans  int64
+	resyncs  int64
 }
 
 // runner holds one run's entire state.
@@ -48,6 +53,7 @@ type runner struct {
 	srv     *server
 	mon     *fault.Monitor
 	procs   []proc
+	cold    []procCold
 	m       *consensus.FlatConsensus
 	now     int64
 	decided int
@@ -118,6 +124,7 @@ func Run(cfg Config) (Result, error) {
 		srv:      newServer(cfg.N, mon),
 		mon:      mon,
 		procs:    make([]proc, cfg.N),
+		cold:     make([]procCold, cfg.N),
 		m:        m,
 		retryRng: retryRng,
 	}
@@ -155,17 +162,16 @@ func Run(cfg Config) (Result, error) {
 		in64[i] = int64(v)
 	}
 	m.Reset(in64)
-	for i := range d.procs {
-		p := &d.procs[i]
-		p.id = int32(i)
-		p.seedBase = procRng.SeedNamed(uint64(i))
-		p.rng.Reseed(p.seedBase)
+	for i := range d.cold {
+		c := &d.cold[i]
+		c.seedBase = procRng.SeedNamed(uint64(i))
+		c.rng.Reseed(c.seedBase)
 	}
 	// All processes wake at virtual time zero; their first requests get
 	// distinct latencies, which staggers them naturally.
 	for i := range d.procs {
-		m.Init(i, &d.procs[i].rng)
-		d.issue(&d.procs[i])
+		m.Init(i, &d.cold[i].rng)
+		d.sendReq(int32(i), &d.procs[i], false)
 	}
 	// Crash events enter the queue after the initial sends, so a crash
 	// at t=0 still lands after every process issued its first request —
@@ -176,8 +182,8 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	for d.decided+d.gaveUp < cfg.N {
-		ev, ok := d.q.pop()
-		if !ok {
+		ev := d.q.pop()
+		if ev == nil {
 			pending := cfg.N - d.decided - d.gaveUp
 			mon.Report("nontermination", "event queue drained with %d of %d processes undecided", pending, cfg.N)
 			err = fmt.Errorf("des: deadlock: queue empty with %d processes undecided", pending)
@@ -205,7 +211,7 @@ func Run(cfg Config) (Result, error) {
 					d.chaosDrops++
 					break
 				}
-				d.onReply(p, ev.msg)
+				d.onReply(ev.to, p, &ev.msg)
 			}
 		case evTimer:
 			p := &d.procs[ev.to]
@@ -214,7 +220,7 @@ func Run(cfg Config) (Result, error) {
 			if p.down || p.gaveUp || ev.msg.inc != p.inc {
 				break
 			}
-			d.onTimer(p, ev.msg)
+			d.onTimer(ev.to, p, ev.msg.opSeq)
 		case evCrash:
 			d.onCrash(ev.to, ev.msg)
 		case evRestart:
@@ -272,9 +278,9 @@ func Run(cfg Config) (Result, error) {
 		DupDrops:      d.srv.dupDrops,
 		Violations:    mon.Finish(),
 	}
-	for i := range d.procs {
-		res.Retransmits += d.procs[i].retrans
-		res.Resyncs += d.procs[i].resyncs
+	for i := range d.cold {
+		res.Retransmits += d.cold[i].retrans
+		res.Resyncs += d.cold[i].resyncs
 	}
 	if res.AllDecided {
 		res.Decision = outs[0]
@@ -282,30 +288,38 @@ func Run(cfg Config) (Result, error) {
 	return res, err
 }
 
-// issue sends p's next machine operation to the memory server.
-func (d *runner) issue(p *proc) {
-	op := d.m.NextOp(int(p.id))
-	d.sendReq(p, message{op: op.Kind, obj: op.Obj, val: op.Arg, key: op.Key})
+// request builds process id's outstanding request: the session resync
+// while p is syncing, its machine's next operation otherwise. A
+// retransmission rebuilds the request it repeats from the same state: a
+// process's machine cursor moves only in Deliver, which runs on the
+// reply that ends the request, and syncing, opSeq and inc change only
+// when a new request is sent, so between a send and its reply the
+// request built here is the one that was sent.
+func (d *runner) request(id int32, p *proc) message {
+	m := message{op: opSync, from: id, opSeq: p.opSeq, inc: p.inc}
+	if !p.syncing {
+		op := d.m.NextOp(int(id))
+		m.op, m.obj, m.val, m.key = op.Kind, op.Obj, op.Arg, op.Key
+	}
+	return m
 }
 
-// sendReq issues a new stop-and-wait request from p (charging one step,
-// except for session resyncs, which are bookkeeping rather than protocol
-// work) and arms the retransmission timer when messages can be lost.
-func (d *runner) sendReq(p *proc, m message) {
+// sendReq issues a new stop-and-wait request from process id — its next
+// machine operation, or the session resync when syncing — charging one
+// step except for the resync, which is bookkeeping rather than protocol
+// work, and arms the retransmission timer when messages can be lost.
+func (d *runner) sendReq(id int32, p *proc, syncing bool) {
 	p.opSeq++
-	m.from = p.id
-	m.opSeq = p.opSeq
-	m.inc = p.inc
-	p.req = m
+	p.syncing = syncing
 	p.await = true
 	p.opRetries = 0
-	if m.op != opSync {
+	if !syncing {
 		p.steps++
 	}
-	d.net.send(&d.q, d.now, p.id, serverID, m)
+	d.net.send(&d.q, d.now, id, serverID, d.request(id, p))
 	if d.timers {
 		p.rto = d.rto0
-		d.q.push(d.now+d.jittered(p.rto), p.id, evTimer, message{opSeq: p.opSeq, inc: p.inc})
+		d.q.push(d.now+d.jittered(p.rto), id, evTimer, message{opSeq: p.opSeq, inc: p.inc})
 	}
 }
 
@@ -319,27 +333,28 @@ func (d *runner) jittered(rto int64) int64 {
 	return rto
 }
 
-// onTimer handles a retransmission timer: if the guarded operation is
-// still outstanding, resend and back off; otherwise the timer is stale.
-// A bounded retry policy gives up here instead of retrying forever.
-func (d *runner) onTimer(p *proc, m message) {
-	if !p.await || p.req.opSeq != m.opSeq {
+// onTimer handles a retransmission timer for operation opSeq of process
+// id: if that operation is still outstanding, resend and back off;
+// otherwise the timer is stale. A bounded retry policy gives up here
+// instead of retrying forever.
+func (d *runner) onTimer(id int32, p *proc, opSeq uint32) {
+	if !p.await || p.opSeq != opSeq {
 		return
 	}
-	if d.maxRetries > 0 && p.opRetries >= d.maxRetries {
+	if d.maxRetries > 0 && int(p.opRetries) >= d.maxRetries {
 		d.giveUp(p)
 		return
 	}
 	p.opRetries++
-	p.retrans++
-	d.net.send(&d.q, d.now, p.id, serverID, p.req)
+	d.cold[id].retrans++
+	d.net.send(&d.q, d.now, id, serverID, d.request(id, p))
 	if p.rto < d.rtoCap {
 		p.rto = int64(float64(p.rto) * d.backoff)
 		if p.rto > d.rtoCap {
 			p.rto = d.rtoCap
 		}
 	}
-	d.q.push(d.now+d.jittered(p.rto), p.id, evTimer, message{opSeq: p.req.opSeq, inc: p.inc})
+	d.q.push(d.now+d.jittered(p.rto), id, evTimer, message{opSeq: p.opSeq, inc: p.inc})
 }
 
 // giveUp retires a process whose retry budget is exhausted: it stops
@@ -400,11 +415,11 @@ func (d *runner) onRestart(to int32, m message) {
 		if !p.decided && p.await {
 			// The reply (or request) in flight when we crashed was
 			// dropped; retransmit under a fresh timer.
-			p.retrans++
+			d.cold[to].retrans++
 			p.rto = d.rto0
 			p.opRetries = 0
-			d.net.send(&d.q, d.now, p.id, serverID, p.req)
-			d.q.push(d.now+d.jittered(p.rto), p.id, evTimer, message{opSeq: p.req.opSeq, inc: p.inc})
+			d.net.send(&d.q, d.now, to, serverID, d.request(to, p))
+			d.q.push(d.now+d.jittered(p.rto), to, evTimer, message{opSeq: p.opSeq, inc: p.inc})
 		}
 		return
 	}
@@ -416,14 +431,12 @@ func (d *runner) onRestart(to int32, m message) {
 		d.decided--
 	}
 	p.inc++
-	p.resyncs++
-	xrand.New(p.seedBase).ForkNamedInto(uint64(p.inc), &p.rng)
-	d.m.Init(int(p.id), &p.rng)
+	c := &d.cold[to]
+	c.resyncs++
+	xrand.New(c.seedBase).ForkNamedInto(uint64(p.inc), &c.rng)
+	d.m.Init(int(to), &c.rng)
 	p.opSeq = 0
-	p.await = false
-	p.opRetries = 0
-	p.syncing = true
-	d.sendReq(p, message{op: opSync})
+	d.sendReq(to, p, true)
 }
 
 // onReply delivers the reply p is waiting for to its machine cursor
@@ -431,20 +444,19 @@ func (d *runner) onRestart(to int32, m message) {
 // incarnation mismatch) are ignored: the machine only ever moves on the
 // reply it is waiting for, so an op a dead incarnation sent before an
 // amnesiac restart changes shared memory but not the new incarnation.
-func (d *runner) onReply(p *proc, r message) {
+func (d *runner) onReply(id int32, p *proc, r *message) {
 	if !p.await || r.opSeq != p.opSeq || r.inc != p.inc || p.decided || p.gaveUp {
 		return
 	}
 	p.await = false
 	if p.syncing {
 		// Session re-established; run the restarted machine.
-		p.syncing = false
-		d.issue(p)
+		d.sendReq(id, p, false)
 		return
 	}
-	pid := int(p.id)
+	pid := int(id)
 	ph := d.m.Phase(pid)
-	switch d.m.Deliver(pid, sim.FlatResult{OK: r.ok, Val: r.val, Key: r.key}, &p.rng) {
+	switch d.m.Deliver(pid, sim.FlatResult{OK: r.ok, Val: r.val, Key: r.key}, &d.cold[id].rng) {
 	case consensus.Proposing:
 		d.mon.ObserveACPropose(ph, pid, int(d.m.Proposal(pid)))
 	case consensus.Adopted:
@@ -458,9 +470,9 @@ func (d *runner) onReply(p *proc, r message) {
 		// The machine's validity valve would decide here; the DES
 		// reports the exhausted budget as nontermination instead.
 		d.mon.ObserveAC(ph, pid, int(d.m.Proposal(pid)), int(d.m.Output(pid)), false)
-		d.mon.Report("nontermination", "process %d exceeded the phase budget %d", p.id, d.cfg.MaxPhases)
-		d.overflow = fmt.Errorf("des: process %d exceeded the phase budget %d without committing", p.id, d.cfg.MaxPhases)
+		d.mon.Report("nontermination", "process %d exceeded the phase budget %d", id, d.cfg.MaxPhases)
+		d.overflow = fmt.Errorf("des: process %d exceeded the phase budget %d without committing", id, d.cfg.MaxPhases)
 		return
 	}
-	d.issue(p)
+	d.sendReq(id, p, false)
 }

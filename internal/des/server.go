@@ -53,10 +53,10 @@ func (c opCtx) ID() int       { return c.pid }
 // server is the memory node: it owns every shared object and applies
 // each logical operation exactly once. Clients are stop-and-wait with
 // per-process (incarnation, operation-sequence) pairs, so dedup needs
-// only the last applied pair and its reply per process: a request with
-// the same sequence is a retransmission (re-send the cached reply — the
-// first reply may have been lost), anything older is a stale duplicate
-// to drop, and anything newer is new work. Stop-and-wait makes new
+// only one session per process, the last applied pair and its reply: a
+// request with the same sequence is a retransmission (re-send the cached
+// reply — the first reply may have been lost), anything older is a stale
+// duplicate to drop, and anything newer is new work. Stop-and-wait makes new
 // sequences contiguous in the steady state; a gap can only appear after
 // this server lost its own dedup cache in an amnesiac restart, in which
 // case accepting the gap is what re-admits the (still live) clients. A
@@ -67,11 +67,8 @@ type server struct {
 	maxRegs  []*fault.MonitoredMaxer[int32]
 	intRegs  []*memory.Register[int32]
 	mon      *fault.Monitor
-	ctxs     []opCtx // per-process contexts, indexed by pid
-
-	lastInc  []uint32
-	lastSeq  []uint32
-	lastRep  []message
+	ctxs     []opCtx   // per-process contexts, indexed by pid
+	sessions []session // per-process dedup state, indexed by pid
 	applied  int64
 	dupDrops int64
 
@@ -82,17 +79,23 @@ type server struct {
 	wipes int64
 }
 
+// session is one process's dedup state: its incarnation, the sequence
+// number of the last operation applied for it, and that operation's
+// reply. It is 40 bytes, and a request reads only its sender's.
+type session struct {
+	inc, seq uint32
+	rep      message
+}
+
 func newServer(n int, mon *fault.Monitor) *server {
 	ctxs := make([]opCtx, n)
 	for i := range ctxs {
 		ctxs[i].pid = i
 	}
 	return &server{
-		mon:     mon,
-		ctxs:    ctxs,
-		lastInc: make([]uint32, n),
-		lastSeq: make([]uint32, n),
-		lastRep: make([]message, n),
+		mon:      mon,
+		ctxs:     ctxs,
+		sessions: make([]session, n),
 	}
 }
 
@@ -114,36 +117,33 @@ func (s *server) maxReg(i int32) *fault.MonitoredMaxer[int32] {
 // handle processes one incoming request and routes the reply back
 // through the network.
 func (s *server) handle(q *eventQueue, nw *network, now int64, m message) {
+	ss := &s.sessions[m.from]
 	switch {
-	case m.inc < s.lastInc[m.from]:
+	case m.inc < ss.inc:
 		// A dead incarnation's straggler; fence it.
 		s.dupDrops++
 		return
-	case m.inc > s.lastInc[m.from]:
+	case m.inc > ss.inc:
 		// A new incarnation announces itself: the old session's dedup
 		// state is history.
-		s.lastInc[m.from] = m.inc
-		s.lastSeq[m.from] = 0
-		s.lastRep[m.from] = message{}
+		*ss = session{inc: m.inc}
 	}
-	last := s.lastSeq[m.from]
 	switch {
-	case m.opSeq == last:
+	case m.opSeq == ss.seq:
 		// Retransmitted request whose reply may have been lost.
 		s.dupDrops++
-		nw.send(q, now, serverID, m.from, s.lastRep[m.from])
+		nw.send(q, now, serverID, m.from, ss.rep)
 		return
-	case m.opSeq < last:
+	case m.opSeq < ss.seq:
 		// A duplicate older than the client's current operation; its
 		// reply was already consumed. Drop.
 		s.dupDrops++
 		return
 	}
-	reply := s.apply(m)
-	s.lastSeq[m.from] = m.opSeq
-	s.lastRep[m.from] = reply
+	ss.seq = m.opSeq
+	ss.rep = s.apply(m)
 	s.applied++
-	nw.send(q, now, serverID, m.from, reply)
+	nw.send(q, now, serverID, m.from, ss.rep)
 }
 
 // apply executes one logical operation against the shared objects.
@@ -184,9 +184,7 @@ func (s *server) wipe() {
 		m.Finish()
 	}
 	s.persRegs, s.maxRegs, s.intRegs = nil, nil, nil
-	for i := range s.lastSeq {
-		s.lastInc[i], s.lastSeq[i], s.lastRep[i] = 0, 0, message{}
-	}
+	clear(s.sessions)
 	s.wipes++
 }
 

@@ -175,23 +175,30 @@ func pidOf(ctx memory.Context) int {
 // MonitoredMaxer wraps a memory.Maxer with the max-register
 // monotonicity monitor. The first monitorHistoryLimit operations are
 // recorded into a linearize history and checked against
-// MaxRegisterSemantics at Finish; beyond the window (and alongside it)
-// two online invariants valid for any linearizable max register are
-// enforced per operation:
+// MaxRegisterSemantics at Finish, unless more operations complete; beyond
+// the window (and alongside it) two online invariants valid for any
+// linearizable max register are enforced per operation:
 //
 //   - a read returns a key at least as large as every write that
 //     completed before the read began, and
 //   - one process's successive reads never decrease.
 //
-// Keys must fit in int64.
+// Keys must fit in int64 and process ids must be non-negative.
 type MonitoredMaxer[T any] struct {
 	inner memory.Maxer[T]
 	mon   *Monitor
 	rec   linearize.Recorder
+	// done counts completed operations. Once it passes
+	// monitorHistoryLimit, Finish has no history to check, so operations
+	// that start after the window filled are not recorded.
+	done int
 
-	maxDone  uint64 // largest key of a completed WriteMax
-	anyDone  bool
-	lastRead map[int]uint64
+	maxDone uint64 // largest key of a completed WriteMax
+	anyDone bool
+	// lastRead[pid] is 1 + the key pid last read, or 0 before its first
+	// successful read (keys fit in int64, so 1 + key cannot wrap). It
+	// grows to the largest pid seen.
+	lastRead []uint64
 }
 
 // monitorHistoryLimit keeps recorded histories inside linearize.Check's
@@ -202,16 +209,30 @@ var _ memory.Maxer[int] = (*MonitoredMaxer[int])(nil)
 
 // NewMonitoredMaxer wraps inner, reporting violations into mon.
 func NewMonitoredMaxer[T any](inner memory.Maxer[T], mon *Monitor) *MonitoredMaxer[T] {
-	m := &MonitoredMaxer[T]{inner: inner, mon: mon, lastRead: make(map[int]uint64)}
-	m.rec.SetLimit(monitorHistoryLimit)
-	return m
+	return &MonitoredMaxer[T]{inner: inner, mon: mon}
+}
+
+// begin starts recording an operation and returns its start timestamp,
+// or 0 when the operation is not recorded: one that starts after
+// monitorHistoryLimit operations completed can only complete past the
+// window, which leaves Finish nothing to check, and one that never
+// completes is in no history. So whenever Finish checks, its history is
+// the one recording every operation would have produced.
+func (m *MonitoredMaxer[T]) begin() int64 {
+	if m.done >= monitorHistoryLimit {
+		return 0
+	}
+	return m.rec.Begin() // at least 1
 }
 
 // WriteMax implements memory.Maxer.
 func (m *MonitoredMaxer[T]) WriteMax(ctx memory.Context, key uint64, payload T) {
-	start := m.rec.Begin()
+	start := m.begin()
 	m.inner.WriteMax(ctx, key, payload)
-	m.rec.EndWrite(pidOf(ctx), int64(key), start)
+	if start != 0 {
+		m.rec.EndWrite(pidOf(ctx), int64(key), start)
+	}
+	m.done++
 	if !m.anyDone || key > m.maxDone {
 		m.maxDone, m.anyDone = key, true
 	}
@@ -222,35 +243,42 @@ func (m *MonitoredMaxer[T]) ReadMax(ctx memory.Context) (uint64, T, bool) {
 	// Writes completed before the read begins are a lower bound on any
 	// linearizable read's result; writes overlapping the read are not.
 	floorSet, floor := m.anyDone, m.maxDone
-	start := m.rec.Begin()
+	start := m.begin()
 	k, payload, ok := m.inner.ReadMax(ctx)
-	var out int64
-	if ok {
-		out = int64(k)
-	}
-	m.rec.EndRead(pidOf(ctx), out, ok, start)
-
 	pid := pidOf(ctx)
+	if start != 0 {
+		var out int64
+		if ok {
+			out = int64(k)
+		}
+		m.rec.EndRead(pid, out, ok, start)
+	}
+	m.done++
+
 	if floorSet && (!ok || k < floor) {
 		m.mon.Report("maxreg-monotonic",
 			"process %d read max %d (ok=%v) after a write of %d completed", pid, k, ok, floor)
 	}
-	if last, seen := m.lastRead[pid]; seen && ok && k < last {
+	if !ok {
+		return k, payload, ok
+	}
+	if pid >= len(m.lastRead) {
+		m.lastRead = append(m.lastRead, make([]uint64, pid+1-len(m.lastRead))...)
+	}
+	if last := m.lastRead[pid]; last != 0 && k < last-1 {
 		m.mon.Report("maxreg-monotonic",
-			"process %d read max %d after previously reading %d", pid, k, last)
+			"process %d read max %d after previously reading %d", pid, k, last-1)
 	}
-	if ok {
-		m.lastRead[pid] = k
-	}
+	m.lastRead[pid] = k + 1
 	return k, payload, ok
 }
 
 // Finish runs the linearizability check over the recorded window (only
-// when nothing was dropped — a truncated history could cite a write the
-// checker never sees) and reports a violation if no witness
+// when no more operations completed — a truncated history could cite a
+// write the checker never sees) and reports a violation if no witness
 // linearization exists.
 func (m *MonitoredMaxer[T]) Finish() {
-	if m.rec.Dropped() > 0 {
+	if m.done > monitorHistoryLimit {
 		return
 	}
 	hist := m.rec.History()

@@ -190,6 +190,58 @@ func TestMonitoredMaxerCatchesPerPidRegression(t *testing.T) {
 	}
 }
 
+// TestMonitoredMaxerPidsOutOfOrder feeds reads from pids that arrive out
+// of order and past the end of the per-pid table: the monotone-reads
+// check must still catch exactly the one process that went backwards.
+func TestMonitoredMaxerPidsOutOfOrder(t *testing.T) {
+	mon := NewMonitor()
+	m := NewMonitoredMaxer[int](&liarMaxer{inner: memory.NewMaxRegister[int](), lieOn: 5}, mon)
+	m.WriteMax(monCtx{id: 3}, 10, 10)
+	for _, pid := range []int{5, 2, 100, 0, 2} { // reads 0-4: truthful
+		if k, _, _ := m.ReadMax(monCtx{id: pid}); k != 10 {
+			t.Fatalf("truthful read by %d = %d", pid, k)
+		}
+	}
+	m.ReadMax(monCtx{id: 100}) // read 5 lies: key 1 after reading 10
+	m.ReadMax(monCtx{id: 7})   // a new pid between known ones: truthful
+	var perPid []string
+	for _, v := range mon.Violations() {
+		if strings.Contains(v.Detail, "after previously reading") {
+			perPid = append(perPid, v.Detail)
+		}
+	}
+	if want := "process 100 read max 1 after previously reading 10"; len(perPid) != 1 || perPid[0] != want {
+		t.Errorf("per-process violations = %q, want [%q]", perPid, want)
+	}
+}
+
+// TestMonitoredMaxerHistoryWindow pins Finish's linearizability check to
+// histories inside the window: a read of a key nobody wrote, which only
+// that check can see, is reported in a history of exactly
+// monitorHistoryLimit operations and not in one of one more, whose
+// recorder stops at the limit.
+func TestMonitoredMaxerHistoryWindow(t *testing.T) {
+	for _, ops := range []int{monitorHistoryLimit, monitorHistoryLimit + 1} {
+		mon := NewMonitor()
+		m := NewMonitoredMaxer[int](&liarMaxer{inner: memory.NewMaxRegister[int](), lieOn: 0}, mon)
+		m.ReadMax(monCtx{id: 0}) // lies: key 1, never written
+		for i := 1; i < ops; i++ {
+			m.ReadMax(monCtx{id: 1})
+		}
+		if got := m.rec.Len(); got != monitorHistoryLimit {
+			t.Errorf("%d ops: recorder holds %d, want %d", ops, got, monitorHistoryLimit)
+		}
+		m.Finish()
+		want := 0
+		if ops <= monitorHistoryLimit {
+			want = 1
+		}
+		if got := violationMonitors(mon.Violations())["maxreg-monotonic"]; got != want {
+			t.Errorf("%d ops: %d maxreg-monotonic violations, want %d: %v", ops, got, want, mon.Violations())
+		}
+	}
+}
+
 func TestMonitoredMaxerCleanInner(t *testing.T) {
 	// An honest max register under concurrent-free use must stay silent.
 	mon := NewMonitor()

@@ -224,49 +224,22 @@ func Check(sem Semantics, history []Op) (bool, error) {
 // Recorder assigns logical timestamps and accumulates a history; safe
 // for concurrent use.
 type Recorder struct {
-	clock   atomic.Int64
-	mu      sync.Mutex
-	ops     []Op
-	limit   int
-	dropped int64
+	clock atomic.Int64
+	mu    sync.Mutex
+	ops   []Op
 }
 
-// SetLimit caps the retained history at k operations; operations
-// completing after the cap are counted in Dropped instead of retained.
-// A monitor recording an unbounded run can keep its history inside the
-// checker's 64-op window and fall back to cheaper online checks once the
-// window is full. Zero (the default) means unlimited.
-func (r *Recorder) SetLimit(k int) {
-	r.mu.Lock()
-	r.limit = k
-	r.mu.Unlock()
-}
-
-// Dropped reports how many completed operations the limit discarded.
-// A checker should only be run on the retained history when Dropped is
-// zero: a retained read may cite a write whose completion was dropped,
-// which the checker would misreport as a violation.
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Len reports the number of retained operations.
+// Len reports the number of recorded operations.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.ops)
 }
 
-// append retains op unless the limit is reached; callers hold no locks.
+// append records op; callers hold no locks.
 func (r *Recorder) append(op Op) {
 	r.mu.Lock()
-	if r.limit > 0 && len(r.ops) >= r.limit {
-		r.dropped++
-	} else {
-		r.ops = append(r.ops, op)
-	}
+	r.ops = append(r.ops, op)
 	r.mu.Unlock()
 }
 

@@ -75,28 +75,3 @@ func TestMaxRegisterSemanticsRejectsRegression(t *testing.T) {
 		t.Fatal("regressed max-register read linearized")
 	}
 }
-
-// TestRecorderLimit pins the bounded-recording contract the monitors
-// rely on: beyond the limit operations are dropped (not recorded), the
-// drop count is reported, and the retained prefix stays checkable.
-func TestRecorderLimit(t *testing.T) {
-	var r linearize.Recorder
-	r.SetLimit(4)
-	for i := 0; i < 6; i++ {
-		s := r.Begin()
-		r.EndWrite(0, int64(i), s)
-	}
-	if r.Len() != 4 {
-		t.Errorf("Len = %d, want 4", r.Len())
-	}
-	if r.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", r.Dropped())
-	}
-	ok, err := linearize.Check(linearize.RegisterSemantics{}, r.History())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("retained prefix of writes should linearize")
-	}
-}
