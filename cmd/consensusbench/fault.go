@@ -154,15 +154,12 @@ func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) erro
 		Kinds:     kinds,
 		Shrink:    ff.shrink,
 		ReproDir:  ff.repros,
+		MaxArg:    ff.stutter, // 0 keeps fault.Plan's default
 	}
 	if cfg.Shrink == 0 {
 		// Shrinking is the point of the sweep; 2048 repro runs per
 		// artifact reduces typical schedules to a handful of events.
 		cfg.Shrink = 2048
-	}
-	if ff.stutter > 0 {
-		// Threaded through Plan.MaxArg by the sweep via a wrapper below.
-		cfg.MaxArg = ff.stutter
 	}
 	start := time.Now()
 	results := experiment.RunFaultSweep(cfg)

@@ -25,6 +25,7 @@ import (
 
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
+	"github.com/oblivious-consensus/conciliator/internal/metrics/debugserver"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
 	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
@@ -231,7 +232,7 @@ func run(args []string, out io.Writer) error {
 		metrics.SetDefault(metrics.New())
 	}
 	if *debugAddr != "" {
-		addr, shutdown, err := startDebugServer(*debugAddr)
+		addr, shutdown, err := debugserver.Start(*debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug server: %w", err)
 		}

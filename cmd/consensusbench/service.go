@@ -15,6 +15,7 @@ import (
 
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
+	"github.com/oblivious-consensus/conciliator/internal/metrics/debugserver"
 	"github.com/oblivious-consensus/conciliator/internal/rsm"
 	"github.com/oblivious-consensus/conciliator/internal/service"
 	"github.com/oblivious-consensus/conciliator/internal/stats"
@@ -145,7 +146,7 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 	// one so -debug-addr exposes them mid-run.
 	metrics.SetDefault(metrics.New())
 	if debugAddr != "" {
-		addr, shutdown, err := startDebugServer(debugAddr)
+		addr, shutdown, err := debugserver.Start(debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug server: %w", err)
 		}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
+	"github.com/oblivious-consensus/conciliator/internal/metrics/debugserver"
 	"github.com/oblivious-consensus/conciliator/internal/service"
 )
 
@@ -65,7 +66,7 @@ func run(args []string, out *os.File, ready chan<- string) error {
 	// per-shard instruments resolve against it.
 	metrics.SetDefault(metrics.New())
 	if *debugAddr != "" {
-		dbg, stop, err := startDebugServer(*debugAddr)
+		dbg, stop, err := debugserver.Start(*debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug server: %w", err)
 		}

@@ -4,18 +4,17 @@ import "github.com/oblivious-consensus/conciliator/internal/sim"
 
 // This file compiles the two adopt-commit objects used by the flat
 // consensus machine (internal/consensus) to dense step-function cores:
-// the object's shared state lives in small flat structs, and each
-// process's progress through one Propose is an explicit cursor advanced
-// one shared-memory operation per Step call. The contract is observable
-// equivalence with RegisterAC/SnapshotAC — same operation count, same
-// visibility, same decision rule under every interleaving — which the
-// cross-engine identity tests and FuzzFlatVsCoroutine pin.
+// each process's progress through one Propose is an explicit cursor
+// advanced one shared-memory operation at a time. The contract is
+// observable equivalence with RegisterAC/SnapshotAC — same operation
+// count, same visibility, same decision rule under every interleaving —
+// which the cross-engine identity tests and FuzzFlatVsCoroutine pin.
 //
-// FlatBinaryAC is driven one operation at a time as NextOp, Apply and
-// Deliver (see sim.FlatMachine): the flat engine applies the op to the
-// object's own registers, and the discrete-event simulator applies it to
-// its memory server's. FlatSnapshotAC keeps a fused Step; no driver
-// needs its ops.
+// FlatBinaryAC is cursor logic only, driven as NextOp and Deliver (see
+// sim.FlatMachine): its registers live in the caller's sim.FlatMemory —
+// the flat consensus machine's own, or the discrete-event simulator's
+// memory server. FlatSnapshotAC keeps its two snapshots in flat slices
+// and a fused Step; no caller needs its ops.
 
 // FlatACCursor is one process's progress through one flat adopt-commit
 // Propose. The zero value is the start state; reuse by assigning the
@@ -33,19 +32,17 @@ type FlatACCursor struct {
 
 // FlatBinaryAC is the dense image of NewBinaryAC: a RegisterAC over the
 // one-digit binary conflict detector (one FlagsCD(2)), restricted to
-// values {0, 1}. Its four registers are the two CD flags (presence is
-// the flag bit), clean and dirty. Propose costs 4 operations on the
-// conflict path and 5 on the commit path, exactly like the original:
+// values {0, 1}. Its four value registers are the two CD flags (presence
+// is the flag bit), clean and dirty; it holds no state of its own.
+// Propose costs 4 operations on the conflict path and 5 on the commit
+// path, exactly like the original:
 //
 //	op 0: write own CD flag        op 2': dirty.Write   (conflict path)
 //	op 1: read the other CD flag   op 3': clean.Read → adopt
 //	op 2: clean.Write(v)           (clean path)
 //	op 3: dirty.Read
 //	op 4: clean.Read → commit iff undisturbed
-type FlatBinaryAC struct {
-	val [FlatACRegs]int32
-	set [FlatACRegs]bool
-}
+type FlatBinaryAC struct{}
 
 // Register indices of FlatBinaryAC, the FlatOp.Obj of its operations.
 const (
@@ -56,12 +53,9 @@ const (
 	FlatACRegs = 4
 )
 
-// Reset empties the object for reuse.
-func (a *FlatBinaryAC) Reset() { *a = FlatBinaryAC{} }
-
 // NextOp returns cur's next operation of Propose(v) for a value in
 // {0, 1}.
-func (a *FlatBinaryAC) NextOp(cur *FlatACCursor, v int64) sim.FlatOp {
+func (FlatBinaryAC) NextOp(cur *FlatACCursor, v int64) sim.FlatOp {
 	switch cur.PC {
 	case 0: // conflict detector: write own flag
 		return sim.FlatOp{Kind: sim.OpWriteV, Obj: acFlag0 + int32(v), Arg: 1}
@@ -79,19 +73,10 @@ func (a *FlatBinaryAC) NextOp(cur *FlatACCursor, v int64) sim.FlatOp {
 	return sim.FlatOp{Kind: sim.OpReadV, Obj: acClean} // op 3' and op 4
 }
 
-// Apply executes a NextOp operation on the object's registers.
-func (a *FlatBinaryAC) Apply(op sim.FlatOp) sim.FlatResult {
-	if op.Kind == sim.OpWriteV {
-		a.val[op.Obj], a.set[op.Obj] = op.Arg, true
-		return sim.FlatResult{}
-	}
-	return sim.FlatResult{OK: a.set[op.Obj], Val: a.val[op.Obj]}
-}
-
 // Deliver advances cur by the result of its current operation. It
 // returns done=true when the Propose completed, with commit and out
 // carrying the decision; before that, commit and out are meaningless.
-func (a *FlatBinaryAC) Deliver(cur *FlatACCursor, v int64, r sim.FlatResult) (done, commit bool, out int64) {
+func (FlatBinaryAC) Deliver(cur *FlatACCursor, v int64, r sim.FlatResult) (done, commit bool, out int64) {
 	switch cur.PC {
 	case 1: // no conflict iff the other flag is unset
 		cur.OK = !r.OK

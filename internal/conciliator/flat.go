@@ -11,21 +11,22 @@ import (
 )
 
 // This file compiles the conciliators to flat state machines for the
-// sim.FlatMachine engine: per-process cursors and shared objects live in
-// dense slices instead of heap objects and coroutine frames. The
+// sim.FlatMachine engine: per-process cursors live in dense slices
+// instead of coroutine frames, and shared objects in a sim.FlatMemory
+// instead of heap objects. The
 // correctness contract is observable equivalence with the coroutine
 // implementations, not code sharing — every machine here must consume
 // the per-process RNG streams in exactly the order persona.New and the
-// coroutine round loops do, and must charge exactly one modeled step per
-// Step call with the same shared-memory semantics as internal/memory.
+// coroutine round loops do, and must issue the same shared-memory
+// operations, with the same semantics as internal/memory.
 // The cross-engine identity tests and FuzzFlatVsCoroutine pin this.
 //
-// Each machine's Step is NextOp (the process's next operation, read off
-// its cursor), Apply (that operation on the machine's own round
-// objects) and Deliver (the result advances the cursor). The
-// discrete-event simulator runs NextOp and Deliver at a process and
-// applies the op at its memory server instead, so the round logic here
-// is the only copy of it.
+// The machines are cursor logic only: NextOp reads a process's next
+// operation off its cursor and Deliver advances the cursor by the
+// operation's result. The operation is applied in between to a
+// sim.FlatMemory owned by the caller — the flat consensus machine's own
+// memory, or the discrete-event simulator's memory server — so the round
+// logic here is the only copy of it.
 
 // FlatPersonae is the dense persona pool: the flat-engine image of
 // persona.Persona values. Persona identity is the index (the coroutine
@@ -139,10 +140,10 @@ func HalfSifterConfig(n int, epsilon float64) SifterConfig {
 	return SifterConfig{Epsilon: epsilon, Rounds: max(rounds, 1), Probs: []float64{0.5}}
 }
 
-// FlatSifter is Algorithm 2 compiled to a flat machine: one int32
-// register cell per round holding a persona id (-1 empty), per-process
-// cursors in dense slices. Single-phase (one Conciliate per process);
-// consensus phase composition lives in internal/consensus.
+// FlatSifter is Algorithm 2 compiled to flat cursor logic: one persona
+// register per round, numbered from 0 in its sim.FlatMemory pool, and
+// per-process cursors in dense slices. Single-phase (one Conciliate per
+// process); consensus phase composition lives in internal/consensus.
 //
 // The ablation switches (SharePersonae=false, TrackSurvivors) are not
 // ported; NewFlatSifter rejects configurations that ask for them.
@@ -150,13 +151,10 @@ type FlatSifter struct {
 	rounds int
 	pp     *FlatPersonae
 
-	regs   []int32 // per round: persona id or -1
 	pers   []int32 // per process: current persona id
 	round  []int32 // per process: next round index
 	inputs []int64
 }
-
-var _ sim.FlatMachine = (*FlatSifter)(nil)
 
 // NewFlatSifter returns a flat Algorithm 2 machine for n processes,
 // resolving rounds and write probabilities exactly as NewSifter does.
@@ -186,7 +184,6 @@ func NewFlatSifter(n int, cfg SifterConfig) *FlatSifter {
 	m := &FlatSifter{
 		rounds: rounds,
 		pp:     NewFlatPersonae(persona.Config{WriteProbs: probs}),
-		regs:   make([]int32, rounds),
 		pers:   make([]int32, n),
 		round:  make([]int32, n),
 	}
@@ -203,15 +200,12 @@ func (m *FlatSifter) Rounds() int { return m.rounds }
 // and not retained past the run.
 func (m *FlatSifter) Reset(inputs []int64) {
 	m.inputs = inputs
-	for i := range m.regs {
-		m.regs[i] = -1
-	}
 	m.pp.next = 0
 }
 
-// Init implements sim.FlatMachine: persona creation, the only pre-step
-// randomness of the sifter body. Calling it again for the same process
-// restarts that process at round 0 under a fresh persona.
+// Init creates pid's persona, the only pre-step randomness of the sifter
+// body. Calling it again for the same process restarts that process at
+// round 0 under a fresh persona.
 func (m *FlatSifter) Init(pid int, rng *xrand.Rand) {
 	m.pers[pid] = m.pp.Draw(flatInput(m.inputs, pid), rng)
 	m.round[pid] = 0
@@ -226,12 +220,6 @@ func flatInput(inputs []int64, pid int) int64 {
 	return int64(pid)
 }
 
-// Step implements sim.FlatMachine: one sifting round, exactly one
-// register operation.
-func (m *FlatSifter) Step(pid int, _ *xrand.Rand) bool {
-	return m.Deliver(pid, m.Apply(m.NextOp(pid)))
-}
-
 // NextOp returns pid's operation in its current round: a write of its
 // persona when the persona's pre-drawn bit for the round is set, a read
 // otherwise.
@@ -241,16 +229,6 @@ func (m *FlatSifter) NextOp(pid int) sim.FlatOp {
 		return sim.FlatOp{Kind: sim.OpWriteP, Obj: i, Arg: pers}
 	}
 	return sim.FlatOp{Kind: sim.OpReadP, Obj: i}
-}
-
-// Apply executes a NextOp operation on the machine's round registers.
-func (m *FlatSifter) Apply(op sim.FlatOp) sim.FlatResult {
-	if op.Kind == sim.OpWriteP {
-		m.regs[op.Obj] = op.Arg
-		return sim.FlatResult{}
-	}
-	r := m.regs[op.Obj]
-	return sim.FlatResult{OK: r >= 0, Val: max(r, 0)}
 }
 
 // Deliver advances pid past its current round, adopting the persona a
@@ -268,23 +246,19 @@ func (m *FlatSifter) Deliver(pid int, r sim.FlatResult) bool {
 func (m *FlatSifter) Value(pid int) int64 { return m.pp.Value(m.pers[pid]) }
 
 // FlatPriorityMax is Algorithm 1's footnote-1 max-register variant
-// compiled to a flat machine: per round one unit-cost max register held
-// as a (key, persona id) pair, two operations per round (WriteMax, then
-// ReadMax-and-adopt). Only the UseMaxRegisters configuration is ported;
-// snapshot rounds, tree max registers, compact values, and the ablation
-// switches are rejected.
+// compiled to flat cursor logic: per round one unit-cost max register,
+// numbered from 0 in its sim.FlatMemory pool, and two operations per
+// round (WriteMax, then ReadMax-and-adopt). Only the UseMaxRegisters
+// configuration is ported; snapshot rounds, tree max registers, compact
+// values, and the ablation switches are rejected.
 type FlatPriorityMax struct {
 	rounds int
 	pp     *FlatPersonae
 
-	maxKey  []uint64 // per round: incumbent key
-	maxPers []int32  // per round: incumbent persona id, -1 empty
-	pers    []int32  // per process: current persona id
-	pos     []int32  // per process: operation index (2 per round)
-	inputs  []int64
+	pers   []int32 // per process: current persona id
+	pos    []int32 // per process: operation index (2 per round)
+	inputs []int64
 }
-
-var _ sim.FlatMachine = (*FlatPriorityMax)(nil)
 
 // NewFlatPriorityMax returns a flat footnote-1 Algorithm 1 machine for n
 // processes, resolving rounds and the priority bound exactly as
@@ -308,12 +282,10 @@ func NewFlatPriorityMax(n int, cfg PriorityConfig) *FlatPriorityMax {
 		bound = uint64(math.Ceil(float64(rounds) * float64(n) * float64(n) / cfg.Epsilon))
 	}
 	m := &FlatPriorityMax{
-		rounds:  rounds,
-		pp:      NewFlatPersonae(persona.Config{PriorityRounds: rounds, PriorityBound: bound}),
-		maxKey:  make([]uint64, rounds),
-		maxPers: make([]int32, rounds),
-		pers:    make([]int32, n),
-		pos:     make([]int32, n),
+		rounds: rounds,
+		pp:     NewFlatPersonae(persona.Config{PriorityRounds: rounds, PriorityBound: bound}),
+		pers:   make([]int32, n),
+		pos:    make([]int32, n),
 	}
 	m.pp.ensureIDs(n)
 	m.Reset(nil)
@@ -327,24 +299,14 @@ func (m *FlatPriorityMax) Rounds() int { return m.rounds }
 // (nil means input = pid).
 func (m *FlatPriorityMax) Reset(inputs []int64) {
 	m.inputs = inputs
-	for i := 0; i < m.rounds; i++ {
-		m.maxKey[i] = 0
-		m.maxPers[i] = -1
-	}
 	m.pp.next = 0
 }
 
-// Init implements sim.FlatMachine. Calling it again for the same process
+// Init creates pid's persona. Calling it again for the same process
 // restarts that process at round 0 under a fresh persona.
 func (m *FlatPriorityMax) Init(pid int, rng *xrand.Rand) {
 	m.pers[pid] = m.pp.Draw(flatInput(m.inputs, pid), rng)
 	m.pos[pid] = 0
-}
-
-// Step implements sim.FlatMachine: alternating WriteMax / ReadMax-adopt
-// operations, two per round.
-func (m *FlatPriorityMax) Step(pid int, _ *xrand.Rand) bool {
-	return m.Deliver(pid, m.Apply(m.NextOp(pid)))
 }
 
 // NextOp returns pid's next operation: the WriteMax of its persona under
@@ -357,20 +319,6 @@ func (m *FlatPriorityMax) NextOp(pid int) sim.FlatOp {
 		return sim.FlatOp{Kind: sim.OpWriteMax, Obj: i, Arg: pers, Key: m.pp.Priority(pers, int(i))}
 	}
 	return sim.FlatOp{Kind: sim.OpReadMax, Obj: i}
-}
-
-// Apply executes a NextOp operation on the machine's round max
-// registers: a strictly greater key replaces the incumbent, ties keep it.
-func (m *FlatPriorityMax) Apply(op sim.FlatOp) sim.FlatResult {
-	i := op.Obj
-	if op.Kind == sim.OpWriteMax {
-		if m.maxPers[i] < 0 || op.Key > m.maxKey[i] {
-			m.maxKey[i], m.maxPers[i] = op.Key, op.Arg
-		}
-		return sim.FlatResult{}
-	}
-	p := m.maxPers[i]
-	return sim.FlatResult{OK: p >= 0, Val: max(p, 0), Key: m.maxKey[i]}
 }
 
 // Deliver advances pid past its current operation, adopting the persona

@@ -5,14 +5,35 @@ import (
 
 	"github.com/oblivious-consensus/conciliator/internal/sched"
 	"github.com/oblivious-consensus/conciliator/internal/sim"
+	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
 // flatConc abstracts the two flat conciliator machines for the identity
 // harness.
 type flatConc interface {
-	sim.FlatMachine
+	Init(pid int, rng *xrand.Rand)
+	NextOp(pid int) sim.FlatOp
+	Deliver(pid int, r sim.FlatResult) bool
 	Reset(inputs []int64)
 	Value(pid int) int64
+}
+
+// withMemory pairs a conciliator machine with the shared memory its ops
+// act on, making it a sim.FlatMachine: a Step applies the process's next
+// op to the memory and delivers the result.
+type withMemory struct {
+	flatConc
+	mem sim.FlatMemory
+}
+
+func (w *withMemory) Step(pid int, _ *xrand.Rand) bool {
+	return w.Deliver(pid, w.mem.Apply(w.NextOp(pid)))
+}
+
+// Reset prepares the machine for a fresh run and empties the memory.
+func (w *withMemory) Reset(inputs []int64) {
+	w.flatConc.Reset(inputs)
+	w.mem.Reset()
 }
 
 // runConcIdentity runs the coroutine conciliator and the flat machine
@@ -32,7 +53,7 @@ func runConcIdentity(t *testing.T, name string, n int, mkCoroutine func() Interf
 				t.Fatalf("%s %v seed %d: coroutine run failed: %v", name, kind, seed, coErr)
 			}
 
-			fm := mkFlat()
+			fm := &withMemory{flatConc: mkFlat()}
 			fm.Reset(nil) // default inputs: value = pid, matching p.ID() above
 			flRes, flErr := sim.RunFlat(sched.New(kind, n, seed), fm, cfg)
 			if flErr != nil {
@@ -99,8 +120,8 @@ func TestFlatPriorityMaxByteIdentity(t *testing.T) {
 // a fresh one on the next trial.
 func TestFlatMachineReuse(t *testing.T) {
 	n := 8
-	m := NewFlatSifter(n, SifterConfig{})
-	fr := sim.NewFlatRunner[*FlatSifter]()
+	m := &withMemory{flatConc: NewFlatSifter(n, SifterConfig{})}
+	fr := sim.NewFlatRunner[*withMemory]()
 	var first, second sim.Result
 	cfg := sim.Config{AlgSeed: 42}
 	if err := fr.RunInto(sched.New(sched.KindRandom, n, 7), m, cfg, &first); err != nil {

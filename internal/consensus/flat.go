@@ -11,19 +11,20 @@ import (
 
 // This file compiles the full conciliator + adopt-commit phase loop to a
 // sim.FlatMachine: per-process phase cursors live in dense slices, each
-// phase's conciliator is a flat machine from internal/conciliator, and
-// each phase's adopt-commit object is a flat core from
-// internal/adoptcommit. The observable-equivalence contract with the
-// coroutine Protocol (EquivalentProtocol builds the matching one) is
-// pinned by the cross-engine identity tests and FuzzFlatVsCoroutine:
-// same slots, same per-process step counts, same decisions under every
-// schedule and algorithm seed.
+// phase's conciliator is a flat machine from internal/conciliator, each
+// phase's adopt-commit object is a flat core from internal/adoptcommit,
+// and every register of every phase lives in one sim.FlatMemory. The
+// observable-equivalence contract with the coroutine Protocol
+// (EquivalentProtocol builds the matching one) is pinned by the
+// cross-engine identity tests and FuzzFlatVsCoroutine: same slots, same
+// per-process step counts, same decisions under every schedule and
+// algorithm seed.
 //
-// Step is NextOp, an apply on the machine's own objects, and Deliver (see
+// Step is NextOp, an apply on the machine's FlatMemory, and Deliver (see
 // sim.FlatMachine). The discrete-event simulator (internal/des) drives
 // the same machine through Init, NextOp and Deliver with its memory
-// server applying the ops, so this file is the one definition of the
-// phase loop both engines run.
+// server applying the ops to its own FlatMemory, so this file is the one
+// definition of the phase loop both engines run.
 
 // Conciliator and adopt-commit selectors for FlatConfig.
 const (
@@ -89,10 +90,10 @@ const (
 )
 
 // FlatConsensus is the phase loop of Protocol.ProposeWithPhases compiled
-// to a flat machine. Per-phase objects are created lazily the first time
-// any process enters the phase (bookkeeping, no modeled steps, exactly
-// like Protocol.phase) and are retained across Reset, so steady-state
-// Monte Carlo trials run without allocation.
+// to a flat machine. Per-phase objects and registers are created lazily
+// the first time any process enters the phase (bookkeeping, no modeled
+// steps, exactly like Protocol.phase) and are retained across Reset, so
+// steady-state Monte Carlo trials run without allocation.
 type FlatConsensus struct {
 	n        int
 	cfg      FlatConfig
@@ -109,11 +110,13 @@ type FlatConsensus struct {
 	decided []bool
 	phases  []int32 // phases used by a decided process
 
-	// Per-phase objects, indexed by phase, grown lazily.
+	// Per-phase cursor logic, indexed by phase, grown lazily.
 	sifters []*conciliator.FlatSifter
 	prios   []*conciliator.FlatPriorityMax
-	regACs  []adoptcommit.FlatBinaryAC
 	snapACs []*adoptcommit.FlatSnapshotAC
+
+	// mem holds every phase's registers, numbered as NextOp numbers them.
+	mem sim.FlatMemory
 
 	inputs []int64
 }
@@ -214,19 +217,20 @@ func (m *FlatConsensus) Reset(inputs []int64) {
 	for _, p := range m.prios {
 		p.Reset(m.pref)
 	}
-	for i := range m.regACs {
-		m.regACs[i].Reset()
-	}
 	for _, ac := range m.snapACs {
 		ac.Reset()
 	}
+	m.mem.Reset()
 	m.enterPhase(0)
 }
 
 // enterPhase makes sure phase ph's conciliator and adopt-commit objects
-// exist. Lazy creation mirrors Protocol.phase: bookkeeping only, no
-// modeled steps.
+// exist and that the memory holds the registers of phases 0..ph, each
+// pool grown in one step. Lazy creation mirrors Protocol.phase:
+// bookkeeping only, no modeled steps.
 func (m *FlatConsensus) enterPhase(ph int) {
+	phases := ph + 1
+	var pers, maxs, vals int
 	switch m.concKind {
 	case concKindSifter:
 		for len(m.sifters) <= ph {
@@ -234,22 +238,23 @@ func (m *FlatConsensus) enterPhase(ph int) {
 			s.Reset(m.pref)
 			m.sifters = append(m.sifters, s)
 		}
+		pers = phases * m.sifters[0].Rounds()
 	case concKindPriorityMax:
 		for len(m.prios) <= ph {
 			p := conciliator.NewFlatPriorityMax(m.n, m.cfg.priorityConfig())
 			p.Reset(m.pref)
 			m.prios = append(m.prios, p)
 		}
+		maxs = phases * m.prios[0].Rounds()
 	}
 	if m.binary {
-		for len(m.regACs) <= ph {
-			m.regACs = append(m.regACs, adoptcommit.FlatBinaryAC{})
-		}
+		vals = phases * adoptcommit.FlatACRegs
 	} else {
 		for len(m.snapACs) <= ph {
 			m.snapACs = append(m.snapACs, adoptcommit.NewFlatSnapshotAC(m.n))
 		}
 	}
+	m.mem.Grow(pers, maxs, vals)
 }
 
 // Init implements sim.FlatMachine: put process pid at the start of
@@ -305,20 +310,24 @@ const (
 )
 
 // Step implements sim.FlatMachine: exactly one shared-memory operation
-// — the current phase object's NextOp, applied to that object, then its
-// Deliver. It dispatches once and calls the object's halves directly
-// rather than through NextOp and Deliver below, which would route the
-// op by phase twice more per step.
+// — the current phase object's NextOp, applied to the memory by its
+// pool's method, then the object's Deliver. It dispatches once and calls
+// the object's halves directly rather than through NextOp and Deliver
+// below, which would route the op by phase twice more per step.
 func (m *FlatConsensus) Step(pid int, rng *xrand.Rand) bool {
 	ph := m.phase[pid]
 	if m.inConc[pid] {
 		var fin bool
 		if m.concKind == concKindSifter {
 			s := m.sifters[ph]
-			fin = s.Deliver(pid, s.Apply(s.NextOp(pid)))
+			op := s.NextOp(pid)
+			op.Obj += ph * m.rounds
+			fin = s.Deliver(pid, m.mem.ApplyP(op))
 		} else {
 			p := m.prios[ph]
-			fin = p.Deliver(pid, p.Apply(p.NextOp(pid)))
+			op := p.NextOp(pid)
+			op.Obj += ph * m.rounds
+			fin = p.Deliver(pid, m.mem.ApplyMax(op))
 		}
 		if fin {
 			m.propose(pid)
@@ -329,8 +338,10 @@ func (m *FlatConsensus) Step(pid int, rng *xrand.Rand) bool {
 	var out int64
 	cur, v := &m.acCur[pid], m.acVal[pid]
 	if m.binary {
-		a := &m.regACs[ph]
-		done, commit, out = a.Deliver(cur, v, a.Apply(a.NextOp(cur, v)))
+		var a adoptcommit.FlatBinaryAC
+		op := a.NextOp(cur, v)
+		op.Obj += ph * adoptcommit.FlatACRegs
+		done, commit, out = a.Deliver(cur, v, m.mem.ApplyV(op))
 	} else {
 		done, commit, out = m.snapACs[ph].Step(cur, pid, v)
 	}
@@ -347,7 +358,7 @@ func (m *FlatConsensus) NextOp(pid int) sim.FlatOp {
 	var op sim.FlatOp
 	switch {
 	case !m.inConc[pid]:
-		op = m.regACs[ph].NextOp(&m.acCur[pid], m.acVal[pid])
+		op = adoptcommit.FlatBinaryAC{}.NextOp(&m.acCur[pid], m.acVal[pid])
 		op.Obj += ph * adoptcommit.FlatACRegs
 		return op
 	case m.concKind == concKindSifter:
@@ -364,7 +375,7 @@ func (m *FlatConsensus) NextOp(pid int) sim.FlatOp {
 func (m *FlatConsensus) Deliver(pid int, r sim.FlatResult, rng *xrand.Rand) Progress {
 	ph := m.phase[pid]
 	if !m.inConc[pid] {
-		done, commit, out := m.regACs[ph].Deliver(&m.acCur[pid], m.acVal[pid], r)
+		done, commit, out := adoptcommit.FlatBinaryAC{}.Deliver(&m.acCur[pid], m.acVal[pid], r)
 		if !done {
 			return Running
 		}

@@ -10,7 +10,8 @@
 // Monte Carlo engine runs, not a copy of it. A process takes its next
 // operation from the machine (NextOp), ships it to the server in one
 // stop-and-wait RPC, and hands the reply back to the machine (Deliver);
-// the server applies the op to its own memory objects. There are no
+// the server applies the op to its own sim.FlatMemory, the store the
+// flat engine applies ops to. There are no
 // goroutines and no real time: a priority event queue keyed by virtual
 // nanoseconds (ties broken by insertion order) drives everything, so a
 // run is a pure function of its Config — including every latency sample,

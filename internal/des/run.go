@@ -104,9 +104,8 @@ func Run(cfg Config) (Result, error) {
 
 	mon := fault.NewMonitor()
 	// Priorities use the paper's bounded range ceil(R n^2 / epsilon)
-	// rather than full-width uint64: the monitored max register's
-	// linearizability checker needs keys that fit in int64, and the
-	// bounded range (about 6e11 at n=100k) does with room to spare.
+	// rather than full-width uint64, as every pinned DES result and
+	// artifact was drawn with it.
 	m, err := consensus.NewFlat(cfg.N, consensus.FlatConfig{
 		Conciliator:        cfg.Protocol,
 		AC:                 consensus.ACRegister,
@@ -121,7 +120,7 @@ func Run(cfg Config) (Result, error) {
 	d := &runner{
 		cfg:      cfg,
 		net:      newNetwork(cfg.Net, cfg.N, netRng),
-		srv:      newServer(cfg.N, mon),
+		srv:      newServer(cfg.N),
 		mon:      mon,
 		procs:    make([]proc, cfg.N),
 		cold:     make([]procCold, cfg.N),
@@ -232,7 +231,6 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	d.srv.finish()
 	outs := make([]int, cfg.N)
 	finished := make([]bool, cfg.N)
 	steps := make([]int64, cfg.N)

@@ -3,17 +3,14 @@ package des
 import (
 	"testing"
 
-	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/sim"
 )
 
 // TestServerApplyZeroAllocs pins the server's per-op path to zero
-// allocations for every op kind, at a pid past the runtime's cache of
-// small boxed integers, where handing the objects a context by value
-// would allocate on every op.
+// allocations for every op kind once the op's pool holds its object.
 func TestServerApplyZeroAllocs(t *testing.T) {
 	const n = 300
-	s := newServer(n, fault.NewMonitor())
+	s := newServer(n)
 	ops := []message{
 		{op: sim.OpWriteP, val: 7},
 		{op: sim.OpReadP},

@@ -368,17 +368,6 @@ type Plan struct {
 	Semantics Semantics
 	// Proc is the process-fault axis (default ProcNone).
 	Proc ProcFault
-	// SlotHorizon bounds the slots at which process faults fire
-	// (default 2048).
-	SlotHorizon int64
-	// OpHorizon bounds the per-process operation index at which
-	// semantic faults fire (default 128).
-	OpHorizon int64
-	// ProcEvents is the number of process-fault events (default
-	// max(1, N/2)).
-	ProcEvents int
-	// ReadEvents is the number of semantic fault events (default 2*N).
-	ReadEvents int
 	// MaxArg bounds stutter/stall lengths and safe-mode staleness
 	// depths (default 8).
 	MaxArg int64
@@ -391,23 +380,19 @@ func (p Plan) withDefaults() Plan {
 	if p.Proc == 0 {
 		p.Proc = ProcNone
 	}
-	if p.SlotHorizon <= 0 {
-		p.SlotHorizon = 2048
-	}
-	if p.OpHorizon <= 0 {
-		p.OpHorizon = 128
-	}
-	if p.ProcEvents <= 0 {
-		p.ProcEvents = max(1, p.N/2)
-	}
-	if p.ReadEvents <= 0 {
-		p.ReadEvents = 2 * p.N
-	}
 	if p.MaxArg <= 0 {
 		p.MaxArg = 8
 	}
 	return p
 }
+
+// A generated schedule has max(1, N/2) process-fault events, at slots
+// below planSlotHorizon, and 2*N semantic fault events, at per-process
+// operation indices below planOpHorizon.
+const (
+	planSlotHorizon = 2048
+	planOpHorizon   = 128
+)
 
 // Generate materializes the plan into an explicit schedule. Both axes
 // draw from disjoint forks of Seed, so changing one axis does not
@@ -422,11 +407,11 @@ func (p Plan) Generate() (*Schedule, error) {
 	if p.Proc != ProcNone {
 		rng := xrand.New(p.Seed).ForkNamed(0x9c0c)
 		kind := map[ProcFault]Kind{ProcStutter: Stutter, ProcStall: Stall, ProcCrashRecover: CrashRecover}[p.Proc]
-		for i := 0; i < p.ProcEvents; i++ {
+		for i := 0; i < max(1, p.N/2); i++ {
 			e := Event{
 				Kind: kind,
 				Pid:  rng.Intn(p.N),
-				Slot: int64(rng.Uint64n(uint64(p.SlotHorizon))),
+				Slot: int64(rng.Uint64n(planSlotHorizon)),
 			}
 			if kind != CrashRecover {
 				e.Arg = 1 + int64(rng.Uint64n(uint64(p.MaxArg)))
@@ -437,10 +422,10 @@ func (p Plan) Generate() (*Schedule, error) {
 
 	if p.Semantics != SemAtomic {
 		rng := xrand.New(p.Seed).ForkNamed(0x5afe)
-		for i := 0; i < p.ReadEvents; i++ {
+		for i := 0; i < 2*p.N; i++ {
 			e := Event{
 				Pid: rng.Intn(p.N),
-				Op:  int64(rng.Uint64n(uint64(p.OpHorizon))),
+				Op:  int64(rng.Uint64n(planOpHorizon)),
 			}
 			// One in four semantic events weakens a scan; the rest
 			// weaken plain reads.

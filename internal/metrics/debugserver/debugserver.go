@@ -1,4 +1,8 @@
-package main
+// Package debugserver serves a process's live metrics and profiles over
+// HTTP for the consensusbench and consensusd -debug-addr flags. It is a
+// package of its own so that only the commands, not every instrumented
+// package, link net/http/pprof and expvar.
+package debugserver
 
 import (
 	"expvar"
@@ -11,14 +15,16 @@ import (
 )
 
 // publishOnce guards the expvar registration: expvar.Publish panics on a
-// duplicate name, and tests drive run() more than once per process.
+// duplicate name, and tests start more than one server per process.
 var publishOnce sync.Once
 
-// startDebugServer serves expvar (including the live metrics registry
-// under the "conciliator_metrics" var, same name as consensusbench's) and
-// net/http/pprof on addr, on a private mux so the profiling endpoints
-// never leak onto the client API listener.
-func startDebugServer(addr string) (string, func(), error) {
+// Start serves expvar (including the live metrics registry under the
+// "conciliator_metrics" var) and net/http/pprof on addr. It returns the
+// bound address — addr may end in ":0" — and a shutdown function. The
+// handlers go on a private mux, not http.DefaultServeMux, so the
+// profiling endpoints never leak onto another listener of the process,
+// such as consensusd's client API.
+func Start(addr string) (string, func(), error) {
 	publishOnce.Do(func() {
 		expvar.Publish("conciliator_metrics", expvar.Func(func() any {
 			return metrics.Default().Snapshot()

@@ -4,7 +4,7 @@
 // the op stream per client — keys, kinds, values — is a pure function of
 // (seed, client index) regardless of how the scheduler interleaves the
 // workers. Latency is wall-clock end-to-end (enqueue through applied
-// batch), recorded in microseconds into worker-local stats.IntHist
+// batch), recorded in microseconds into worker-local stats.LogHist
 // instances and merged once at the end.
 package service
 

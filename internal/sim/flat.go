@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/fault"
@@ -43,10 +44,11 @@ var ErrFlatFaults = errors.New("sim: flat engine does not support fault schedule
 // driver can own the shared memory: NextOp reads pid's local state and
 // returns its next operation as a FlatOp, and Deliver advances that local
 // state by the operation's FlatResult. Step applies the op to the
-// machine's own dense objects between the two, and contains no other
-// protocol logic. The discrete-event simulator (internal/des) calls the
-// same two halves with the op shipped to a memory-server node in
-// between, so both engines run one protocol definition.
+// machine's FlatMemory between the two, and contains no other protocol
+// logic. The discrete-event simulator (internal/des) calls the same two
+// halves with the op shipped to a memory-server node, which applies it
+// to its own FlatMemory, so both engines run one protocol definition and
+// one definition of its shared objects.
 type FlatMachine interface {
 	Init(pid int, rng *xrand.Rand)
 	Step(pid int, rng *xrand.Rand) bool
@@ -92,6 +94,112 @@ type FlatResult struct {
 	OK  bool
 	Val int32
 	Key uint64
+}
+
+// FlatMemory is the shared memory of a flat run and the one definition
+// of what each FlatOp kind does. It holds the three pools, each a dense
+// slice indexed by FlatOp.Obj; every object is a unit-cost atomic
+// register whose operation takes effect at once. Persona ids are
+// non-negative. The flat consensus machine sizes the pools as processes
+// enter phases and applies ops through the per-pool methods, which
+// inline; the DES memory server applies them through Apply. The zero
+// value is an empty memory.
+type FlatMemory struct {
+	pers []int32   // persona registers: persona id, -1 empty
+	maxs []flatMax // max registers
+	vals []flatVal // value registers
+}
+
+// flatMax is a max register: the incumbent key and persona id, the id
+// -1 while empty.
+type flatMax struct {
+	key  uint64
+	pers int32
+}
+
+// flatVal is a value register; ok is false until it is written.
+type flatVal struct {
+	val int32
+	ok  bool
+}
+
+// Grow makes the pools hold at least pers persona registers, maxs max
+// registers and vals value registers. The objects it adds are empty; a
+// pool grows in at most one allocation.
+func (fm *FlatMemory) Grow(pers, maxs, vals int) {
+	fm.pers = growPool(fm.pers, pers, -1)
+	fm.maxs = growPool(fm.maxs, maxs, flatMax{pers: -1})
+	fm.vals = growPool(fm.vals, vals, flatVal{})
+}
+
+func growPool[T any](s []T, n int, empty T) []T {
+	old := len(s)
+	if old >= n {
+		return s
+	}
+	s = slices.Grow(s, n-old)[:n]
+	for i := old; i < n; i++ {
+		s[i] = empty
+	}
+	return s
+}
+
+// Reset empties the memory, keeping the pools' capacity.
+func (fm *FlatMemory) Reset() {
+	fm.pers, fm.maxs, fm.vals = fm.pers[:0], fm.maxs[:0], fm.vals[:0]
+}
+
+// Apply applies op, first growing its pool to hold object op.Obj.
+func (fm *FlatMemory) Apply(op FlatOp) FlatResult {
+	need := int(op.Obj) + 1
+	switch op.Kind {
+	case OpWriteP, OpReadP:
+		fm.Grow(need, 0, 0)
+		return fm.ApplyP(op)
+	case OpWriteMax, OpReadMax:
+		fm.Grow(0, need, 0)
+		return fm.ApplyMax(op)
+	case OpWriteV, OpReadV:
+		fm.Grow(0, 0, need)
+		return fm.ApplyV(op)
+	}
+	panic(fmt.Sprintf("sim: unknown FlatOp kind %d", op.Kind))
+}
+
+// ApplyP applies an OpWriteP or OpReadP to a persona register the pool
+// already holds.
+func (fm *FlatMemory) ApplyP(op FlatOp) FlatResult {
+	if op.Kind == OpWriteP {
+		fm.pers[op.Obj] = op.Arg
+		return FlatResult{}
+	}
+	p := fm.pers[op.Obj]
+	return FlatResult{OK: p >= 0, Val: max(p, 0)}
+}
+
+// ApplyMax applies an OpWriteMax or OpReadMax to a max register the pool
+// already holds: a write into an empty register or with a strictly
+// greater key replaces the incumbent, so ties keep it.
+func (fm *FlatMemory) ApplyMax(op FlatOp) FlatResult {
+	r := &fm.maxs[op.Obj]
+	if op.Kind == OpWriteMax {
+		if r.pers < 0 || op.Key > r.key {
+			r.key, r.pers = op.Key, op.Arg
+		}
+		return FlatResult{}
+	}
+	return FlatResult{OK: r.pers >= 0, Val: max(r.pers, 0), Key: r.key}
+}
+
+// ApplyV applies an OpWriteV or OpReadV to a value register the pool
+// already holds.
+func (fm *FlatMemory) ApplyV(op FlatOp) FlatResult {
+	r := &fm.vals[op.Obj]
+	if op.Kind == OpWriteV {
+		*r = flatVal{val: op.Arg, ok: true}
+		return FlatResult{}
+	}
+	return FlatResult{OK: r.ok, Val: r.val}
 }
 
 // FlatRunner drives FlatMachines under schedule sources with the paper's
