@@ -91,7 +91,8 @@ func (k LatencyKind) String() string {
 // LatencyDist is a one-way message latency distribution.
 type LatencyDist struct {
 	Kind LatencyKind
-	// Mean is the distribution mean; zero means the 1ms default.
+	// Mean is the distribution mean; zero means the 1ms default, and a
+	// zero Kind with it means LatExp (see NetConfig.Latency).
 	Mean time.Duration
 }
 
@@ -215,8 +216,13 @@ func (c Config) withDefaults() Config {
 	if c.Epsilon == 0 {
 		c.Epsilon = 0.125
 	}
-	if c.Net.Latency.Mean <= 0 {
-		c.Net.Latency = LatencyDist{Kind: LatExp, Mean: time.Millisecond}
+	if c.Net.Latency.Mean == 0 {
+		// A zero mean takes the 1ms default and keeps its kind, except
+		// that the zero LatencyDist as a whole means exp:1ms.
+		if c.Net.Latency.Kind == LatFixed {
+			c.Net.Latency.Kind = LatExp
+		}
+		c.Net.Latency.Mean = time.Millisecond
 	}
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 1 << 26
@@ -242,6 +248,9 @@ func (c Config) validate() error {
 	// run (NaN compares false against everything).
 	if !(c.Epsilon > 0 && c.Epsilon < 1) {
 		return fmt.Errorf("des: epsilon must be in (0, 1), got %g", c.Epsilon)
+	}
+	if c.Net.Latency.Mean < 0 {
+		return fmt.Errorf("des: latency mean must be positive, got %v", c.Net.Latency.Mean)
 	}
 	if !(c.Net.Loss >= 0 && c.Net.Loss <= 0.99) {
 		return fmt.Errorf("des: loss must be in [0, 0.99], got %g (loss 1 would drop every message forever)", c.Net.Loss)

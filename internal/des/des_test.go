@@ -221,6 +221,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigLatencyDefaults pins how a run reads its latency
+// distribution: the zero LatencyDist is exp:1ms, a zero mean takes 1ms
+// and keeps any other kind, and a negative mean is rejected, as
+// ParseLatency rejects it, rather than run as the default.
+func TestConfigLatencyDefaults(t *testing.T) {
+	tests := []struct {
+		in   LatencyDist
+		want LatencyDist // zero: the config must not validate
+	}{
+		{LatencyDist{}, LatencyDist{Kind: LatExp, Mean: time.Millisecond}},
+		{LatencyDist{Kind: LatExp}, LatencyDist{Kind: LatExp, Mean: time.Millisecond}},
+		{LatencyDist{Kind: LatUniform}, LatencyDist{Kind: LatUniform, Mean: time.Millisecond}},
+		{LatencyDist{Kind: LatFixed, Mean: 2 * time.Millisecond}, LatencyDist{Kind: LatFixed, Mean: 2 * time.Millisecond}},
+		{LatencyDist{Kind: LatUniform, Mean: 500 * time.Microsecond}, LatencyDist{Kind: LatUniform, Mean: 500 * time.Microsecond}},
+		{LatencyDist{Kind: LatExp, Mean: -time.Millisecond}, LatencyDist{}},
+		{LatencyDist{Kind: LatFixed, Mean: -1}, LatencyDist{}},
+	}
+	for _, tt := range tests {
+		cfg := Config{N: 4, Protocol: ProtoSifter, Net: NetConfig{Latency: tt.in}}.withDefaults()
+		err := cfg.validate()
+		switch {
+		case tt.want == LatencyDist{} && err == nil:
+			t.Errorf("latency %v: validated as %v, want an error", tt.in, cfg.Net.Latency)
+		case tt.want != LatencyDist{} && err != nil:
+			t.Errorf("latency %v: %v", tt.in, err)
+		case tt.want != LatencyDist{} && cfg.Net.Latency != tt.want:
+			t.Errorf("latency %v runs as %v, want %v", tt.in, cfg.Net.Latency, tt.want)
+		}
+	}
+}
+
 func TestParseLatency(t *testing.T) {
 	good := map[string]LatencyDist{
 		"1ms":         {Kind: LatFixed, Mean: time.Millisecond},

@@ -89,7 +89,7 @@ func (c *queueChecker) pop() {
 }
 
 // nearLen is how many events near still holds.
-func (c *queueChecker) nearLen() int { return len(c.q.keys) - c.q.head }
+func (c *queueChecker) nearLen() int { return len(c.q.near) - c.q.head }
 
 func (c *queueChecker) drain() {
 	c.t.Helper()
@@ -104,11 +104,82 @@ func (c *queueChecker) drain() {
 // region it is named for.
 func TestEventQueueEdges(t *testing.T) {
 	tick, horizon := defaultGeometry()
+	slotW := tick >> slotBits // ns per sub-tick slot
+
+	// fillTick pushes m events into tick tk of a wk ns wide tick, at
+	// offsets that run backwards through it with every third event tying
+	// with the one before, then pops the first and checks whether advance
+	// ran the counting pass, which leaves the end of near in the last
+	// slot's cursor. near must be empty.
+	fillTick := func(c *queueChecker, tk, wk int64, m int, counted bool) {
+		var at int64
+		for i := 0; i < m; i++ {
+			if i%3 != 2 {
+				at = tk*wk + wk - 1 - int64(i)*wk/int64(m)
+			}
+			c.pushAt(at)
+		}
+		c.q.slots = [1 << slotBits]int32{}
+		c.pop()
+		if ran := c.q.slots[len(c.q.slots)-1] == int32(m); ran != counted {
+			c.t.Fatalf("tick of %d events: counting pass ran = %v, want %v", m, ran, counted)
+		}
+	}
 
 	cases := []struct {
 		name string
 		run  func(c *queueChecker)
 	}{
+		{"tick of exactly denseTick events: insertion pass only", func(c *queueChecker) {
+			fillTick(c, 1, tick, denseTick, false)
+		}},
+		{"tick of denseTick+1 events: counting pass", func(c *queueChecker) {
+			fillTick(c, 1, tick, denseTick+1, true)
+		}},
+		{"dense tick with events on sub-slot boundaries", func(c *queueChecker) {
+			// From the last slot down, each slot's first ns twice and the
+			// ns before it, so every boundary has a neighbour on each side.
+			c.pushAt(2*tick - 1)
+			for s := int64(1)<<slotBits - 1; s > 0; s-- {
+				c.pushAt(tick + s*slotW)
+				c.pushAt(tick + s*slotW - 1)
+				c.pushAt(tick + s*slotW)
+			}
+			c.pushAt(tick)
+			c.pop()
+			if c.nearLen() != 3<<slotBits-2 {
+				c.t.Fatalf("near holds %d events, want %d", c.nearLen(), 3<<slotBits-2)
+			}
+		}},
+		{"1 ns ticks: fewer ns than slots", func(c *queueChecker) {
+			c.q.setTick(1)
+			if c.q.shift != 0 {
+				c.t.Fatalf("shift = %d, want 0", c.q.shift)
+			}
+			fillTick(c, 5, 1, denseTick+7, true) // every event ties
+			c.drain()
+			fillTick(c, 9, 1, denseTick, false)
+		}},
+		{"8 ns ticks: fewer ns than slots", func(c *queueChecker) {
+			c.q.setTick(8 * wheelSize / wheelSpanMeans)
+			if c.q.shift != 3 {
+				c.t.Fatalf("shift = %d, want 3", c.q.shift)
+			}
+			fillTick(c, 2, 8, 2*denseTick, true)
+		}},
+		{"push into the current tick while a dense near is half drained", func(c *queueChecker) {
+			fillTick(c, 1, tick, 2*denseTick, true)
+			for c.nearLen() > denseTick {
+				c.pop()
+			}
+			c.push(0)                           // ties now: after the queued events of now
+			c.pushAt(c.ref.evs[denseTick/2].at) // ties a queued event mid-near
+			c.pushAt(2*tick - 1)                // the tick's last ns
+			c.pushAt((c.now + 2*tick - 1) / 2)  // between them
+			if c.nearLen() != denseTick+4 {
+				c.t.Fatalf("near holds %d events, want %d", c.nearLen(), denseTick+4)
+			}
+		}},
 		{"push into current tick while near is non-empty", func(c *queueChecker) {
 			for i := 0; i < 4; i++ {
 				c.push(3 * tick / 2)
@@ -191,18 +262,36 @@ func TestEventQueueEdges(t *testing.T) {
 				c.t.Fatalf("near holds %d events, want %d", c.nearLen(), 2*chunkSize+4)
 			}
 		}},
-		{"capped tick: offsets fill all 32 bits", func(c *queueChecker) {
-			c.q.setTick(3_600_000_000_000) // 1h mean: the cap binds
-			if c.q.shift != maxShift {
-				c.t.Fatalf("shift = %d, want the cap %d", c.q.shift, maxShift)
+		{"dense tick: ties across far and a bucket", func(c *queueChecker) {
+			at := horizon + tick/2
+			c.push(at) // far, tick wheelSize
+			c.push(at)
+			c.push(tick)
+			c.pop() // cur = tick 1: tick wheelSize is now inside the wheel span
+			for i := 0; i < denseTick; i++ {
+				c.pushAt(at - int64(i%2)) // ties with far's events and one ns before
 			}
-			const capTick = int64(1) << maxShift
-			c.push(capTick - 1) // last ns of the current tick
+			if c.q.wheelN != denseTick || len(c.q.far) != 2 {
+				c.t.Fatalf("wheel %d far %d, want %d and 2", c.q.wheelN, len(c.q.far), denseTick)
+			}
+			c.q.slots = [1 << slotBits]int32{}
+			c.pop() // advances into the tick through the counting pass
+			if c.q.slots[len(c.q.slots)-1] != denseTick+2 {
+				c.t.Fatalf("the %d events of the tick skipped the counting pass", denseTick+2)
+			}
+		}},
+		{"wide tick: offsets past 32 bits", func(c *queueChecker) {
+			c.q.setTick(3_600_000_000_000) // 1h mean: 2^34 ns ticks
+			if c.q.shift <= 32 {
+				c.t.Fatalf("shift = %d, want a tick wider than 2^32 ns", c.q.shift)
+			}
+			wide := int64(1) << c.q.shift
+			c.push(wide - 1) // last ns of the current tick
 			c.push(0)
-			c.push(capTick - 1)
-			c.push(2*capTick - 1) // last ns of the next tick
-			c.push(capTick)
-			c.push(wheelSize*capTick + capTick - 1)
+			c.push(wide - 1)
+			c.push(2*wide - 1) // last ns of the next tick
+			c.push(wide)
+			c.push(wheelSize*wide + wide - 1)
 			if c.nearLen() != 3 || c.q.wheelN != 2 || len(c.q.far) != 1 {
 				c.t.Fatalf("near %d wheel %d far %d, want 3, 2 and 1", c.nearLen(), c.q.wheelN, len(c.q.far))
 			}
@@ -231,23 +320,19 @@ func TestEventQueueEdges(t *testing.T) {
 
 // TestEventQueueTickSizing pins the wheel to span at least
 // wheelSpanMeans mean latencies with power-of-two ticks no wider than
-// needed, up to the maxShift cap, which a 1h mean hits.
+// needed, for every mean up to the largest a Duration holds.
 func TestEventQueueTickSizing(t *testing.T) {
-	for _, mean := range []int64{1, 1000, 250_000, 1_000_000, 7_777_777, 1_000_000_000, 3_600_000_000_000} {
+	for _, mean := range []int64{1, 1000, 250_000, 1_000_000, 7_777_777, 1_000_000_000, 3_600_000_000_000, math.MaxInt64} {
 		var q eventQueue
 		q.setTick(mean)
-		tick := int64(1) << q.shift
-		capped := wheelSize<<maxShift < wheelSpanMeans*mean
-		if capped != (mean == 3_600_000_000_000) {
-			t.Errorf("mean %d: cap binds = %v, want it to bind at the 1h mean only", mean, capped)
+		// In uint64, tick*ticksPerMean fits for every shift setTick picks;
+		// the wheel spans wheelSpanMeans means iff it is at least mean.
+		const ticksPerMean = wheelSize / wheelSpanMeans
+		tick := uint64(1) << q.shift
+		if tick*ticksPerMean < uint64(mean) {
+			t.Errorf("mean %d: wheel of %d ns ticks spans less than %d means", mean, tick, wheelSpanMeans)
 		}
-		if capped && q.shift != maxShift {
-			t.Errorf("mean %d: shift %d, want the cap %d", mean, q.shift, maxShift)
-		}
-		if !capped && wheelSize*tick < wheelSpanMeans*mean {
-			t.Errorf("mean %d: wheel spans %d ns, want >= %d", mean, wheelSize*tick, wheelSpanMeans*mean)
-		}
-		if q.shift > 0 && wheelSize*tick/2 >= wheelSpanMeans*mean {
+		if q.shift > 0 && tick/2*ticksPerMean >= uint64(mean) {
 			t.Errorf("mean %d: tick %d ns is wider than needed", mean, tick)
 		}
 	}
@@ -272,12 +357,13 @@ func TestEventQueuePushBeforeLastPopPanics(t *testing.T) {
 
 // FuzzEventQueue checks random push/pop interleavings pop by pop against
 // the sorting oracle. geom picks the tick geometry: 0 is the 1ms default,
-// anything else a mean latency from 1ns to past the point where maxShift
-// caps the tick. Each op byte is a pop or a push whose delay class spans
-// every region of the queue — zero, under one tick, exp(mean), within a
-// tick of the wheel horizon, and far beyond it — or a push that ties
-// exactly on the time of a queued event, alone or in a burst that spans
-// several chunks, so ties meet across far, the wheel and near.
+// anything else a mean latency from 1ns to 2^43 ns, whose ticks are
+// wider than 2^32 ns. Each op byte is a pop or a push whose delay class
+// spans every region of the queue — zero, under one tick, exp(mean),
+// within a tick of the wheel horizon, and far beyond it — or a push that
+// ties exactly on the time of a queued event, alone or in a burst that
+// spans several chunks, so ties meet across far, the wheel and near; or
+// a dense tick, a burst of more than denseTick pushes into one tick.
 func FuzzEventQueue(f *testing.F) {
 	f.Add(uint64(1), uint8(0), []byte{1, 2, 3, 4, 5, 0, 0, 0, 0, 0})
 	f.Add(uint64(2), uint8(0), []byte{5, 5, 4, 4, 0, 3, 0, 2, 1, 0, 0, 3, 3, 3, 0})
@@ -285,6 +371,8 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add(uint64(4), uint8(0), []byte{5, 4, 6, 7, 0, 6, 7, 0, 6, 3, 7, 0, 6, 0, 7, 6, 0, 0})
 	f.Add(uint64(5), uint8(1), []byte{2, 3, 7, 4, 6, 0, 5, 7, 0, 6, 0, 1, 6, 0})
 	f.Add(uint64(6), uint8(41), []byte{4, 3, 5, 7, 6, 0, 2, 6, 0, 7, 4, 0, 6, 0, 0})
+	f.Add(uint64(7), uint8(0), []byte{8, 0, 8, 8, 0, 6, 0, 3, 8, 0, 7, 0, 0, 8, 0, 0})
+	f.Add(uint64(8), uint8(3), []byte{8, 8, 0, 0, 8, 4, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, geom uint8, ops []byte) {
 		// Bound the trace so the quadratic oracle stays fast.
 		if len(ops) > 2000 {
@@ -294,7 +382,7 @@ func FuzzEventQueue(f *testing.F) {
 		c := &queueChecker{t: t, q: &eventQueue{}}
 		mean := int64(defaultTickMean)
 		if geom != 0 {
-			m := int64(1) << (geom % 42) // up to 2^42 ns, past the cap near 2^39
+			m := int64(1) << (geom % 42) // up to 2^42 ns
 			mean = m + int64(rng.Uint64n(uint64(m)))
 		}
 		c.q.setTick(mean)
@@ -308,7 +396,7 @@ func FuzzEventQueue(f *testing.F) {
 			return c.ref.evs[rng.Intn(len(c.ref.evs))].at
 		}
 		for _, op := range ops {
-			switch op % 8 {
+			switch op % 9 {
 			case 0:
 				c.pop()
 			case 1:
@@ -330,17 +418,39 @@ func FuzzEventQueue(f *testing.F) {
 				for k := chunkSize + 1 + rng.Intn(2*chunkSize); k > 0; k-- {
 					c.pushAt(at)
 				}
+			case 8:
+				// 33-300 pushes at random offsets in one tick: now's, one
+				// of the next two, or the first beyond the wheel; a
+				// quarter of them tie with an earlier push of the burst.
+				k := 33 + rng.Intn(268)
+				if len(c.ref.evs)+k > 4000 {
+					c.pop() // keeps the oracle's queue small
+					break
+				}
+				tk := c.now>>c.q.shift + []int64{0, 1, 2, wheelSize}[rng.Intn(4)]
+				lo, end := max(tk<<c.q.shift, c.now), (tk+1)<<c.q.shift
+				var burst []int64
+				for ; k > 0; k-- {
+					at := lo + int64(rng.Uint64n(uint64(end-lo)))
+					if len(burst) > 0 && rng.Intn(4) == 0 {
+						at = burst[rng.Intn(len(burst))]
+					}
+					burst = append(burst, at)
+					c.pushAt(at)
+				}
 			}
 		}
 		c.drain()
 	})
 }
 
-// holdQueue fills a queue to the des-scale steady state — ~42k events,
-// three quarters of them retransmission timers 8ms out and the rest
-// exp(1ms) deliveries — and returns it with a delay source for the
-// same mix.
-func holdQueue() (*eventQueue, func() int64) {
+// holdQueue fills a queue with size events in the des-scale delay mix —
+// three quarters retransmission timers 8ms out and the rest exp(1ms)
+// deliveries — and returns it with a delay source for the same mix.
+// Each event's delay runs from 0, or with spread from a start spread
+// evenly over the first 8ms, which keeps the timers from clumping on
+// one nanosecond. desScaleHold events is the des-scale steady state.
+func holdQueue(size int, spread bool) (*eventQueue, func() int64) {
 	rng := xrand.New(1)
 	delay := func() int64 {
 		if rng.Intn(4) != 0 {
@@ -350,26 +460,56 @@ func holdQueue() (*eventQueue, func() int64) {
 	}
 	q := &eventQueue{}
 	q.setTick(defaultTickMean)
-	for i := 0; i < 42_000; i++ {
-		q.push(delay(), int32(i), evDeliver, message{})
+	for i := 0; i < size; i++ {
+		var start int64
+		if spread {
+			start = int64(i) * 8_000_000 / int64(size)
+		}
+		q.push(start+delay(), int32(i), evDeliver, message{})
 	}
 	return q, delay
 }
 
+const desScaleHold = 42_000
+
 // TestEventQueueSteadyStateAllocs pins the steady state to zero
-// allocations: once warm, a pop and a push reuse slab nodes and heap
-// capacity.
+// allocations: once warm, a pop and a push reuse slab nodes, heap
+// capacity, near and the counting pass's scratch. It runs the des-scale
+// hold model and one four times its size with spread start times, whose
+// measured ticks must nearly all take the counting pass.
 func TestEventQueueSteadyStateAllocs(t *testing.T) {
-	q, delay := holdQueue()
-	cycle := func() {
-		ev := q.pop()
-		q.push(ev.at+delay(), ev.to, evDeliver, ev.msg)
-	}
-	for i := 0; i < 200_000; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(10_000, cycle); allocs != 0 {
-		t.Errorf("push+pop on a warm queue allocates %v times per cycle, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		size  int
+		dense bool // spread start times; checks that ticks are dense
+	}{
+		{"des-scale", desScaleHold, false},
+		{"dense ticks", 4 * desScaleHold, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, delay := holdQueue(tc.size, tc.dense)
+			var advances, dense int
+			cycle := func() {
+				ev := q.pop()
+				if q.head == 1 {
+					advances++
+					if len(q.near) > denseTick {
+						dense++
+					}
+				}
+				q.push(ev.at+delay(), ev.to, evDeliver, ev.msg)
+			}
+			for i := 0; i < 200_000; i++ {
+				cycle()
+			}
+			advances, dense = 0, 0
+			if allocs := testing.AllocsPerRun(10_000, cycle); allocs != 0 {
+				t.Errorf("push+pop on a warm queue allocates %v times per cycle, want 0", allocs)
+			}
+			if tc.dense && dense < advances*99/100 {
+				t.Errorf("%d of the %d measured ticks took the counting pass, want at least 99%%", dense, advances)
+			}
+		})
 	}
 }
 
@@ -377,7 +517,7 @@ func TestEventQueueSteadyStateAllocs(t *testing.T) {
 // size and delay mix: each op pops the earliest event and schedules one
 // replacement.
 func BenchmarkEventQueue(b *testing.B) {
-	q, delay := holdQueue()
+	q, delay := holdQueue(desScaleHold, false)
 	b.ReportAllocs()
 	for b.Loop() {
 		ev := q.pop()
